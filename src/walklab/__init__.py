@@ -32,15 +32,15 @@ from .engine import (
     apply_shift,
     coin_by_name,
     hadamard_coin,
-    iterate_quantum,
+    iterate_walk,
     kempe_coin,
     mirrored_hadamard_coin,
-    run_quantum,
+    run_walk,
+    snapshot_distribution,
+    snapshot_distributions,
     step,
 )
 from .classical import (
-    ClassicalWalkConfig,
-    ClassicalWalkResult,
     classical_avg_time_partial,
     classical_avg_time_term,
     classical_first_passage,
@@ -48,8 +48,6 @@ from .classical import (
     crw_apply_absorber,
     crw_step,
     first_passage_series,
-    iterate_classical,
-    run_classical,
 )
 from .series import (
     DEFAULT_ORDER,

@@ -1,28 +1,24 @@
-"""Classical random walk: exact propagation, absorber, first-passage laws.
+"""Classical random walk kernels and first-passage laws.
 
 The walker splits its mass half left, half right by the step length each
 step; the absorber removes mass at or beyond its position exactly as in the
-quantum engine. Exact vector propagation replaces Monte Carlo everywhere;
+quantum engine. `engine.run_walk` drives these kernels for configs with
+engine "classical". Exact vector propagation replaces Monte Carlo everywhere;
 trajectory sampling exists only in the test suite as a cross-check oracle.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.special import gammaln
 
-from .engine import AbsorberConfig, AbsorptionRecord
 from .errors import ConfigurationError, NoAbsorptionError
-from .lattice import (
-    ClassicalState,
-    PositionDistribution,
-    initial_classical_state,
-    probability_distribution,
-    std_dev,
-)
+from .lattice import ClassicalState
+
+if TYPE_CHECKING:  # engine imports this module for its kernels
+    from .engine import AbsorberConfig
 
 # exact integer binomials below this step count, log-gamma beyond
 _EXACT_COMB_LIMIT = 1000
@@ -55,90 +51,6 @@ def crw_apply_absorber(
     prob = state.prob.copy()
     prob[sl] = 0.0
     return ClassicalState(time=state.time, n_min=state.n_min, prob=prob), absorbed
-
-
-@dataclass
-class ClassicalWalkConfig:
-    """Full specification of one classical run."""
-
-    steps: int
-    initial_position: int = 0
-    absorber: Optional[AbsorberConfig] = None
-    step_lengths: Optional[Sequence[int]] = None
-
-    def __post_init__(self) -> None:
-        if self.steps < 1:
-            raise ConfigurationError(f"steps must be >= 1, got {self.steps}")
-        if self.step_lengths is not None:
-            lengths = np.asarray(self.step_lengths)
-            if lengths.shape != (self.steps,):
-                raise ConfigurationError(
-                    f"step_lengths must have length {self.steps}, "
-                    f"got {lengths.shape}"
-                )
-            if np.any(lengths < 0) or not np.issubdtype(lengths.dtype, np.integer):
-                raise ConfigurationError("step lengths must be nonnegative integers")
-
-    def lengths(self) -> np.ndarray:
-        if self.step_lengths is None:
-            return np.ones(self.steps, dtype=np.int64)
-        return np.asarray(self.step_lengths, dtype=np.int64)
-
-
-@dataclass
-class ClassicalWalkResult:
-    """Same shape as the quantum result: record, per-step spread, final state."""
-
-    record: AbsorptionRecord
-    sigma: np.ndarray
-    final_state: ClassicalState
-
-
-def iterate_classical(
-    config: ClassicalWalkConfig,
-) -> Iterator[tuple[ClassicalState, float]]:
-    """Yield (state after step t, mass absorbed at step t) for t = 1..steps."""
-    state = initial_classical_state(config.initial_position)
-    for l in config.lengths():
-        state = crw_step(state, int(l))
-        absorbed = 0.0
-        if config.absorber is not None:
-            state, absorbed = crw_apply_absorber(state, config.absorber)
-        yield state, absorbed
-
-
-def run_classical(config: ClassicalWalkConfig) -> ClassicalWalkResult:
-    per_step = np.zeros(config.steps)
-    sigma = np.full(config.steps, np.nan)
-    state = None
-    t = 0
-    for state, absorbed in iterate_classical(config):
-        t = state.time
-        per_step[t - 1] = absorbed
-        dist = probability_distribution(state)
-        if dist.mass() > 0.0:
-            sigma[t - 1] = std_dev(dist)
-        else:
-            break
-    return ClassicalWalkResult(
-        record=AbsorptionRecord(per_step=per_step[:t], horizon=t),
-        sigma=sigma[:t],
-        final_state=state,
-    )
-
-
-def snapshot_distribution(
-    config: ClassicalWalkConfig, at_time: int
-) -> PositionDistribution:
-    """Position distribution after `at_time` steps (post-absorption)."""
-    if not 0 < at_time <= config.steps:
-        raise ConfigurationError(
-            f"snapshot time must be in 1..{config.steps}, got {at_time}"
-        )
-    for state, _ in iterate_classical(config):
-        if state.time == at_time:
-            return probability_distribution(state)
-    raise AssertionError("unreachable")
 
 
 def classical_first_passage(t: int, m1: int) -> float:

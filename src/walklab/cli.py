@@ -28,21 +28,23 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .classical import ClassicalWalkConfig, classical_avg_time_term
-from .classical import snapshot_distribution as classical_snapshot
+from .classical import classical_avg_time_term
 from .disorder import TABLE2_PRESETS, DisorderSpec, build_spec, child_seed, sample_realization
-from .engine import AbsorberConfig, WalkConfig, coin_by_name
-from .engine import snapshot_distribution as quantum_snapshot
+from .engine import (
+    AbsorberConfig,
+    WalkConfig,
+    coin_by_name,
+    iterate_walk,
+    snapshot_distributions,
+)
 from .ensemble import (
     EnsembleConfig,
+    _horizon_ratios,
     disorder_avg_absorb_time,
     disorder_avg_sigma,
-    finite_horizon_avg_time,
     fit_exponent,
 )
 from .errors import ConfigurationError, NumericalError
-from .classical import run_classical
-from .engine import run_quantum
 from .series import (
     DEFAULT_ORDER,
     avg_absorb_time,
@@ -179,43 +181,54 @@ def _walk_lengths(args, spec: Optional[DisorderSpec]):
     return sample_realization(spec, args.steps, child_seed(args.seed, 0)).lengths
 
 
+def _walk_config(args, absorber: Optional[AbsorberConfig],
+                 step_lengths=None) -> WalkConfig:
+    """The walk that --engine/--coin/--initial/--steps describe."""
+    amp_l, amp_r = (1.0, 0.0) if args.initial == "L" else (0.0, 1.0)
+    return WalkConfig(
+        steps=args.steps,
+        engine=args.engine,
+        coin=coin_by_name(args.coin),
+        initial_amp_left=amp_l,
+        initial_amp_right=amp_r,
+        absorber=absorber,
+        step_lengths=step_lengths,
+    )
+
+
+def _walk_meta(args) -> dict:
+    quantum = args.engine == "quantum"
+    return {
+        "engine": args.engine,
+        "coin": args.coin if quantum else "n/a",
+        "initial": args.initial if quantum else "n/a",
+        "steps": args.steps,
+    }
+
+
+def _ensemble_config(args, spec, absorber, realizations) -> EnsembleConfig:
+    return EnsembleConfig(
+        walk=_walk_config(args, absorber),
+        realizations=realizations,
+        master_seed=args.seed,
+        disorder=spec,
+        workers=args.workers,
+    )
+
+
 def cmd_walk(args) -> str:
     spec = parse_disorder(args.disorder) if args.disorder else None
     absorber = AbsorberConfig(args.absorber) if args.absorber is not None else None
-    snapshots = sorted(set(args.snapshot or [args.steps]))
-    lengths = _walk_lengths(args, spec)
+    config = _walk_config(args, absorber, _walk_lengths(args, spec))
     rows = []
-    for at in snapshots:
-        if args.engine == "quantum":
-            amp_l, amp_r = (1.0, 0.0) if args.initial == "L" else (0.0, 1.0)
-            dist = quantum_snapshot(
-                WalkConfig(
-                    steps=args.steps,
-                    coin=coin_by_name(args.coin),
-                    initial_amp_left=amp_l,
-                    initial_amp_right=amp_r,
-                    absorber=absorber,
-                    step_lengths=lengths,
-                ),
-                at,
-            )
-        else:
-            dist = classical_snapshot(
-                ClassicalWalkConfig(
-                    steps=args.steps, absorber=absorber, step_lengths=lengths
-                ),
-                at,
-            )
+    for dist in snapshot_distributions(config, args.snapshot or [args.steps]):
         for pos, prob in zip(dist.positions.tolist(), dist.probs.tolist()):
             # parity-forbidden and absorbed sites carry exactly zero mass
             if prob != 0.0:
-                rows.append((at, pos, float(prob)))
+                rows.append((dist.time, pos, float(prob)))
     meta = {
         "command": "walk",
-        "engine": args.engine,
-        "coin": args.coin if args.engine == "quantum" else "n/a",
-        "initial": args.initial if args.engine == "quantum" else "n/a",
-        "steps": args.steps,
+        **_walk_meta(args),
         "absorber": args.absorber if args.absorber is not None else "none",
         "disorder": _disorder_meta(spec),
         "seed": args.seed,
@@ -229,41 +242,20 @@ def cmd_absorb(args) -> str:
     if spec is None:
         if args.realizations is not None:
             raise ConfigurationError("--realizations requires --disorder")
-        if args.engine == "quantum":
-            amp_l, amp_r = (1.0, 0.0) if args.initial == "L" else (0.0, 1.0)
-            result = run_quantum(
-                WalkConfig(
-                    steps=args.steps,
-                    coin=coin_by_name(args.coin),
-                    initial_amp_left=amp_l,
-                    initial_amp_right=amp_r,
-                    absorber=absorber,
-                )
-            )
-        else:
-            result = run_classical(
-                ClassicalWalkConfig(steps=args.steps, absorber=absorber)
-            )
-        record = result.record
-        rows = []
-        cum = 0.0
-        for t in range(1, record.horizon + 1):
-            cum += float(record.per_step[t - 1])
-            try:
-                t_avg = finite_horizon_avg_time(record, t)
-            except NumericalError:
-                t_avg = float("nan")
-            rows.append((t, float(record.per_step[t - 1]), cum, t_avg))
+        per_step = np.array(
+            [absorbed for _, absorbed in iterate_walk(_walk_config(args, absorber))]
+        )
+        ts = np.arange(1, per_step.size + 1)
+        avg_time = _horizon_ratios(per_step[np.newaxis, :], ts)[0]
+        rows = list(zip(ts.tolist(), per_step.tolist(),
+                        np.cumsum(per_step).tolist(), avg_time.tolist()))
         meta = {
             "command": "absorb",
-            "engine": args.engine,
-            "coin": args.coin if args.engine == "quantum" else "n/a",
-            "initial": args.initial if args.engine == "quantum" else "n/a",
-            "steps": args.steps,
+            **_walk_meta(args),
             "absorber": args.absorber,
             "disorder": "none",
             "seed": args.seed,
-            "cumulative_total": record.cumulative_total,
+            "cumulative_total": float(np.sum(per_step)),
         }
         return _render(
             args, meta, ["t", "p_t", "cumulative", "avg_time"], rows, "record"
@@ -274,19 +266,7 @@ def cmd_absorb(args) -> str:
         if args.horizons
         else list(range(1, args.steps + 1))
     )
-    amp_l, amp_r = (1.0, 0.0) if args.initial == "L" else (0.0, 1.0)
-    config = EnsembleConfig(
-        engine=args.engine,
-        steps=args.steps,
-        realizations=realizations,
-        master_seed=args.seed,
-        coin=coin_by_name(args.coin),
-        initial_amp_left=amp_l,
-        initial_amp_right=amp_r,
-        absorber=absorber,
-        disorder=spec,
-        workers=args.workers,
-    )
+    config = _ensemble_config(args, spec, absorber, realizations)
     curve = disorder_avg_absorb_time(config, horizons)
     rows = [
         (int(n), float(v), float(se), int(inc), int(config.realizations - inc))
@@ -296,10 +276,7 @@ def cmd_absorb(args) -> str:
     ]
     meta = {
         "command": "absorb",
-        "engine": args.engine,
-        "coin": args.coin if args.engine == "quantum" else "n/a",
-        "initial": args.initial if args.engine == "quantum" else "n/a",
-        "steps": args.steps,
+        **_walk_meta(args),
         "absorber": args.absorber,
         "disorder": _disorder_meta(spec),
         "realizations": realizations,
@@ -363,20 +340,7 @@ def _exponent_fit(args, spec, absorber):
     realizations = args.realizations
     if realizations is None:
         realizations = 200 if spec is not None else 1
-    amp_l, amp_r = (1.0, 0.0) if args.initial == "L" else (0.0, 1.0)
-    config = EnsembleConfig(
-        engine=args.engine,
-        steps=args.steps,
-        realizations=realizations,
-        master_seed=args.seed,
-        coin=coin_by_name(args.coin),
-        initial_amp_left=amp_l,
-        initial_amp_right=amp_r,
-        absorber=absorber,
-        disorder=spec,
-        workers=args.workers,
-    )
-    curve = disorder_avg_sigma(config)
+    curve = disorder_avg_sigma(_ensemble_config(args, spec, absorber, realizations))
     t_lo, t_hi = _parse_range(args.t_range)
     return fit_exponent(curve, t_lo, t_hi), realizations
 
@@ -387,10 +351,7 @@ def cmd_exponent(args) -> str:
     fit, realizations = _exponent_fit(args, spec, absorber)
     meta = {
         "command": "exponent",
-        "engine": args.engine,
-        "coin": args.coin if args.engine == "quantum" else "n/a",
-        "initial": args.initial if args.engine == "quantum" else "n/a",
-        "steps": args.steps,
+        **_walk_meta(args),
         "absorber": args.absorber if args.absorber is not None else "none",
         "disorder": _disorder_meta(spec),
         "realizations": realizations,
@@ -433,15 +394,7 @@ def cmd_sweep(args) -> str:
         mean, var = spec.moments()
         fits = {}
         for label, absorber_cfg in (("with", absorber), ("without", None)):
-            config = EnsembleConfig(
-                engine="quantum",
-                steps=args.steps,
-                realizations=args.realizations,
-                master_seed=args.seed,
-                absorber=absorber_cfg,
-                disorder=spec,
-                workers=args.workers,
-            )
+            config = _ensemble_config(args, spec, absorber_cfg, args.realizations)
             curve = disorder_avg_sigma(config)
             fits[label] = fit_exponent(curve, t_lo, t_hi)
         rows.append(
@@ -555,7 +508,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--realizations", type=int, default=200)
     p.add_argument("--t-range", dest="t_range", default="20:80")
     _add_common(p)
-    p.set_defaults(func=cmd_sweep)
+    # sweep always runs the default quantum walk
+    p.set_defaults(func=cmd_sweep, engine="quantum", coin="hadamard", initial="L")
 
     return parser
 

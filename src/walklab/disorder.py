@@ -219,6 +219,11 @@ def build_spec(family: str, fields: dict) -> DisorderSpec:
         values = [float(fields[k]) for k in expected]
     except ValueError as exc:
         raise ConfigurationError(f"non-numeric disorder parameter: {exc}") from None
+    for key, value in zip(expected, values):
+        if not math.isfinite(value):
+            raise ConfigurationError(
+                f"disorder parameter {key} must be finite, got {fields[key]!r}"
+            )
     return _FACTORIES[family](*values)
 
 

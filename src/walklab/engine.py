@@ -1,28 +1,37 @@
-"""Discrete-time quantum walk engine: coin, shift, absorber, full runs.
+"""Walk engine: quantum kernels and the one walk pipeline of both engines.
 
-One time step is coin → shift → absorb. The shift moves the left-mover
-component l sites down and the right-mover component l sites up; l = 0 steps
-apply the coin but no movement. The absorber removes, every step, all
-probability amplitude at or beyond its position (on its side of the origin),
-and the removed mass is recorded as that step's absorption probability.
+A quantum time step is coin → shift → absorb. The shift moves the
+left-mover component l sites down and the right-mover component l sites up;
+l = 0 steps apply the coin but no movement. The absorber removes, every
+step, all probability amplitude at or beyond its position (on its side of
+the origin), and the removed mass is recorded as that step's absorption
+probability. A classical step is the fair split `classical.crw_step`
+followed by `classical.crw_apply_absorber`; a walk config's engine picks
+only the initial state and that kernel pair, so both engines share the
+config, the iterator, the runner and the snapshots.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
+from .classical import crw_apply_absorber, crw_step
 from .errors import ConfigurationError
 from .lattice import (
     LEFT,
     RIGHT,
+    ClassicalState,
     PositionDistribution,
     QuantumState,
+    initial_classical_state,
     initial_quantum_state,
     probability_distribution,
     std_dev,
 )
+
+WalkerState = Union[QuantumState, ClassicalState]
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -160,11 +169,19 @@ class AbsorptionRecord:
         return np.cumsum(self.per_step)
 
 
+ENGINES = ("quantum", "classical")
+
+
 @dataclass
 class WalkConfig:
-    """Full specification of one walk run."""
+    """Full specification of one walk run, quantum or classical.
+
+    The classical engine starts from a point mass and ignores the coin and
+    the initial coin amplitudes.
+    """
 
     steps: int
+    engine: str = "quantum"
     coin: CoinOperator = field(default_factory=hadamard_coin)
     initial_position: int = 0
     initial_amp_left: complex = 1.0
@@ -173,6 +190,10 @@ class WalkConfig:
     step_lengths: Optional[Sequence[int]] = None
 
     def __post_init__(self) -> None:
+        if self.engine not in ENGINES:
+            raise ConfigurationError(
+                f"engine must be one of {ENGINES}, got {self.engine!r}"
+            )
         if self.steps < 1:
             raise ConfigurationError(f"steps must be >= 1, got {self.steps}")
         if self.step_lengths is not None:
@@ -201,51 +222,81 @@ class WalkResult:
 
     record: AbsorptionRecord
     sigma: np.ndarray
-    final_state: QuantumState
+    final_state: WalkerState
 
 
-def iterate_quantum(config: WalkConfig) -> Iterator[tuple[QuantumState, float]]:
-    """Yield (state after step t, mass absorbed at step t) for t = 1..steps."""
-    state = initial_quantum_state(
-        config.initial_position, config.initial_amp_left, config.initial_amp_right
-    )
+def iterate_walk(config: WalkConfig) -> Iterator[tuple[WalkerState, float]]:
+    """Yield (state after step t, mass absorbed at step t) for t = 1..steps.
+
+    Stops early after a step that leaves no surviving mass: nothing evolves
+    past that point.
+    """
+    if config.engine == "quantum":
+        state = initial_quantum_state(
+            config.initial_position, config.initial_amp_left,
+            config.initial_amp_right,
+        )
+
+        def advance(current, l):
+            return step(current, config.coin, l)
+
+        absorb = apply_absorber
+    else:
+        state = initial_classical_state(config.initial_position)
+        advance, absorb = crw_step, crw_apply_absorber
     for l in config.lengths():
-        state = step(state, config.coin, int(l))
+        state = advance(state, int(l))
         absorbed = 0.0
         if config.absorber is not None:
-            state, absorbed = apply_absorber(state, config.absorber)
+            state, absorbed = absorb(state, config.absorber)
         yield state, absorbed
+        # only absorption removes mass, so only a step that absorbed can empty
+        if absorbed > 0.0 and state.mass() == 0.0:
+            return
 
 
-def run_quantum(config: WalkConfig) -> WalkResult:
-    per_step = np.zeros(config.steps)
-    sigma = np.full(config.steps, np.nan)
+def run_walk(config: WalkConfig) -> WalkResult:
+    per_step = []
+    sigma = []
     state = None
-    t = 0
-    for state, absorbed in iterate_quantum(config):
-        t = state.time
-        per_step[t - 1] = absorbed
+    for state, absorbed in iterate_walk(config):
+        per_step.append(absorbed)
         dist = probability_distribution(state)
-        if dist.mass() > 0.0:
-            sigma[t - 1] = std_dev(dist)
-        else:
-            break  # fully absorbed; nothing evolves past this point
+        sigma.append(std_dev(dist) if dist.mass() > 0.0 else np.nan)
     return WalkResult(
-        record=AbsorptionRecord(per_step=per_step[:t], horizon=t),
-        sigma=sigma[:t],
+        record=AbsorptionRecord(per_step=np.array(per_step), horizon=len(per_step)),
+        sigma=np.array(sigma),
         final_state=state,
     )
+
+
+def snapshot_distributions(
+    config: WalkConfig, times: Iterable[int]
+) -> list[PositionDistribution]:
+    """Position distributions after each of `times` steps (post-absorption),
+    sorted by time and taken from one pass of the walk. A snapshot after
+    the walk was fully absorbed is empty."""
+    wanted = sorted(set(times))
+    bad = [t for t in wanted if not 0 < t <= config.steps]
+    if bad:
+        raise ConfigurationError(
+            f"snapshot time must be in 1..{config.steps}, got {bad[0]}"
+        )
+    walk = iterate_walk(config)
+    dists = []
+    for t in wanted:
+        for state, _ in walk:
+            if state.time == t:
+                dists.append(probability_distribution(state))
+                break
+        else:  # the walk was fully absorbed before t
+            dists.append(PositionDistribution(
+                time=t, positions=np.empty(0, dtype=np.int64), probs=np.empty(0)))
+    return dists
 
 
 def snapshot_distribution(
     config: WalkConfig, at_time: int
 ) -> PositionDistribution:
     """Position distribution after `at_time` steps (post-absorption)."""
-    if not 0 < at_time <= config.steps:
-        raise ConfigurationError(
-            f"snapshot time must be in 1..{config.steps}, got {at_time}"
-        )
-    for state, _ in iterate_quantum(config):
-        if state.time == at_time:
-            return probability_distribution(state)
-    raise AssertionError("unreachable")
+    return snapshot_distributions(config, [at_time])[0]

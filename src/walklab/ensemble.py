@@ -8,51 +8,34 @@ fixed realization-index order and are bit-identical across worker settings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from multiprocessing import Pool
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import t as student_t
+from scipy.special import stdtrit
 
-from .classical import ClassicalWalkConfig, run_classical
 from .disorder import DisorderSpec, child_seed, sample_realization
-from .engine import (
-    AbsorberConfig,
-    AbsorptionRecord,
-    CoinOperator,
-    WalkConfig,
-    hadamard_coin,
-    run_quantum,
-)
+from .engine import AbsorptionRecord, WalkConfig, run_walk
 from .errors import ConfigurationError, NoAbsorptionError, NumericalError
-
-ENGINES = ("quantum", "classical")
 
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    """A walk template plus ensemble size, disorder, and seeding."""
+    """A walk template plus ensemble size, disorder, and seeding.
 
-    engine: str
-    steps: int
+    With disorder, realization i runs the template with step lengths drawn
+    from the seed child_seed(master_seed, i); without, every realization
+    runs the template as it is.
+    """
+
+    walk: WalkConfig
     realizations: int
     master_seed: int = 1
-    coin: CoinOperator = field(default_factory=hadamard_coin)
-    initial_position: int = 0
-    initial_amp_left: complex = 1.0
-    initial_amp_right: complex = 0.0
-    absorber: Optional[AbsorberConfig] = None
     disorder: Optional[DisorderSpec] = None
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.engine not in ENGINES:
-            raise ConfigurationError(
-                f"engine must be one of {ENGINES}, got {self.engine!r}"
-            )
-        if self.steps < 1:
-            raise ConfigurationError(f"steps must be >= 1, got {self.steps}")
         if self.realizations < 1:
             raise ConfigurationError(
                 f"realizations must be >= 1, got {self.realizations}"
@@ -91,34 +74,15 @@ class FitResult:
 
 def _run_realization(config: EnsembleConfig, index: int) -> tuple:
     """One walk; returns (per-step absorption, per-step sigma), padded."""
-    lengths = None
+    walk = config.walk
     if config.disorder is not None:
         seed = child_seed(config.master_seed, index)
-        lengths = sample_realization(config.disorder, config.steps, seed).lengths
-    if config.engine == "quantum":
-        result = run_quantum(
-            WalkConfig(
-                steps=config.steps,
-                coin=config.coin,
-                initial_position=config.initial_position,
-                initial_amp_left=config.initial_amp_left,
-                initial_amp_right=config.initial_amp_right,
-                absorber=config.absorber,
-                step_lengths=lengths,
-            )
-        )
-    else:
-        result = run_classical(
-            ClassicalWalkConfig(
-                steps=config.steps,
-                initial_position=config.initial_position,
-                absorber=config.absorber,
-                step_lengths=lengths,
-            )
-        )
-    p = np.zeros(config.steps)
+        lengths = sample_realization(config.disorder, walk.steps, seed).lengths
+        walk = replace(walk, step_lengths=lengths)
+    result = run_walk(walk)
+    p = np.zeros(walk.steps)
     p[: result.record.horizon] = result.record.per_step
-    s = np.full(config.steps, np.nan)
+    s = np.full(walk.steps, np.nan)
     s[: result.sigma.size] = result.sigma
     return p, s
 
@@ -197,14 +161,15 @@ def disorder_avg_absorb_time(
     horizon's average; the per-point inclusion count is reported. Every
     horizon must keep at least one realization.
     """
-    if config.absorber is None:
+    steps = config.walk.steps
+    if config.walk.absorber is None:
         raise ConfigurationError("absorbing-time averages need an absorber")
     hs = np.asarray(sorted(set(int(h) for h in horizons)), dtype=np.int64)
     if hs.size == 0:
         raise ConfigurationError("at least one horizon is required")
-    if hs[0] < 1 or hs[-1] > config.steps:
+    if hs[0] < 1 or hs[-1] > steps:
         raise ConfigurationError(
-            f"horizons must lie in 1..{config.steps}, got {hs[0]}..{hs[-1]}"
+            f"horizons must lie in 1..{steps}, got {hs[0]}..{hs[-1]}"
         )
     absorbed, _ = run_ensemble(config)
     ratios = _horizon_ratios(absorbed, hs)
@@ -229,13 +194,14 @@ def disorder_avg_sigma(
 ) -> AveragedCurve:
     """⟨σ(t)⟩ across realizations; σ is the surviving-mass (renormalized)
     spread whenever an absorber is present."""
+    steps = config.walk.steps
     if t_grid is None:
-        ts = np.arange(1, config.steps + 1, dtype=np.int64)
+        ts = np.arange(1, steps + 1, dtype=np.int64)
     else:
         ts = np.asarray(sorted(set(int(t) for t in t_grid)), dtype=np.int64)
-        if ts.size == 0 or ts[0] < 1 or ts[-1] > config.steps:
+        if ts.size == 0 or ts[0] < 1 or ts[-1] > steps:
             raise ConfigurationError(
-                f"t grid must lie within 1..{config.steps}"
+                f"t grid must lie within 1..{steps}"
             )
     _, sigma = run_ensemble(config)
     values, stderr, included = _nan_average(sigma[:, ts - 1])
@@ -283,7 +249,7 @@ def fit_exponent(curve: AveragedCurve, t_lo: int = 20, t_hi: int = 80) -> FitRes
     residual_rms = math.sqrt(rss / n)
     if n > 2:
         slope_se = math.sqrt(rss / (n - 2) / sxx)
-        ci95 = float(student_t.ppf(0.975, n - 2)) * slope_se
+        ci95 = float(stdtrit(n - 2, 0.975)) * slope_se
     else:
         ci95 = float("inf")
     return FitResult(

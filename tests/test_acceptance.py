@@ -14,7 +14,6 @@ import pytest
 
 from walklab import (
     AbsorberConfig,
-    ClassicalWalkConfig,
     EnsembleConfig,
     TABLE2_PRESETS,
     WalkConfig,
@@ -27,15 +26,14 @@ from walklab import (
     disorder_avg_absorb_time,
     disorder_avg_sigma,
     fit_exponent,
-    iterate_quantum,
+    iterate_walk,
     point_mass,
     poisson,
     probability_distribution,
     quantum_avg_time_term,
     raabe_estimate,
-    run_classical,
     run_ensemble,
-    run_quantum,
+    run_walk,
     sample_realization,
     total_absorption,
 )
@@ -141,7 +139,7 @@ def test_criterion_03_simulator_matches_series():
         }
         for initial, ps in series.items():
             amp_l, amp_r = (1.0, 0.0) if initial == "L" else (0.0, 1.0)
-            result = run_quantum(
+            result = run_walk(
                 WalkConfig(
                     steps=200,
                     initial_amp_left=amp_l,
@@ -163,8 +161,8 @@ def test_criterion_03_simulator_matches_series():
 def test_criterion_04_classical_exactness():
     checks = []
     for m1 in range(1, 11):
-        result = run_classical(
-            ClassicalWalkConfig(steps=200, absorber=AbsorberConfig(m1))
+        result = run_walk(
+            WalkConfig(steps=200, engine="classical", absorber=AbsorberConfig(m1))
         )
         sim = np.zeros(200)
         sim[: result.record.horizon] = result.record.per_step
@@ -233,7 +231,8 @@ def test_criterion_05_ratio_test_diagnostics():
 
 def _clean_alpha(engine, absorber=None):
     config = EnsembleConfig(
-        engine=engine, steps=80, realizations=1, absorber=absorber
+        walk=WalkConfig(steps=80, engine=engine, absorber=absorber),
+        realizations=1,
     )
     return fit_exponent(disorder_avg_sigma(config), 20, 80).alpha
 
@@ -264,11 +263,9 @@ def test_criterion_06_clean_spreading_exponents():
 
 def _disordered_alpha(engine, absorber, seed, realizations=200):
     config = EnsembleConfig(
-        engine=engine,
-        steps=80,
+        walk=WalkConfig(steps=80, engine=engine, absorber=absorber),
         realizations=realizations,
         master_seed=seed,
-        absorber=absorber,
         disorder=poisson(1.0),
     )
     return fit_exponent(disorder_avg_sigma(config), 20, 80).alpha
@@ -316,11 +313,9 @@ def preset_alphas():
         alphas = {}
         for label, absorber in (("with", AbsorberConfig(2)), ("without", None)):
             config = EnsembleConfig(
-                engine="quantum",
-                steps=80,
+                walk=WalkConfig(steps=80, engine="quantum", absorber=absorber),
                 realizations=200,
                 master_seed=PRESET_SEED,
-                absorber=absorber,
                 disorder=spec,
             )
             alphas[label] = fit_exponent(disorder_avg_sigma(config), 20, 80).alpha
@@ -382,11 +377,9 @@ def test_criterion_08_geometric_preset_absorber_band(preset_alphas):
 def test_criterion_09_quantum_horizon_averages():
     start = time.monotonic()
     config = EnsembleConfig(
-        engine="quantum",
-        steps=400,
+        walk=WalkConfig(steps=400, engine="quantum", absorber=AbsorberConfig(2)),
         realizations=40,
         master_seed=1,
-        absorber=AbsorberConfig(2),
         disorder=poisson(1.0),
     )
     curve = disorder_avg_absorb_time(config, horizons=[100, 200, 300, 400])
@@ -415,11 +408,9 @@ def test_criterion_09_classical_horizon_average():
     design.
     """
     config = EnsembleConfig(
-        engine="classical",
-        steps=400,
+        walk=WalkConfig(steps=400, engine="classical", absorber=AbsorberConfig(2)),
         realizations=40,
         master_seed=1,
-        absorber=AbsorberConfig(2),
         disorder=poisson(1.0),
     )
     curve = disorder_avg_absorb_time(config, horizons=[400])
@@ -446,14 +437,14 @@ def test_criterion_10_property_suite():
         checks.append((gap <= 1e-12, f"coin {name} unitarity gap {gap:.2e}"))
 
     state = None
-    for state, _ in iterate_quantum(WalkConfig(steps=10 ** 4)):
+    for state, _ in iterate_walk(WalkConfig(steps=10 ** 4)):
         pass
     mass = probability_distribution(state).mass()
     checks.append(
         (abs(mass - 1.0) <= 1e-9, f"mass after 1e4 free steps drifted {mass - 1.0:.2e}")
     )
 
-    result = run_quantum(WalkConfig(steps=60, absorber=AbsorberConfig(2)))
+    result = run_walk(WalkConfig(steps=60, absorber=AbsorberConfig(2)))
     dist = probability_distribution(result.final_state)
     beyond = dist.probs[dist.positions >= 2]
     checks.append(
@@ -468,22 +459,20 @@ def test_criterion_10_property_suite():
     )
 
     phase = complex(math.cos(0.7), math.sin(0.7))
-    base = run_quantum(WalkConfig(steps=50))
-    rotated = run_quantum(WalkConfig(steps=50, initial_amp_left=phase))
+    base = run_walk(WalkConfig(steps=50))
+    rotated = run_walk(WalkConfig(steps=50, initial_amp_left=phase))
     sigma_gap = float(np.max(np.abs(base.sigma - rotated.sigma)))
     checks.append(
         (sigma_gap <= 1e-12, f"global phase shifts sigma by {sigma_gap:.2e}")
     )
 
     cfg = EnsembleConfig(
-        engine="quantum",
-        steps=30,
+        walk=WalkConfig(steps=30, engine="quantum", absorber=AbsorberConfig(2)),
         realizations=2,
-        absorber=AbsorberConfig(2),
         disorder=point_mass(1),
     )
     absorbed, _ = run_ensemble(cfg)
-    clean = run_quantum(WalkConfig(steps=30, absorber=AbsorberConfig(2)))
+    clean = run_walk(WalkConfig(steps=30, absorber=AbsorberConfig(2)))
     p = np.zeros(30)
     p[: clean.record.horizon] = clean.record.per_step
     checks.append(

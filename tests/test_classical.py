@@ -4,9 +4,9 @@ import pytest
 from oracles import brute_force_first_passage, dict_classical_walk
 from walklab import (
     AbsorberConfig,
-    ClassicalWalkConfig,
     ConfigurationError,
     NoAbsorptionError,
+    WalkConfig,
     classical_avg_time_partial,
     classical_avg_time_term,
     classical_first_passage,
@@ -15,10 +15,10 @@ from walklab import (
     first_passage_series,
     initial_classical_state,
     probability_distribution,
-    run_classical,
+    run_walk,
+    snapshot_distribution,
     total_mass,
 )
-from walklab.classical import snapshot_distribution
 
 
 def dist_dict(state):
@@ -47,7 +47,7 @@ def test_step_length_two():
 
 
 def test_matches_dict_oracle_with_absorber():
-    result = run_classical(ClassicalWalkConfig(steps=40, absorber=AbsorberConfig(2)))
+    result = run_walk(WalkConfig(steps=40, engine="classical", absorber=AbsorberConfig(2)))
     _, absorbed = dict_classical_walk(40, absorber=2)
     np.testing.assert_allclose(result.record.per_step, absorbed, atol=1e-14)
 
@@ -64,16 +64,16 @@ def test_first_passage_matches_brute_force():
 @pytest.mark.parametrize("m1", range(1, 11))
 def test_propagation_equals_closed_form(m1):
     # simulated per-step absorption against the ballot-problem formula
-    result = run_classical(
-        ClassicalWalkConfig(steps=200, absorber=AbsorberConfig(m1))
+    result = run_walk(
+        WalkConfig(steps=200, engine="classical", absorber=AbsorberConfig(m1))
     )
     expected = [classical_first_passage(t, m1) for t in range(1, 201)]
     np.testing.assert_allclose(result.record.per_step, expected, atol=1e-12)
 
 
 def test_negative_absorber_mirror():
-    left = run_classical(ClassicalWalkConfig(steps=100, absorber=AbsorberConfig(-4)))
-    right = run_classical(ClassicalWalkConfig(steps=100, absorber=AbsorberConfig(4)))
+    left = run_walk(WalkConfig(steps=100, engine="classical", absorber=AbsorberConfig(-4)))
+    right = run_walk(WalkConfig(steps=100, engine="classical", absorber=AbsorberConfig(4)))
     np.testing.assert_allclose(left.record.per_step, right.record.per_step, atol=1e-15)
 
 
@@ -161,14 +161,14 @@ def test_avg_time_term_values():
 
 
 def test_mass_accounting():
-    result = run_classical(ClassicalWalkConfig(steps=60, absorber=AbsorberConfig(3)))
+    result = run_walk(WalkConfig(steps=60, engine="classical", absorber=AbsorberConfig(3)))
     assert total_mass(result.final_state) + result.record.cumulative_total \
         == pytest.approx(1.0, abs=1e-12)
 
 
 def test_snapshot_matches_run():
-    config = ClassicalWalkConfig(steps=25, absorber=AbsorberConfig(2))
+    config = WalkConfig(steps=25, engine="classical", absorber=AbsorberConfig(2))
     snap = snapshot_distribution(config, 25)
-    result = run_classical(config)
+    result = run_walk(config)
     final = probability_distribution(result.final_state)
     np.testing.assert_allclose(snap.probs, final.probs, atol=1e-15)

@@ -5,9 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from walklab import ConfigurationError
+from walklab import AbsorptionRecord, ConfigurationError, finite_horizon_avg_time
 from walklab.cli import main, parse_disorder
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -117,6 +118,28 @@ def test_absorb_classical_near_certain_absorption(capsys):
     assert rc == 0
     meta, _, _ = parse_csv(out)
     assert float(meta["cumulative_total"]) >= 0.97
+
+
+@pytest.mark.parametrize("engine, steps", [("classical", 4000), ("quantum", 1000)])
+def test_absorb_avg_time_matches_per_horizon_reference(engine, steps, capsys):
+    # the column comes from running sums, the reference sums each horizon
+    # afresh; both add at most `steps` positive terms, so they agree to
+    # steps * eps <= 8.9e-13 relative
+    rc, out, _ = run_cli(
+        ["absorb", "--engine", engine, "--absorber", "2", "--steps", str(steps),
+         "--seed", "1"],
+        capsys,
+    )
+    assert rc == 0
+    _, _, rows = parse_csv(out)
+    p = np.array([float(r[1]) for r in rows])
+    record = AbsorptionRecord(per_step=p, horizon=p.size)
+    for t, row in enumerate(rows, start=1):
+        if row[3] == "":
+            assert not np.any(p[:t])
+        else:
+            want = finite_horizon_avg_time(record, t)
+            assert float(row[3]) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_absorb_disordered_schema(capsys):
@@ -301,6 +324,18 @@ def test_exit_code_bad_workers(capsys):
     assert "workers" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["walk", "--engine", "classical", "--steps", "3"],
+    ["absorb", "--engine", "classical", "--absorber", "2", "--steps", "3"],
+    ["exponent", "--engine", "classical", "--steps", "10", "--t-range", "2:10"],
+], ids=["walk", "absorb", "exponent"])
+def test_unknown_coin_rejected_for_classical_engine(argv, capsys):
+    rc, out, err = run_cli(argv + ["--coin", "nosuch", "--seed", "1"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert "unknown coin 'nosuch'" in err
+
+
 def test_exit_code_no_absorption(capsys):
     rc, _, err = run_cli(
         ["absorb", "--engine", "classical", "--absorber", "50", "--steps", "5",
@@ -442,3 +477,36 @@ def test_module_entrypoint():
     )
     assert proc.returncode == 2
     assert "absorber position must be nonzero" in proc.stderr
+
+
+@pytest.mark.parametrize("spec", [
+    "point_mass:length=inf",
+    "binomial:n=inf,p=0.5",
+    "hypergeometric:N=inf,K=5,n=2",
+    "poisson:lambda=inf",
+    "negative_binomial:r=inf,k=0.5",
+    "poisson:lambda=nan",
+])
+def test_non_finite_disorder_parameter_exits_2(spec):
+    proc = subprocess.run(
+        [sys.executable, "-m", "walklab.cli", "walk", "--engine", "quantum",
+         "--steps", "3", "--disorder", spec, "--seed", "1"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "must be finite" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats costs most of the CLI's start-up time
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, walklab.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -16,7 +16,7 @@ from walklab import (
     kempe_coin,
     mirrored_hadamard_coin,
     probability_distribution,
-    run_quantum,
+    run_walk,
     step,
     total_mass,
 )
@@ -85,7 +85,7 @@ def test_matches_dict_oracle_clean():
 @pytest.mark.parametrize("m1", [2, -2, 1, -3])
 def test_matches_dict_oracle_with_absorber(m1):
     config = WalkConfig(steps=30, absorber=AbsorberConfig(m1))
-    result = run_quantum(config)
+    result = run_walk(config)
     _, absorbed = dict_quantum_walk(
         30, coin_tuple(hadamard_coin()), absorber=m1
     )
@@ -101,7 +101,7 @@ def test_mass_conservation_no_absorber():
 
 def test_absorber_empties_far_side():
     config = WalkConfig(steps=40, absorber=AbsorberConfig(2))
-    result = run_quantum(config)
+    result = run_walk(config)
     d = probability_distribution(result.final_state)
     assert np.all(d.probs[d.positions >= 2] == 0.0)
     # mass accounting closes
@@ -110,9 +110,9 @@ def test_absorber_empties_far_side():
 
 
 def test_absorber_negative_side_mirror():
-    left = run_quantum(WalkConfig(steps=60, absorber=AbsorberConfig(-2),
-                                  initial_amp_left=0.0, initial_amp_right=1.0))
-    right = run_quantum(WalkConfig(steps=60, absorber=AbsorberConfig(2)))
+    left = run_walk(WalkConfig(steps=60, absorber=AbsorberConfig(-2),
+                               initial_amp_left=0.0, initial_amp_right=1.0))
+    right = run_walk(WalkConfig(steps=60, absorber=AbsorberConfig(2)))
     np.testing.assert_allclose(
         left.record.per_step, right.record.per_step, atol=1e-12
     )
@@ -136,25 +136,25 @@ def test_apply_absorber_returns_removed_mass():
 def test_coin_variants_same_probabilities():
     # all three parameterizations give identical statistics, with and
     # without the absorber
-    base = run_quantum(WalkConfig(steps=100, absorber=AbsorberConfig(2)))
+    base = run_walk(WalkConfig(steps=100, absorber=AbsorberConfig(2)))
     for name in ("hadamard-mirrored", "kempe"):
-        other = run_quantum(
+        other = run_walk(
             WalkConfig(steps=100, coin=COINS[name], absorber=AbsorberConfig(2))
         )
         np.testing.assert_allclose(
             other.record.per_step, base.record.per_step, atol=1e-12
         )
         np.testing.assert_allclose(other.sigma, base.sigma, atol=1e-10)
-    free_base = run_quantum(WalkConfig(steps=100))
+    free_base = run_walk(WalkConfig(steps=100))
     for name in ("hadamard-mirrored", "kempe"):
-        free = run_quantum(WalkConfig(steps=100, coin=COINS[name]))
+        free = run_walk(WalkConfig(steps=100, coin=COINS[name]))
         np.testing.assert_allclose(free.sigma, free_base.sigma, atol=1e-10)
 
 
 def test_global_phase_invariance():
     phase = np.exp(1j * 0.7321)
-    plain = run_quantum(WalkConfig(steps=80, absorber=AbsorberConfig(2)))
-    rotated = run_quantum(
+    plain = run_walk(WalkConfig(steps=80, absorber=AbsorberConfig(2)))
+    rotated = run_walk(
         WalkConfig(
             steps=80,
             absorber=AbsorberConfig(2),
@@ -207,15 +207,29 @@ def test_config_validates_lengths():
 def test_snapshot_matches_stepping():
     config = WalkConfig(steps=20, absorber=AbsorberConfig(3))
     snap = snapshot_distribution(config, 20)
-    result = run_quantum(config)
+    result = run_walk(config)
     final = probability_distribution(result.final_state)
     np.testing.assert_allclose(snap.probs, final.probs, atol=1e-14)
     assert snap.time == 20
 
 
+@pytest.mark.parametrize("engine", ["quantum", "classical"])
+def test_walk_stops_once_fully_absorbed(engine):
+    # from site 4 the first step lands every path at 3 or 5, past the absorber
+    config = WalkConfig(steps=5, engine=engine, initial_position=4,
+                        absorber=AbsorberConfig(3))
+    result = run_walk(config)
+    assert result.record.horizon == 1
+    assert result.record.per_step[0] == pytest.approx(1.0, abs=1e-15)
+    assert np.isnan(result.sigma).all()
+    late = snapshot_distribution(config, 4)
+    assert late.time == 4
+    assert late.mass() == 0.0
+
+
 def test_sigma_is_renormalized_spread():
     config = WalkConfig(steps=30, absorber=AbsorberConfig(2))
-    result = run_quantum(config)
+    result = run_walk(config)
     from walklab import renormalize, std_dev
 
     state = initial_quantum_state()

@@ -9,7 +9,6 @@ from walklab import (
     AbsorberConfig,
     AbsorptionRecord,
     AveragedCurve,
-    ClassicalWalkConfig,
     ConfigurationError,
     EnsembleConfig,
     NoAbsorptionError,
@@ -21,9 +20,8 @@ from walklab import (
     fit_exponent,
     point_mass,
     poisson,
-    run_classical,
     run_ensemble,
-    run_quantum,
+    run_walk,
 )
 
 
@@ -41,17 +39,12 @@ def test_point_mass_ensemble_reduces_to_clean_walk(engine, absorbing):
     steps = 25
     absorber = AbsorberConfig(position=2) if absorbing else None
     cfg = EnsembleConfig(
-        engine=engine,
-        steps=steps,
+        walk=WalkConfig(steps=steps, engine=engine, absorber=absorber),
         realizations=3,
-        absorber=absorber,
         disorder=point_mass(1),
     )
     absorbed, sigma = run_ensemble(cfg)
-    if engine == "quantum":
-        clean = run_quantum(WalkConfig(steps=steps, absorber=absorber))
-    else:
-        clean = run_classical(ClassicalWalkConfig(steps=steps, absorber=absorber))
+    clean = run_walk(WalkConfig(steps=steps, engine=engine, absorber=absorber))
     p, s = _pad(clean, steps)
     for i in range(cfg.realizations):
         assert np.array_equal(absorbed[i], p)
@@ -60,11 +53,9 @@ def test_point_mass_ensemble_reduces_to_clean_walk(engine, absorbing):
 
 def test_worker_count_does_not_change_results():
     cfg = EnsembleConfig(
-        engine="quantum",
-        steps=30,
+        walk=WalkConfig(steps=30, engine="quantum", absorber=AbsorberConfig(position=3)),
         realizations=6,
         master_seed=2,
-        absorber=AbsorberConfig(position=3),
         disorder=poisson(1.0),
         workers=1,
     )
@@ -75,9 +66,9 @@ def test_worker_count_does_not_change_results():
 
 
 def test_single_realization_matches_clean_run():
-    cfg = EnsembleConfig(engine="quantum", steps=30, realizations=1)
+    cfg = EnsembleConfig(walk=WalkConfig(steps=30, engine="quantum"), realizations=1)
     curve = disorder_avg_sigma(cfg)
-    clean = run_quantum(WalkConfig(steps=30))
+    clean = run_walk(WalkConfig(steps=30))
     assert np.allclose(curve.values, clean.sigma, atol=0, rtol=0)
     assert np.all(curve.stderr == 0.0)
     assert np.all(curve.included == 1)
@@ -86,8 +77,7 @@ def test_single_realization_matches_clean_run():
 
 def test_avg_sigma_stderr_is_sample_spread_over_sqrt_count():
     cfg = EnsembleConfig(
-        engine="classical",
-        steps=40,
+        walk=WalkConfig(steps=40, engine="classical"),
         realizations=50,
         master_seed=9,
         disorder=poisson(1.0),
@@ -104,8 +94,7 @@ def test_avg_sigma_stderr_is_sample_spread_over_sqrt_count():
 def test_avg_sigma_stderr_shrinks_with_ensemble_size():
     def stderr_at(realizations):
         cfg = EnsembleConfig(
-            engine="classical",
-            steps=40,
+            walk=WalkConfig(steps=40, engine="classical"),
             realizations=realizations,
             master_seed=9,
             disorder=poisson(1.0),
@@ -132,11 +121,9 @@ def test_finite_horizon_avg_time_hand_values():
 
 def test_avg_absorb_time_excludes_empty_realizations_per_horizon():
     cfg = EnsembleConfig(
-        engine="classical",
-        steps=8,
+        walk=WalkConfig(steps=8, engine="classical", absorber=AbsorberConfig(position=6)),
         realizations=20,
         master_seed=5,
-        absorber=AbsorberConfig(position=6),
         disorder=poisson(1.0),
     )
     curve = disorder_avg_absorb_time(cfg, horizons=[4, 8])
@@ -150,11 +137,9 @@ def test_avg_absorb_time_excludes_empty_realizations_per_horizon():
 
 def test_avg_absorb_time_matches_manual_average():
     cfg = EnsembleConfig(
-        engine="classical",
-        steps=8,
+        walk=WalkConfig(steps=8, engine="classical", absorber=AbsorberConfig(position=6)),
         realizations=20,
         master_seed=5,
-        absorber=AbsorberConfig(position=6),
         disorder=poisson(1.0),
     )
     absorbed, _ = run_ensemble(cfg)
@@ -170,10 +155,8 @@ def test_avg_absorb_time_matches_manual_average():
 
 def test_avg_absorb_time_all_empty_raises():
     cfg = EnsembleConfig(
-        engine="classical",
-        steps=3,
+        walk=WalkConfig(steps=3, engine="classical", absorber=AbsorberConfig(position=50)),
         realizations=2,
-        absorber=AbsorberConfig(position=50),
         disorder=point_mass(1),
     )
     with pytest.raises(NoAbsorptionError):
@@ -181,14 +164,12 @@ def test_avg_absorb_time_all_empty_raises():
 
 
 def test_avg_absorb_time_validation():
-    cfg = EnsembleConfig(engine="classical", steps=10, realizations=2)
+    cfg = EnsembleConfig(walk=WalkConfig(steps=10, engine="classical"), realizations=2)
     with pytest.raises(ConfigurationError):
         disorder_avg_absorb_time(cfg, horizons=[5])  # no absorber
     cfg = EnsembleConfig(
-        engine="classical",
-        steps=10,
+        walk=WalkConfig(steps=10, engine="classical", absorber=AbsorberConfig(position=1)),
         realizations=2,
-        absorber=AbsorberConfig(position=1),
     )
     with pytest.raises(ConfigurationError):
         disorder_avg_absorb_time(cfg, horizons=[])
@@ -199,7 +180,7 @@ def test_avg_absorb_time_validation():
 
 
 def test_avg_sigma_grid_validation():
-    cfg = EnsembleConfig(engine="classical", steps=10, realizations=2)
+    cfg = EnsembleConfig(walk=WalkConfig(steps=10, engine="classical"), realizations=2)
     with pytest.raises(ConfigurationError):
         disorder_avg_sigma(cfg, t_grid=[0, 5])
     with pytest.raises(ConfigurationError):
@@ -210,13 +191,17 @@ def test_avg_sigma_grid_validation():
 
 def test_ensemble_config_validation():
     with pytest.raises(ConfigurationError):
-        EnsembleConfig(engine="stochastic", steps=10, realizations=2)
+        EnsembleConfig(walk=WalkConfig(steps=10, engine="stochastic"), realizations=2)
     with pytest.raises(ConfigurationError):
-        EnsembleConfig(engine="quantum", steps=0, realizations=2)
+        EnsembleConfig(walk=WalkConfig(steps=0, engine="quantum"), realizations=2)
     with pytest.raises(ConfigurationError):
-        EnsembleConfig(engine="quantum", steps=10, realizations=0)
+        EnsembleConfig(walk=WalkConfig(steps=10, engine="quantum"), realizations=0)
     with pytest.raises(ConfigurationError):
-        EnsembleConfig(engine="quantum", steps=10, realizations=2, workers=0)
+        EnsembleConfig(
+            walk=WalkConfig(steps=10, engine="quantum"),
+            realizations=2,
+            workers=0,
+        )
 
 
 def _curve(ts, values):

@@ -17,7 +17,7 @@ from walklab import (
     quantum_absorption_prob,
     quantum_avg_time_term,
     raabe_estimate,
-    run_quantum,
+    run_walk,
     series_f,
     series_g,
     sqrt_one_plus_z4,
@@ -107,7 +107,7 @@ def test_absorption_probabilities_match_exact_oracle(m1, initial):
 @pytest.mark.parametrize("m1", [-1, -2, -5])
 def test_mirrored_absorber_equals_simulation(m1):
     probs = absorption_probabilities(m1, "L", 128)
-    result = run_quantum(
+    result = run_walk(
         WalkConfig(steps=128, absorber=AbsorberConfig(m1))
     )
     np.testing.assert_allclose(result.record.per_step, probs, atol=1e-10)
