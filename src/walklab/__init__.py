@@ -54,7 +54,7 @@ from .series import (
     PowerSeries,
     RaabeReport,
     absorption_probabilities,
-    avg_absorb_time,
+    absorption_summary,
     generating_function,
     quantum_absorption_prob,
     quantum_avg_time_term,
@@ -62,7 +62,6 @@ from .series import (
     series_f,
     series_g,
     sqrt_one_plus_z4,
-    total_absorption,
 )
 from .disorder import (
     FAMILIES,

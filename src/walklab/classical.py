@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import ConfigurationError, NoAbsorptionError
-from .lattice import ClassicalState
+from .lattice import ClassicalState, place_rows, row_sum, shift_span
 
 if TYPE_CHECKING:  # engine imports this module for its kernels
     from .engine import AbsorberConfig
@@ -24,32 +24,38 @@ if TYPE_CHECKING:  # engine imports this module for its kernels
 _EXACT_COMB_LIMIT = 1000
 
 
-def crw_step(state: ClassicalState, l: int = 1) -> ClassicalState:
-    """One fair step of length l: p'(n) = ½ p(n+l) + ½ p(n−l)."""
-    if l < 0:
-        raise ConfigurationError(f"step length must be nonnegative, got {l}")
-    if l == 0:
+def crw_step(state: ClassicalState, l=1) -> ClassicalState:
+    """One fair step of length l: p'(n) = ½ p(n+l) + ½ p(n−l).
+
+    `l` is one length, or one per row; the window grows by the longest.
+    """
+    top, l = shift_span(l)
+    if top == 0:
         return ClassicalState(time=state.time + 1, n_min=state.n_min,
                               prob=state.prob.copy())
     w = state.width
-    new = np.zeros(w + 2 * l)
-    new[:w] += 0.5 * state.prob
-    new[2 * l:] += 0.5 * state.prob
-    return ClassicalState(time=state.time + 1, n_min=state.n_min - l, prob=new)
+    new = np.zeros(state.prob.shape[:-1] + (w + 2 * top,))
+    half = 0.5 * state.prob
+    if isinstance(l, int):  # every row moves by top: plain slices
+        new[..., :w] += half
+        new[..., 2 * top:] += half
+    else:
+        place_rows(new, half, top - l)
+        place_rows(new, half, top + l)
+    return ClassicalState(time=state.time + 1, n_min=state.n_min - top, prob=new)
 
 
 def crw_apply_absorber(
     state: ClassicalState, absorber: AbsorberConfig
 ) -> tuple[ClassicalState, float]:
-    """Remove mass on the absorber's side; return (state, removed mass)."""
+    """Remove mass on the absorber's side; return (state, removed mass),
+    the removed mass per row for a state with rows."""
     sl = absorber.window_slice(state.n_min, state.width)
-    if sl.start >= sl.stop:
-        return state, 0.0
-    absorbed = float(np.sum(state.prob[sl]))
-    if absorbed == 0.0:
-        return state, 0.0
+    absorbed = row_sum(state.prob[..., sl], 1)
+    if np.count_nonzero(absorbed) == 0:
+        return state, absorbed
     prob = state.prob.copy()
-    prob[sl] = 0.0
+    prob[..., sl] = 0.0
     return ClassicalState(time=state.time, n_min=state.n_min, prob=prob), absorbed
 
 

@@ -5,11 +5,12 @@ averaged absorbing times), series (absorption analytics and convergence
 diagnostics), exponent (spreading-exponent fits), sweep (preset disorder
 comparison table).
 
-Every command accepts --seed/--workers/--format/--output; identical
-invocations produce byte-identical output. Environment variables
-WALKLAB_SEED and WALKLAB_WORKERS override the built-in defaults; explicit
-flags override both. Exit codes: 0 success, 2 invalid configuration,
-3 numerical failure.
+Every command accepts --seed/--format/--output; identical invocations
+produce byte-identical output. The environment variable WALKLAB_SEED
+overrides the built-in seed; an explicit flag overrides both. --workers
+(or WALKLAB_WORKERS) is accepted and checked to be >= 1, and changes
+nothing: walklab runs in one process. Exit codes: 0 success, 2 invalid
+configuration, 3 numerical failure.
 
 Disorder specs on the command line are either a preset name
 (tableII-binomial, tableII-hypergeometric, tableII-negbinomial,
@@ -47,10 +48,9 @@ from .ensemble import (
 from .errors import ConfigurationError, NumericalError
 from .series import (
     DEFAULT_ORDER,
-    avg_absorb_time,
+    absorption_summary,
     quantum_avg_time_term,
     raabe_estimate,
-    total_absorption,
 )
 
 
@@ -171,16 +171,6 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _disorder_meta(spec: Optional[DisorderSpec]) -> str:
-    return spec.to_text() if spec is not None else "none"
-
-
-def _walk_lengths(args, spec: Optional[DisorderSpec]):
-    if spec is None:
-        return None
-    return sample_realization(spec, args.steps, child_seed(args.seed, 0)).lengths
-
-
 def _walk_config(args, absorber: Optional[AbsorberConfig],
                  step_lengths=None) -> WalkConfig:
     """The walk that --engine/--coin/--initial/--steps describe."""
@@ -196,13 +186,18 @@ def _walk_config(args, absorber: Optional[AbsorberConfig],
     )
 
 
-def _walk_meta(args) -> dict:
+def _walk_meta(args, spec: Optional[DisorderSpec]) -> dict:
+    """The meta keys every walk command shares."""
     quantum = args.engine == "quantum"
     return {
+        "command": args.command,
         "engine": args.engine,
         "coin": args.coin if quantum else "n/a",
         "initial": args.initial if quantum else "n/a",
         "steps": args.steps,
+        "absorber": args.absorber if args.absorber is not None else "none",
+        "disorder": spec.to_text() if spec is not None else "none",
+        "seed": args.seed,
     }
 
 
@@ -212,28 +207,23 @@ def _ensemble_config(args, spec, absorber, realizations) -> EnsembleConfig:
         realizations=realizations,
         master_seed=args.seed,
         disorder=spec,
-        workers=args.workers,
     )
 
 
 def cmd_walk(args) -> str:
     spec = parse_disorder(args.disorder) if args.disorder else None
     absorber = AbsorberConfig(args.absorber) if args.absorber is not None else None
-    config = _walk_config(args, absorber, _walk_lengths(args, spec))
+    lengths = None
+    if spec is not None:
+        lengths = sample_realization(spec, args.steps, child_seed(args.seed, 0)).lengths
+    config = _walk_config(args, absorber, lengths)
     rows = []
     for dist in snapshot_distributions(config, args.snapshot or [args.steps]):
         for pos, prob in zip(dist.positions.tolist(), dist.probs.tolist()):
             # parity-forbidden and absorbed sites carry exactly zero mass
             if prob != 0.0:
                 rows.append((dist.time, pos, float(prob)))
-    meta = {
-        "command": "walk",
-        **_walk_meta(args),
-        "absorber": args.absorber if args.absorber is not None else "none",
-        "disorder": _disorder_meta(spec),
-        "seed": args.seed,
-    }
-    return _render(args, meta, ["time", "position", "probability"], rows)
+    return _render(args, _walk_meta(args, spec), ["time", "position", "probability"], rows)
 
 
 def cmd_absorb(args) -> str:
@@ -249,14 +239,7 @@ def cmd_absorb(args) -> str:
         avg_time = _horizon_ratios(per_step[np.newaxis, :], ts)[0]
         rows = list(zip(ts.tolist(), per_step.tolist(),
                         np.cumsum(per_step).tolist(), avg_time.tolist()))
-        meta = {
-            "command": "absorb",
-            **_walk_meta(args),
-            "absorber": args.absorber,
-            "disorder": "none",
-            "seed": args.seed,
-            "cumulative_total": float(np.sum(per_step)),
-        }
+        meta = {**_walk_meta(args, spec), "cumulative_total": float(np.sum(per_step))}
         return _render(
             args, meta, ["t", "p_t", "cumulative", "avg_time"], rows, "record"
         )
@@ -274,15 +257,8 @@ def cmd_absorb(args) -> str:
             curve.abscissa, curve.values, curve.stderr, curve.included
         )
     ]
-    meta = {
-        "command": "absorb",
-        **_walk_meta(args),
-        "absorber": args.absorber,
-        "disorder": _disorder_meta(spec),
-        "realizations": realizations,
-        "seed": args.seed,
-        "total_excluded": int(np.sum(curve.excluded)),
-    }
+    meta = {**_walk_meta(args, spec), "realizations": realizations,
+            "total_excluded": int(np.sum(curve.excluded))}
     return _render(
         args,
         meta,
@@ -320,11 +296,8 @@ def cmd_series(args) -> str:
         positions = _parse_m1_range(args.m1_range)
     else:
         positions = list(range(1, 11))
-    rows = []
-    for m1 in positions:
-        p_total = total_absorption(m1, args.initial, args.T, args.tail)
-        t_avg = avg_absorb_time(m1, args.initial, args.T, args.tail)
-        rows.append((m1, p_total, t_avg))
+    rows = [(m1, *absorption_summary(m1, args.initial, args.T, args.tail))
+            for m1 in positions]
     meta = {
         "command": "series",
         "mode": "absorption-table",
@@ -336,39 +309,26 @@ def cmd_series(args) -> str:
     return _render(args, meta, ["m1", "total_absorption", "avg_time"], rows)
 
 
-def _exponent_fit(args, spec, absorber):
-    realizations = args.realizations
-    if realizations is None:
-        realizations = 200 if spec is not None else 1
-    curve = disorder_avg_sigma(_ensemble_config(args, spec, absorber, realizations))
-    t_lo, t_hi = _parse_range(args.t_range)
-    return fit_exponent(curve, t_lo, t_hi), realizations
+def _fit_sigma(config: EnsembleConfig, t_lo: int, t_hi: int):
+    """Fit the ensemble's ⟨σ⟩, computing σ only where the fit reads it:
+    the fit range clipped to 1..steps (an empty clip is left for
+    fit_exponent to report)."""
+    grid = range(max(t_lo, 1), min(t_hi, config.walk.steps) + 1)
+    return fit_exponent(disorder_avg_sigma(config, grid or None), t_lo, t_hi)
 
 
 def cmd_exponent(args) -> str:
     spec = parse_disorder(args.disorder) if args.disorder else None
     absorber = AbsorberConfig(args.absorber) if args.absorber is not None else None
-    fit, realizations = _exponent_fit(args, spec, absorber)
-    meta = {
-        "command": "exponent",
-        **_walk_meta(args),
-        "absorber": args.absorber if args.absorber is not None else "none",
-        "disorder": _disorder_meta(spec),
-        "realizations": realizations,
-        "t_range": args.t_range,
-        "seed": args.seed,
-    }
-    rows = [
-        (
-            fit.alpha,
-            fit.ci95_halfwidth,
-            fit.intercept,
-            fit.residual_rms,
-            fit.fit_range[0],
-            fit.fit_range[1],
-            fit.n_points,
-        )
-    ]
+    realizations = args.realizations
+    if realizations is None:
+        realizations = 200 if spec is not None else 1
+    t_lo, t_hi = _parse_range(args.t_range)
+    fit = _fit_sigma(_ensemble_config(args, spec, absorber, realizations), t_lo, t_hi)
+    meta = {**_walk_meta(args, spec), "realizations": realizations,
+            "t_range": args.t_range}
+    rows = [(fit.alpha, fit.ci95_halfwidth, fit.intercept, fit.residual_rms,
+             *fit.fit_range, fit.n_points)]
     columns = [
         "alpha", "ci95_halfwidth", "intercept", "residual_rms",
         "t_lo", "t_hi", "n_points",
@@ -395,8 +355,7 @@ def cmd_sweep(args) -> str:
         fits = {}
         for label, absorber_cfg in (("with", absorber), ("without", None)):
             config = _ensemble_config(args, spec, absorber_cfg, args.realizations)
-            curve = disorder_avg_sigma(config)
-            fits[label] = fit_exponent(curve, t_lo, t_hi)
+            fits[label] = _fit_sigma(config, t_lo, t_hi)
         rows.append(
             (
                 name,
@@ -432,7 +391,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None,
                         help="master seed (default: WALKLAB_SEED or 1)")
     parser.add_argument("--workers", type=int, default=None,
-                        help="parallel workers (default: WALKLAB_WORKERS or CPU count)")
+                        help="accepted for compatibility (>= 1); walklab runs "
+                             "in one process")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--output", default="-",
                         help="output path, or - for stdout")
@@ -521,7 +481,7 @@ def main(argv=None) -> int:
         if args.seed is None:
             args.seed = _env_int("WALKLAB_SEED", 1)
         if args.workers is None:
-            args.workers = _env_int("WALKLAB_WORKERS", os.cpu_count() or 1)
+            args.workers = _env_int("WALKLAB_WORKERS", 1)
         if args.workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {args.workers}")
         text = args.func(args)

@@ -9,6 +9,8 @@ probability. A classical step is the fair split `classical.crw_step`
 followed by `classical.crw_apply_absorber`; a walk config's engine picks
 only the initial state and that kernel pair, so both engines share the
 config, the iterator, the runner and the snapshots.
+Step lengths shaped (R, steps) run R independent walks (rows) at once on
+one shared window; every kernel works row by row.
 """
 from __future__ import annotations
 
@@ -27,7 +29,10 @@ from .lattice import (
     QuantumState,
     initial_classical_state,
     initial_quantum_state,
+    place_rows,
     probability_distribution,
+    row_sum,
+    shift_span,
     std_dev,
 )
 
@@ -113,27 +118,34 @@ class AbsorberConfig:
 
 
 def apply_coin(state: QuantumState, coin: CoinOperator) -> QuantumState:
-    new = np.empty_like(state.psi)
-    new[LEFT] = coin.a * state.psi[LEFT] + coin.c * state.psi[RIGHT]
-    new[RIGHT] = coin.b * state.psi[LEFT] + coin.d * state.psi[RIGHT]
+    psi = state.psi
+    new = np.empty_like(psi)
+    new[..., LEFT, :] = coin.a * psi[..., LEFT, :] + coin.c * psi[..., RIGHT, :]
+    new[..., RIGHT, :] = coin.b * psi[..., LEFT, :] + coin.d * psi[..., RIGHT, :]
     return QuantumState(time=state.time, n_min=state.n_min, psi=new)
 
 
-def apply_shift(state: QuantumState, l: int = 1) -> QuantumState:
-    """Move the L component l sites down and the R component l sites up."""
-    if l < 0:
-        raise ConfigurationError(f"step length must be nonnegative, got {l}")
-    if l == 0:
+def apply_shift(state: QuantumState, l=1) -> QuantumState:
+    """Move the L component l sites down and the R component l sites up.
+
+    `l` is one length, or one per row; the window grows by the longest.
+    """
+    top, l = shift_span(l)
+    if top == 0:
         return QuantumState(time=state.time, n_min=state.n_min,
                             psi=state.psi.copy())
-    w = state.width
-    new = np.zeros((2, w + 2 * l), dtype=np.complex128)
-    new[LEFT, :w] = state.psi[LEFT]
-    new[RIGHT, 2 * l:] = state.psi[RIGHT]
-    return QuantumState(time=state.time, n_min=state.n_min - l, psi=new)
+    psi, w = state.psi, state.width
+    new = np.zeros(psi.shape[:-1] + (w + 2 * top,), dtype=np.complex128)
+    if isinstance(l, int):  # every row moves by top: plain slices
+        new[..., LEFT, :w] = psi[..., LEFT, :]
+        new[..., RIGHT, 2 * top:] = psi[..., RIGHT, :]
+    else:
+        place_rows(new[:, LEFT], psi[:, LEFT], top - l)
+        place_rows(new[:, RIGHT], psi[:, RIGHT], top + l)
+    return QuantumState(time=state.time, n_min=state.n_min - top, psi=new)
 
 
-def step(state: QuantumState, coin: CoinOperator, l: int = 1) -> QuantumState:
+def step(state: QuantumState, coin: CoinOperator, l=1) -> QuantumState:
     """One full evolution step (coin then shift); advances the step counter."""
     moved = apply_shift(apply_coin(state, coin), l)
     return QuantumState(time=state.time + 1, n_min=moved.n_min, psi=moved.psi)
@@ -142,31 +154,27 @@ def step(state: QuantumState, coin: CoinOperator, l: int = 1) -> QuantumState:
 def apply_absorber(
     state: QuantumState, absorber: AbsorberConfig
 ) -> tuple[QuantumState, float]:
-    """Remove amplitude on the absorber's side; return (state, removed mass)."""
+    """Remove amplitude on the absorber's side; return (state, removed mass),
+    the removed mass per row for a state with rows."""
     sl = absorber.window_slice(state.n_min, state.width)
-    if sl.start >= sl.stop:
-        return state, 0.0
-    absorbed = float(np.sum(np.abs(state.psi[:, sl]) ** 2))
-    if absorbed == 0.0:
-        return state, 0.0
+    absorbed = row_sum(np.abs(state.psi[..., sl]) ** 2, 2)
+    if np.count_nonzero(absorbed) == 0:
+        return state, absorbed
     psi = state.psi.copy()
-    psi[:, sl] = 0.0
+    psi[..., sl] = 0.0
     return QuantumState(time=state.time, n_min=state.n_min, psi=psi), absorbed
 
 
 @dataclass
 class AbsorptionRecord:
-    """Per-step absorbed probabilities p_t for t = 1..horizon."""
+    """Per-step absorbed probabilities p_t for t = 1..horizon (per row)."""
 
-    per_step: np.ndarray
+    per_step: np.ndarray  # shape ([rows,] horizon)
     horizon: int
 
     @property
-    def cumulative_total(self) -> float:
-        return float(np.sum(self.per_step))
-
-    def cumulative_series(self) -> np.ndarray:
-        return np.cumsum(self.per_step)
+    def cumulative_total(self):
+        return row_sum(self.per_step, 1)
 
 
 ENGINES = ("quantum", "classical")
@@ -177,7 +185,8 @@ class WalkConfig:
     """Full specification of one walk run, quantum or classical.
 
     The classical engine starts from a point mass and ignores the coin and
-    the initial coin amplitudes.
+    the initial coin amplitudes. Step lengths shaped (R, steps) run R walks
+    at once, one per row.
     """
 
     steps: int
@@ -198,9 +207,10 @@ class WalkConfig:
             raise ConfigurationError(f"steps must be >= 1, got {self.steps}")
         if self.step_lengths is not None:
             lengths = np.asarray(self.step_lengths)
-            if lengths.shape != (self.steps,):
+            if lengths.ndim not in (1, 2) or lengths.shape[-1] != self.steps \
+                    or lengths.size == 0:
                 raise ConfigurationError(
-                    f"step_lengths must have length {self.steps}, "
+                    f"step_lengths must have length {self.steps} (per row), "
                     f"got {lengths.shape}"
                 )
             if np.any(lengths < 0) or not np.issubdtype(lengths.dtype, np.integer):
@@ -216,8 +226,9 @@ class WalkConfig:
 class WalkResult:
     """Outcome of a full run: absorption record and per-step spread.
 
-    sigma[t-1] is the standard deviation of the surviving (renormalized)
-    position distribution after step t; NaN if that step absorbed all mass.
+    sigma[..., t-1] is the standard deviation of the surviving
+    (renormalized) position distribution after step t; NaN if that step left
+    no mass, or if σ was not asked for at t.
     """
 
     record: AbsorptionRecord
@@ -228,14 +239,18 @@ class WalkResult:
 def iterate_walk(config: WalkConfig) -> Iterator[tuple[WalkerState, float]]:
     """Yield (state after step t, mass absorbed at step t) for t = 1..steps.
 
-    Stops early after a step that leaves no surviving mass: nothing evolves
-    past that point.
+    Stops early after a step that leaves every row without surviving mass:
+    nothing evolves past that point. Rows share one window, which spans the
+    farthest any row has moved.
     """
+    lengths = config.lengths()
+    rows = lengths.shape[:-1]
     if config.engine == "quantum":
         state = initial_quantum_state(
             config.initial_position, config.initial_amp_left,
             config.initial_amp_right,
         )
+        state.psi = np.tile(state.psi, rows + (1, 1))
 
         def advance(current, l):
             return step(current, config.coin, l)
@@ -243,29 +258,46 @@ def iterate_walk(config: WalkConfig) -> Iterator[tuple[WalkerState, float]]:
         absorb = apply_absorber
     else:
         state = initial_classical_state(config.initial_position)
+        state.prob = np.tile(state.prob, rows + (1,))
         advance, absorb = crw_step, crw_apply_absorber
-    for l in config.lengths():
-        state = advance(state, int(l))
+    # a step widens the window by its longest row length; trim it back to
+    # the farthest any row has moved
+    reach = np.cumsum(lengths, axis=-1).reshape(-1, config.steps).max(axis=0)
+    slack = lengths.reshape(-1, config.steps).max(axis=0) - np.diff(reach, prepend=0)
+    for l, trim in zip(lengths.T, slack.tolist()):
+        state = advance(state, l)
+        if trim:
+            state = state.cropped(trim)
         absorbed = 0.0
         if config.absorber is not None:
             state, absorbed = absorb(state, config.absorber)
         yield state, absorbed
         # only absorption removes mass, so only a step that absorbed can empty
-        if absorbed > 0.0 and state.mass() == 0.0:
+        if np.count_nonzero(absorbed) and np.count_nonzero(state.mass()) == 0:
             return
 
 
-def run_walk(config: WalkConfig) -> WalkResult:
+def run_walk(config: WalkConfig,
+             sigma_times: Optional[Iterable[int]] = None) -> WalkResult:
+    """Run the whole walk; σ only after the steps in `sigma_times` (default:
+    every step)."""
+    wanted = None if sigma_times is None else set(sigma_times)
+    rows = config.lengths().shape[:-1]
     per_step = []
     sigma = []
     state = None
     for state, absorbed in iterate_walk(config):
-        per_step.append(absorbed)
-        dist = probability_distribution(state)
-        sigma.append(std_dev(dist) if dist.mass() > 0.0 else np.nan)
+        per_step.append(np.broadcast_to(absorbed, rows))
+        if wanted is None or state.time in wanted:
+            dist = probability_distribution(state)
+            # std_dev gives NaN for an empty row; a single empty walk has no σ
+            sigma.append(std_dev(dist) if rows or dist.mass() > 0.0 else np.nan)
+        else:
+            sigma.append(np.full(rows, np.nan))
     return WalkResult(
-        record=AbsorptionRecord(per_step=np.array(per_step), horizon=len(per_step)),
-        sigma=np.array(sigma),
+        record=AbsorptionRecord(per_step=np.stack(per_step, axis=-1),
+                                horizon=len(per_step)),
+        sigma=np.stack(sigma, axis=-1),
         final_state=state,
     )
 
@@ -291,7 +323,8 @@ def snapshot_distributions(
                 break
         else:  # the walk was fully absorbed before t
             dists.append(PositionDistribution(
-                time=t, positions=np.empty(0, dtype=np.int64), probs=np.empty(0)))
+                time=t, positions=np.empty(0, dtype=np.int64),
+                probs=np.empty(config.lengths().shape[:-1] + (0,))))
     return dists
 
 

@@ -1,16 +1,15 @@
 """Disorder ensembles: averaged absorbing times, averaged spreading, fits.
 
-Each realization i of an ensemble runs one full walk whose step lengths are
-drawn with the derived seed mix(master_seed, i), so results are reproducible
-and independent of worker count or execution order. Averages are reduced in
-fixed realization-index order and are bit-identical across worker settings.
+Realization i of an ensemble walks with step lengths drawn from the derived
+seed child_seed(master_seed, i), so results are reproducible. All
+realizations run as the rows of one batched walk, split into blocks only
+to bound memory; averages are reduced in fixed realization-index order.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from multiprocessing import Pool
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.special import stdtrit
@@ -18,6 +17,12 @@ from scipy.special import stdtrit
 from .disorder import DisorderSpec, child_seed, sample_realization
 from .engine import AbsorptionRecord, WalkConfig, run_walk
 from .errors import ConfigurationError, NoAbsorptionError, NumericalError
+
+# The rows of a block share one window, which at its widest holds
+# rows · C · itemsize · (1 + 2·max Σl) bytes for C channels per site. Blocks
+# are sized to keep that under BLOCK_BYTES (a single row may exceed it); a
+# step briefly holds a few such windows.
+BLOCK_BYTES = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -33,15 +38,12 @@ class EnsembleConfig:
     realizations: int
     master_seed: int = 1
     disorder: Optional[DisorderSpec] = None
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.realizations < 1:
             raise ConfigurationError(
                 f"realizations must be >= 1, got {self.realizations}"
             )
-        if self.workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
 
 
 @dataclass
@@ -72,38 +74,35 @@ class FitResult:
     n_points: int
 
 
-def _run_realization(config: EnsembleConfig, index: int) -> tuple:
-    """One walk; returns (per-step absorption, per-step sigma), padded."""
-    walk = config.walk
-    if config.disorder is not None:
-        seed = child_seed(config.master_seed, index)
-        lengths = sample_realization(config.disorder, walk.steps, seed).lengths
-        walk = replace(walk, step_lengths=lengths)
-    result = run_walk(walk)
-    p = np.zeros(walk.steps)
-    p[: result.record.horizon] = result.record.per_step
-    s = np.full(walk.steps, np.nan)
-    s[: result.sigma.size] = result.sigma
-    return p, s
-
-
-def _worker(args: tuple) -> tuple:
-    return _run_realization(*args)
-
-
-def run_ensemble(config: EnsembleConfig) -> tuple[np.ndarray, np.ndarray]:
+def run_ensemble(
+    config: EnsembleConfig, sigma_times: Optional[Iterable[int]] = None
+) -> tuple[np.ndarray, np.ndarray]:
     """All realizations' absorption and sigma curves, in index order.
 
-    Returns (absorbed, sigma), each shaped (realizations, steps).
+    Returns (absorbed, sigma), each shaped (realizations, steps). σ is NaN
+    after a realization lost all its mass and at steps outside
+    `sigma_times` (default: every step). Without disorder one walk stands
+    for every realization.
     """
-    jobs = [(config, i) for i in range(config.realizations)]
-    if config.workers > 1 and config.realizations > 1:
-        with Pool(processes=config.workers) as pool:
-            rows = pool.map(_worker, jobs)
-    else:
-        rows = [_run_realization(config, i) for i in range(config.realizations)]
-    absorbed = np.stack([r[0] for r in rows])
-    sigma = np.stack([r[1] for r in rows])
+    walk, count = config.walk, config.realizations
+    blocks = [(slice(None), walk)]
+    if config.disorder is not None:
+        lengths = np.stack([
+            sample_realization(config.disorder, walk.steps,
+                               child_seed(config.master_seed, i)).lengths
+            for i in range(count)
+        ])
+        site_bytes = 2 * 16 if walk.engine == "quantum" else 8  # complex L, R or a float
+        widest = 1 + 2 * int(lengths.sum(axis=1).max())
+        size = max(1, BLOCK_BYTES // (site_bytes * widest))
+        blocks = [(slice(i, i + size), replace(walk, step_lengths=lengths[i:i + size]))
+                  for i in range(0, count, size)]
+    absorbed = np.zeros((count, walk.steps))
+    sigma = np.full((count, walk.steps), np.nan)
+    for rows, block in blocks:
+        result = run_walk(block, sigma_times)
+        absorbed[rows, :result.record.horizon] = result.record.per_step
+        sigma[rows, :result.record.horizon] = result.sigma
     return absorbed, sigma
 
 
@@ -133,23 +132,22 @@ def _horizon_ratios(absorbed: np.ndarray, horizons: np.ndarray) -> np.ndarray:
     return ratios
 
 
-def _nan_average(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Columnwise mean/stderr/count ignoring NaN entries."""
+def _nan_average(matrix: np.ndarray, abscissa: np.ndarray, realizations: int,
+                 label: str, error: type, empty_message: str) -> AveragedCurve:
+    """Columnwise mean/stderr/count ignoring NaN entries, as a curve over
+    `abscissa`; raises `error` if some column has no entry at all."""
     mask = ~np.isnan(matrix)
     included = mask.sum(axis=0)
+    if np.any(included == 0):
+        raise error(f"{empty_message} {abscissa[included == 0].tolist()}")
     filled = np.where(mask, matrix, 0.0)
-    safe_count = np.maximum(included, 1)
-    means = filled.sum(axis=0) / safe_count
-    with np.errstate(invalid="ignore"):
-        ssd = np.where(mask, (matrix - means) ** 2, 0.0).sum(axis=0)
+    means = filled.sum(axis=0) / included
+    ssd = np.where(mask, (matrix - means) ** 2, 0.0).sum(axis=0)
     spread = np.sqrt(ssd / np.maximum(included - 1, 1))
-    values = np.where(included > 0, means, np.nan)
-    stderr = np.where(
-        included > 0,
-        np.where(included > 1, spread, 0.0) / np.sqrt(safe_count),
-        np.nan,
-    )
-    return values, stderr, included
+    stderr = np.where(included > 1, spread, 0.0) / np.sqrt(included)
+    return AveragedCurve(abscissa=abscissa, values=means, stderr=stderr,
+                         realization_count=realizations, included=included,
+                         label=label)
 
 
 def disorder_avg_absorb_time(
@@ -171,51 +169,27 @@ def disorder_avg_absorb_time(
         raise ConfigurationError(
             f"horizons must lie in 1..{steps}, got {hs[0]}..{hs[-1]}"
         )
-    absorbed, _ = run_ensemble(config)
-    ratios = _horizon_ratios(absorbed, hs)
-    values, stderr, included = _nan_average(ratios)
-    if np.any(included == 0):
-        empty = hs[included == 0].tolist()
-        raise NoAbsorptionError(
-            f"no realization absorbed anything by horizon(s) {empty}"
-        )
-    return AveragedCurve(
-        abscissa=hs,
-        values=values,
-        stderr=stderr,
-        realization_count=config.realizations,
-        included=included,
-        label="avg_absorb_time",
-    )
+    absorbed, _ = run_ensemble(config, sigma_times=())
+    return _nan_average(_horizon_ratios(absorbed, hs), hs, config.realizations,
+                        "avg_absorb_time", NoAbsorptionError,
+                        "no realization absorbed anything by horizon(s)")
 
 
 def disorder_avg_sigma(
     config: EnsembleConfig, t_grid: Optional[Sequence[int]] = None
 ) -> AveragedCurve:
-    """⟨σ(t)⟩ across realizations; σ is the surviving-mass (renormalized)
-    spread whenever an absorber is present."""
+    """⟨σ(t)⟩ across realizations at each t of `t_grid` (default: every
+    step); σ is the surviving-mass (renormalized) spread whenever an
+    absorber is present, and is computed only at those t."""
     steps = config.walk.steps
     if t_grid is None:
-        ts = np.arange(1, steps + 1, dtype=np.int64)
-    else:
-        ts = np.asarray(sorted(set(int(t) for t in t_grid)), dtype=np.int64)
-        if ts.size == 0 or ts[0] < 1 or ts[-1] > steps:
-            raise ConfigurationError(
-                f"t grid must lie within 1..{steps}"
-            )
-    _, sigma = run_ensemble(config)
-    values, stderr, included = _nan_average(sigma[:, ts - 1])
-    if np.any(included == 0):
-        empty = ts[included == 0].tolist()
-        raise NumericalError(f"no surviving mass at t = {empty}")
-    return AveragedCurve(
-        abscissa=ts,
-        values=values,
-        stderr=stderr,
-        realization_count=config.realizations,
-        included=included,
-        label="avg_sigma",
-    )
+        t_grid = range(1, steps + 1)
+    ts = np.asarray(sorted(set(int(t) for t in t_grid)), dtype=np.int64)
+    if ts.size == 0 or ts[0] < 1 or ts[-1] > steps:
+        raise ConfigurationError(f"t grid must lie within 1..{steps}")
+    _, sigma = run_ensemble(config, sigma_times=ts.tolist())
+    return _nan_average(sigma[:, ts - 1], ts, config.realizations, "avg_sigma",
+                        NumericalError, "no surviving mass at t =")
 
 
 def fit_exponent(curve: AveragedCurve, t_lo: int = 20, t_hi: int = 80) -> FitResult:

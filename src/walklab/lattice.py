@@ -4,12 +4,15 @@ A quantum state stores two complex amplitude arrays (left-mover and
 right-mover components) over a contiguous position window; a classical state
 stores one probability array over the same kind of window. Windows grow as
 the walk spreads, so propagation is exact: no probability is ever clipped.
+Every array may carry a leading row axis: R independent walks (rows) on one
+shared window, whose masses, distributions and spreads are taken per row.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, EmptyStateError
 
@@ -18,24 +21,55 @@ LEFT = 0
 RIGHT = 1
 
 
+def row_sum(values: np.ndarray, walk_ndim: int):
+    """Sum over one walk's axes (the last `walk_ndim`): a float for a single
+    walk, one sum per row when `values` has a leading row axis."""
+    if values.ndim == walk_ndim:
+        return float(np.sum(values))
+    return values.reshape(values.shape[0], -1).sum(axis=1)
+
+
+def shift_span(l) -> tuple:
+    """(longest step length, `l` as that int when every row takes it, else
+    as one length per row)."""
+    if isinstance(l, (int, np.integer)) or np.ndim(l) == 0:
+        top = shortest = int(l)
+    else:
+        l = np.asarray(l)
+        top, shortest = int(l.max()), int(l.min())
+    if shortest < 0:
+        raise ConfigurationError(f"step length must be nonnegative, got {shortest}")
+    return top, (top if shortest == top else l)
+
+
+def place_rows(out: np.ndarray, values: np.ndarray, starts: np.ndarray) -> None:
+    """Add row r of `values` into row r of `out` from column starts[r] on."""
+    windows = sliding_window_view(out, values.shape[-1], axis=-1, writeable=True)
+    windows[np.arange(len(starts)), starts] += values
+
+
 @dataclass
 class QuantumState:
     """Coin ⊗ position amplitudes over the window [n_min, n_min + width)."""
 
     time: int
     n_min: int
-    psi: np.ndarray  # complex128, shape (2, width); row 0 = L, row 1 = R
+    psi: np.ndarray  # complex128, shape ([rows,] 2, width); L = 0, R = 1
 
     @property
     def width(self) -> int:
-        return self.psi.shape[1]
+        return self.psi.shape[-1]
 
     @property
     def positions(self) -> np.ndarray:
         return np.arange(self.n_min, self.n_min + self.width)
 
-    def mass(self) -> float:
-        return float(np.sum(np.abs(self.psi) ** 2))
+    def mass(self):
+        return row_sum(np.abs(self.psi) ** 2, 2)
+
+    def cropped(self, k: int) -> "QuantumState":
+        """The window without its k outermost sites on each side."""
+        return QuantumState(self.time, self.n_min + k, self.psi[..., k:self.width - k])
 
 
 @dataclass
@@ -44,18 +78,22 @@ class ClassicalState:
 
     time: int
     n_min: int
-    prob: np.ndarray  # float64, shape (width,)
+    prob: np.ndarray  # float64, shape ([rows,] width)
 
     @property
     def width(self) -> int:
-        return self.prob.shape[0]
+        return self.prob.shape[-1]
 
     @property
     def positions(self) -> np.ndarray:
         return np.arange(self.n_min, self.n_min + self.width)
 
-    def mass(self) -> float:
-        return float(np.sum(self.prob))
+    def mass(self):
+        return row_sum(self.prob, 1)
+
+    def cropped(self, k: int) -> "ClassicalState":
+        """The window without its k outermost sites on each side."""
+        return ClassicalState(self.time, self.n_min + k, self.prob[..., k:self.width - k])
 
 
 @dataclass
@@ -64,10 +102,10 @@ class PositionDistribution:
 
     time: int
     positions: np.ndarray
-    probs: np.ndarray
+    probs: np.ndarray  # shape ([rows,] sites)
 
-    def mass(self) -> float:
-        return float(np.sum(self.probs))
+    def mass(self):
+        return row_sum(self.probs, 1)
 
 
 def initial_quantum_state(
@@ -95,15 +133,16 @@ def initial_classical_state(position: int = 0) -> ClassicalState:
     return ClassicalState(time=0, n_min=int(position), prob=np.array([1.0]))
 
 
-def total_mass(state) -> float:
-    """Unabsorbed probability mass of a quantum or classical state."""
+def total_mass(state):
+    """Unabsorbed probability mass of a quantum or classical state (per row)."""
     return state.mass()
 
 
 def probability_distribution(state) -> PositionDistribution:
-    """Site-by-site probabilities of a quantum or classical state."""
+    """Site-by-site probabilities of a quantum or classical state (per row)."""
     if isinstance(state, QuantumState):
-        probs = np.abs(state.psi[LEFT]) ** 2 + np.abs(state.psi[RIGHT]) ** 2
+        psi = state.psi
+        probs = np.abs(psi[..., LEFT, :]) ** 2 + np.abs(psi[..., RIGHT, :]) ** 2
     elif isinstance(state, ClassicalState):
         probs = state.prob.copy()
     else:
@@ -130,12 +169,17 @@ def mean_position(dist: PositionDistribution) -> float:
     return float(np.sum(dist.positions * dist.probs) / m)
 
 
-def std_dev(dist: PositionDistribution) -> float:
-    """Standard deviation of position under the (renormalized) distribution."""
+def std_dev(dist: PositionDistribution):
+    """Standard deviation of position under the (renormalized) distribution.
+
+    With rows, one spread per row, NaN for a row without mass; a single
+    distribution without mass raises EmptyStateError.
+    """
     m = dist.mass()
-    if m <= 0.0:
+    if dist.probs.ndim == 1 and m <= 0.0:
         raise EmptyStateError("zero-mass distribution has no spread")
-    mu = float(np.sum(dist.positions * dist.probs) / m)
-    second = float(np.sum(dist.positions.astype(float) ** 2 * dist.probs) / m)
-    var = second - mu * mu
-    return float(np.sqrt(max(var, 0.0)))
+    with np.errstate(invalid="ignore"):  # 0/0 on a row without mass
+        mu = np.sum(dist.positions * dist.probs, axis=-1) / m
+        second = np.sum(dist.positions.astype(float) ** 2 * dist.probs, axis=-1) / m
+    sigma = np.sqrt(np.maximum(second - mu * mu, 0.0))
+    return float(sigma) if dist.probs.ndim == 1 else sigma

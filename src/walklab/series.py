@@ -46,10 +46,6 @@ class PowerSeries:
         return self.coeffs.size - 1
 
     @classmethod
-    def zero(cls, order: int) -> "PowerSeries":
-        return cls(np.zeros(order + 1))
-
-    @classmethod
     def monomial(cls, degree: int, order: int, value: float = 1.0) -> "PowerSeries":
         if degree > order:
             raise ConfigurationError(f"degree {degree} exceeds order {order}")
@@ -248,31 +244,14 @@ def _tail_power_law(
     return s0, s1
 
 
-def total_absorption(
+def absorption_summary(
     m1: int,
     initial: str = "L",
     order: int = DEFAULT_ORDER,
     tail: str = "power_law",
-) -> float:
-    """Total absorption probability P = Σ_t p_t (tail-corrected partial sum)."""
-    ps = absorption_probabilities(m1, initial, order)
-    ts = np.arange(1, order + 1, dtype=np.float64)
-    s0 = float(np.sum(ps))
-    if tail == "power_law":
-        extra0, _ = _tail_power_law(ts, ps, order)
-        s0 += extra0
-    elif tail != "none":
-        raise ConfigurationError(f"unknown tail mode {tail!r}")
-    return s0
-
-
-def avg_absorb_time(
-    m1: int,
-    initial: str = "L",
-    order: int = DEFAULT_ORDER,
-    tail: str = "power_law",
-) -> float:
-    """Average absorbing time t_a = Σ t·p_t / Σ p_t (tail-corrected)."""
+) -> tuple[float, float]:
+    """(P, t_a): the total absorption probability P = Σ p_t and the average
+    absorbing time t_a = Σ t·p_t / Σ p_t, both tail-corrected."""
     ps = absorption_probabilities(m1, initial, order)
     ts = np.arange(1, order + 1, dtype=np.float64)
     s0 = float(np.sum(ps))
@@ -285,7 +264,7 @@ def avg_absorb_time(
         raise ConfigurationError(f"unknown tail mode {tail!r}")
     if s0 <= 0.0:
         raise NumericalError(f"no absorption mass within order {order}")
-    return s1 / s0
+    return s0, s1 / s0
 
 
 @dataclass

@@ -18,7 +18,7 @@ from walklab import (
     TABLE2_PRESETS,
     WalkConfig,
     absorption_probabilities,
-    avg_absorb_time,
+    absorption_summary,
     classical_avg_time_term,
     classical_first_passage,
     classical_total_absorption,
@@ -35,7 +35,6 @@ from walklab import (
     run_ensemble,
     run_walk,
     sample_realization,
-    total_absorption,
 )
 
 TABLE1_TOTAL_ABSORPTION = {
@@ -74,9 +73,7 @@ def _report(number, label, checks):
 @pytest.fixture(scope="module")
 def absorption_table():
     start = time.monotonic()
-    rows = {
-        m1: (total_absorption(m1), avg_absorb_time(m1)) for m1 in range(1, 11)
-    }
+    rows = {m1: absorption_summary(m1) for m1 in range(1, 11)}
     return rows, time.monotonic() - start
 
 
@@ -119,8 +116,7 @@ def test_criterion_01_avg_time_column_beyond_m1_2(absorption_table):
 
 
 def test_criterion_02_closed_form_anchors():
-    p = total_absorption(2, order=2 ** 13)
-    t = avg_absorb_time(2, order=2 ** 13)
+    p, t = absorption_summary(2, order=2 ** 13)
     exact = 4.0 / math.pi - 1.0
     checks = [
         (abs(p - exact) <= 5e-4, f"P(2) = {p:.6f}, 4/pi-1 = {exact:.6f}"),

@@ -261,6 +261,19 @@ def test_exponent_classical_free_is_exactly_half(capsys):
     assert fit["n_points"] == 51
 
 
+def test_exponent_fit_range_is_clipped_to_the_walk(capsys):
+    # sigma is computed only on the fit range, clipped to 1..steps
+    rc, out, _ = run_cli(
+        ["exponent", "--engine", "quantum", "--steps", "80", "--disorder",
+         "poisson:lambda=1", "--realizations", "4", "--t-range", "20:100",
+         "--format", "json", "--seed", "1"],
+        capsys,
+    )
+    assert rc == 0
+    fit = json.loads(out)["fit"][0]
+    assert (fit["t_lo"], fit["t_hi"], fit["n_points"]) == (20, 100, 61)
+
+
 def test_exponent_quantum_free_is_ballistic(capsys):
     rc, out, _ = run_cli(
         ["exponent", "--engine", "quantum", "--steps", "80", "--seed", "1"],
@@ -498,6 +511,18 @@ def test_non_finite_disorder_parameter_exits_2(spec):
     assert "must be finite" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
+
+
+def test_cli_import_leaves_out_multiprocessing():
+    # ensembles run as one batched walk in one process
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, walklab.cli; print('multiprocessing' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_cli_import_leaves_out_scipy_stats():

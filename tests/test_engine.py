@@ -227,6 +227,20 @@ def test_walk_stops_once_fully_absorbed(engine):
     assert late.mass() == 0.0
 
 
+def test_batched_walk_runs_until_every_row_is_empty():
+    # from R, Hadamard steps of length 0 then 1 carry all of row 0 to site 1
+    # at step 2; row 1 keeps walking, and row 0 reads p = 0, sigma = NaN
+    config = WalkConfig(steps=4, initial_amp_left=0.0, initial_amp_right=1.0,
+                        absorber=AbsorberConfig(1),
+                        step_lengths=np.array([[0, 1, 0, 1], [1, 1, 1, 1]]))
+    result = run_walk(config)
+    assert result.record.horizon == 4
+    np.testing.assert_allclose(result.record.per_step[0], [0, 1, 0, 0], atol=1e-15)
+    assert np.isnan(result.sigma[0, 1:]).all()
+    assert np.isfinite(result.sigma[1]).all()
+    assert total_mass(result.final_state)[0] == 0.0
+
+
 def test_sigma_is_renormalized_spread():
     config = WalkConfig(steps=30, absorber=AbsorberConfig(2))
     result = run_walk(config)

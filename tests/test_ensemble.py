@@ -1,5 +1,4 @@
 """Tests for disorder ensembles: averaging, exclusions, and exponent fits."""
-import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +13,7 @@ from walklab import (
     NoAbsorptionError,
     NumericalError,
     WalkConfig,
+    child_seed,
     disorder_avg_absorb_time,
     disorder_avg_sigma,
     finite_horizon_avg_time,
@@ -22,7 +22,9 @@ from walklab import (
     poisson,
     run_ensemble,
     run_walk,
+    sample_realization,
 )
+from walklab import ensemble
 
 
 def _pad(result, steps):
@@ -51,18 +53,27 @@ def test_point_mass_ensemble_reduces_to_clean_walk(engine, absorbing):
         assert np.array_equal(sigma[i], s, equal_nan=True)
 
 
-def test_worker_count_does_not_change_results():
+@pytest.mark.parametrize("engine", ["quantum", "classical"])
+def test_block_layout_does_not_change_results(engine, monkeypatch):
+    # rows share a window whose width depends on the block, so pairwise sums
+    # may round differently: absorbed within W·2^-52 (W = widest window),
+    # sigma within a relative 1e-12
     cfg = EnsembleConfig(
-        walk=WalkConfig(steps=30, engine="quantum", absorber=AbsorberConfig(position=3)),
+        walk=WalkConfig(steps=30, engine=engine, absorber=AbsorberConfig(position=3)),
         realizations=6,
         master_seed=2,
         disorder=poisson(1.0),
-        workers=1,
     )
-    a1, s1 = run_ensemble(cfg)
-    a3, s3 = run_ensemble(dataclasses.replace(cfg, workers=3))
-    assert np.array_equal(a1, a3)
-    assert np.array_equal(s1, s3, equal_nan=True)
+    a1, s1 = run_ensemble(cfg)  # one block
+    monkeypatch.setattr(ensemble, "BLOCK_BYTES", 1)
+    a6, s6 = run_ensemble(cfg)  # one row per block
+    lengths = np.stack([
+        sample_realization(cfg.disorder, 30, child_seed(2, i)).lengths for i in range(6)
+    ])
+    width = 1 + 2 * int(lengths.sum(axis=1).max())
+    np.testing.assert_allclose(a6, a1, rtol=0, atol=width * 2.0 ** -52)
+    np.testing.assert_allclose(s6, s1, rtol=1e-12, atol=0)
+    assert np.array_equal(np.isnan(s6), np.isnan(s1))
 
 
 def test_single_realization_matches_clean_run():
@@ -196,12 +207,6 @@ def test_ensemble_config_validation():
         EnsembleConfig(walk=WalkConfig(steps=0, engine="quantum"), realizations=2)
     with pytest.raises(ConfigurationError):
         EnsembleConfig(walk=WalkConfig(steps=10, engine="quantum"), realizations=0)
-    with pytest.raises(ConfigurationError):
-        EnsembleConfig(
-            walk=WalkConfig(steps=10, engine="quantum"),
-            realizations=2,
-            workers=0,
-        )
 
 
 def _curve(ts, values):

@@ -1,25 +1,50 @@
-"""Property tests of the one walk pipeline against the dict-walk oracles.
+"""Property tests of the one walk pipeline against the dict-walk oracles,
+of batched (R-row) walks against single walks, and of the mirror symmetry.
 
 Hypothesis draws the engine, the coin and initial coin state, a step-length
 sequence that may contain zero-length steps, and an absorber on either side
 of the origin (or none).
 """
+from dataclasses import replace
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import dict_classical_walk, dict_quantum_walk
 from walklab import (
+    TABLE2_PRESETS,
     AbsorberConfig,
+    CoinOperator,
+    EnsembleConfig,
     WalkConfig,
+    child_seed,
     coin_by_name,
+    ensemble,
     iterate_walk,
+    poisson,
     probability_distribution,
+    run_ensemble,
     run_walk,
+    sample_realization,
     total_mass,
 )
 
 TOL = 1e-12
+# Rows on a shared (wider) window, or a mirrored walk, sum the same terms in
+# another order: absorbed mass may differ by W·2^-52 for a window of W sites,
+# and sigma by a relative 1e-12.
+SIGMA_RTOL = 1e-12
+
+
+def mass_tol(width):
+    return width * 2.0 ** -52
+
+
+def assert_sigma_close(got, want):
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    np.testing.assert_allclose(got, want, rtol=SIGMA_RTOL, atol=0)
 
 
 @st.composite
@@ -58,8 +83,10 @@ def oracle(config, t):
 def test_run_walk_matches_oracle_every_step(config):
     result = run_walk(config)
     _, absorbed = oracle(config, config.steps)
-    assert result.record.horizon == config.steps
-    np.testing.assert_allclose(result.record.per_step, absorbed, rtol=0, atol=TOL)
+    # the walk stops early only once nothing is left to absorb
+    horizon = result.record.horizon
+    padded = np.pad(result.record.per_step, (0, config.steps - horizon))
+    np.testing.assert_allclose(padded, absorbed, rtol=0, atol=TOL)
     for state, _ in iterate_walk(config):
         want, _ = oracle(config, state.time)
         dist = probability_distribution(state)
@@ -78,3 +105,95 @@ def test_absorbed_plus_surviving_mass_is_one(config):
     result = run_walk(config)
     total = result.record.cumulative_total + total_mass(result.final_state)
     assert abs(total - 1.0) <= TOL
+
+
+@st.composite
+def batched_walks(draw):
+    """A walk whose step lengths are 1..4 rows of one length each."""
+    config = draw(walks())
+    extra = draw(st.lists(
+        st.lists(st.integers(0, 3), min_size=config.steps, max_size=config.steps),
+        max_size=3,
+    ))
+    rows = np.array([list(config.step_lengths)] + extra, dtype=np.int64)
+    return replace(config, step_lengths=rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(batched_walks())
+def test_batched_walk_equals_single_row_walks(config):
+    batch = run_walk(config)
+    atol = mass_tol(batch.final_state.width)
+    horizons = []
+    for row, lengths in enumerate(config.step_lengths):
+        single = run_walk(replace(config, step_lengths=lengths))
+        h = single.record.horizon
+        horizons.append(h)
+        np.testing.assert_allclose(batch.record.per_step[row, :h],
+                                   single.record.per_step, rtol=0, atol=atol)
+        assert_sigma_close(batch.sigma[row, :h], single.sigma)
+        # a row that emptied early reads p = 0 and sigma = NaN from then on
+        assert not np.any(batch.record.per_step[row, h:])
+        assert np.all(np.isnan(batch.sigma[row, h:]))
+    assert batch.record.horizon == max(horizons)
+    # the shared window spans exactly the farthest any row has moved
+    reach = config.step_lengths[:, :batch.record.horizon].sum(axis=1).max()
+    assert batch.final_state.width == 1 + 2 * int(reach)
+
+
+def mirror(config):
+    """The same walk reflected through the origin, L and R swapped."""
+    c = config.coin
+    return replace(
+        config,
+        coin=CoinOperator(c.d, c.c, c.b, c.a),
+        initial_amp_left=config.initial_amp_right,
+        initial_amp_right=config.initial_amp_left,
+        absorber=None if config.absorber is None
+        else AbsorberConfig(-config.absorber.position),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(walks())
+def test_mirror_symmetry(config):
+    walk, image = run_walk(config), run_walk(mirror(config))
+    width = walk.final_state.width
+    np.testing.assert_allclose(image.record.per_step, walk.record.per_step,
+                               rtol=0, atol=mass_tol(width))
+    assert_sigma_close(image.sigma, walk.sigma)
+    dist = probability_distribution(walk.final_state)
+    reflected = probability_distribution(image.final_state)
+    np.testing.assert_array_equal(reflected.positions, -dist.positions[::-1])
+    np.testing.assert_allclose(reflected.probs, dist.probs[::-1],
+                               rtol=0, atol=mass_tol(width))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    engine=st.sampled_from(("quantum", "classical")),
+    disorder=st.sampled_from([poisson(1.0), *TABLE2_PRESETS.values()]),
+    realizations=st.integers(2, 8),
+    steps=st.integers(1, 24),
+    absorber=st.one_of(st.none(), st.integers(-4, 4).filter(bool)),
+    block_bytes=st.integers(1, 4096),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_block_layout_does_not_change_ensembles(
+    engine, disorder, realizations, steps, absorber, block_bytes, seed
+):
+    config = EnsembleConfig(
+        walk=WalkConfig(steps=steps, engine=engine,
+                        absorber=None if absorber is None else AbsorberConfig(absorber)),
+        realizations=realizations, master_seed=seed, disorder=disorder,
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ensemble, "BLOCK_BYTES", 2 ** 40)
+        absorbed, sigma = run_ensemble(config)  # one block
+        patch.setattr(ensemble, "BLOCK_BYTES", block_bytes)
+        split_absorbed, split_sigma = run_ensemble(config)
+    lengths = [sample_realization(disorder, steps, child_seed(seed, i)).lengths
+               for i in range(realizations)]
+    width = 1 + 2 * int(max(row.sum() for row in lengths))  # the widest window
+    np.testing.assert_allclose(split_absorbed, absorbed, rtol=0, atol=mass_tol(width))
+    assert_sigma_close(split_sigma, sigma)

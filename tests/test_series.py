@@ -11,7 +11,7 @@ from walklab import (
     PowerSeries,
     WalkConfig,
     absorption_probabilities,
-    avg_absorb_time,
+    absorption_summary,
     classical_avg_time_term,
     generating_function,
     quantum_absorption_prob,
@@ -21,7 +21,6 @@ from walklab import (
     series_f,
     series_g,
     sqrt_one_plus_z4,
-    total_absorption,
 )
 
 
@@ -131,33 +130,31 @@ def test_closed_form_first_values():
 
 def test_total_absorption_closed_values():
     # absorber at 1: all mass eventually absorbed has probability 2/pi
-    assert total_absorption(1, "L", 2 ** 13) == pytest.approx(
+    assert absorption_summary(1, "L", 2 ** 13)[0] == pytest.approx(
         2 / math.pi, abs=5e-4
     )
-    assert total_absorption(2, "L", 2 ** 13) == pytest.approx(
+    assert absorption_summary(2, "L", 2 ** 13)[0] == pytest.approx(
         4 / math.pi - 1, abs=5e-4
     )
 
 
 def test_avg_absorb_time_anchor():
-    assert avg_absorb_time(2, "L", 2 ** 13) == pytest.approx(2.66, abs=1e-2)
+    assert absorption_summary(2, "L", 2 ** 13)[1] == pytest.approx(2.66, abs=1e-2)
 
 
 def test_tail_extrapolation_consistency():
     # halving the truncation order must not move the tail-corrected values
     for m1 in (2, 7, 10):
-        lo_p = total_absorption(m1, "L", 2 ** 12)
-        hi_p = total_absorption(m1, "L", 2 ** 14)
+        lo_p, lo_t = absorption_summary(m1, "L", 2 ** 12)
+        hi_p, hi_t = absorption_summary(m1, "L", 2 ** 14)
         assert lo_p == pytest.approx(hi_p, abs=2e-4)
-        lo_t = avg_absorb_time(m1, "L", 2 ** 12)
-        hi_t = avg_absorb_time(m1, "L", 2 ** 14)
         assert lo_t == pytest.approx(hi_t, abs=3e-2)
 
 
 def test_tail_none_lags_tail_power_law():
     # raw truncation underestimates the average time; the tail closes the gap
-    raw = avg_absorb_time(2, "L", 2 ** 12, tail="none")
-    corrected = avg_absorb_time(2, "L", 2 ** 12, tail="power_law")
+    raw = absorption_summary(2, "L", 2 ** 12, tail="none")[1]
+    corrected = absorption_summary(2, "L", 2 ** 12, tail="power_law")[1]
     assert raw < corrected
 
 
