@@ -54,6 +54,7 @@ from .series import (
     PowerSeries,
     RaabeReport,
     absorption_probabilities,
+    absorption_summaries,
     absorption_summary,
     generating_function,
     quantum_absorption_prob,

@@ -48,7 +48,7 @@ from .ensemble import (
 from .errors import ConfigurationError, NumericalError
 from .series import (
     DEFAULT_ORDER,
-    absorption_summary,
+    absorption_summaries,
     quantum_avg_time_term,
     raabe_estimate,
 )
@@ -296,8 +296,8 @@ def cmd_series(args) -> str:
         positions = _parse_m1_range(args.m1_range)
     else:
         positions = list(range(1, 11))
-    rows = [(m1, *absorption_summary(m1, args.initial, args.T, args.tail))
-            for m1 in positions]
+    summaries = absorption_summaries(positions, args.initial, args.T, args.tail)
+    rows = [(m1, *summary) for m1, summary in zip(positions, summaries)]
     meta = {
         "command": "series",
         "mode": "absorption-table",

@@ -8,6 +8,7 @@ all its steps. Sampling is inverse-CDF over a precomputed cumulative table
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -90,7 +91,8 @@ class DisorderSpec:
         return _pmf_array(self, np.array([int(l)]))[0]
 
     def support_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lengths, probabilities) covering all but < 1e-12 of the mass."""
+        """(lengths, probabilities) covering all but < 1e-12 of the mass,
+        as read-only arrays that are built once per spec."""
         return _support_table(self)
 
     def moments(self) -> tuple[float, float]:
@@ -306,7 +308,9 @@ def _pmf_array(spec: DisorderSpec, ls: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=64)
 def _support_table(spec: DisorderSpec) -> tuple[np.ndarray, np.ndarray]:
+    # built once per spec and shared by every caller, so read-only
     p = dict(spec.params)
     fam = spec.family
     if fam == "binomial":
@@ -330,6 +334,7 @@ def _support_table(spec: DisorderSpec) -> tuple[np.ndarray, np.ndarray]:
             )
     ls = np.arange(hi + 1)
     ps = _pmf_array(spec, ls)
+    ls.flags.writeable = ps.flags.writeable = False
     return ls, ps
 
 

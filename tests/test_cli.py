@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from walklab import AbsorptionRecord, ConfigurationError, finite_horizon_avg_time
 from walklab.cli import main, parse_disorder
+from walklab.series import MAX_ORDER
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -216,6 +218,32 @@ def test_series_rejects_m1_with_range(capsys):
     )
     assert rc == 2
     assert "either --m1 or --m1-range" in err
+
+
+def test_series_order_above_budget_exits_2_before_allocating(capsys):
+    tracemalloc.start()
+    try:
+        rc, out, err = run_cli(
+            ["series", "--T", str(MAX_ORDER + 1), "--seed", "1"], capsys
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert out == ""
+    assert f"series order {MAX_ORDER + 1} is above the memory budget" in err
+    # one length-T float64 array would already be 32 MiB
+    assert peak < 2 ** 20
+
+
+def test_series_raabe_ignores_order_budget(capsys):
+    rc, out, _ = run_cli(
+        ["series", "--raabe", "quantum", "--n-max", "1000", "--T", str(2 ** 40),
+         "--seed", "1"],
+        capsys,
+    )
+    assert rc == 0
+    assert parse_csv(out)[0]["verdict"] == "converges"
 
 
 def test_series_raabe_classical_diverges(capsys):
@@ -526,12 +554,14 @@ def test_cli_import_leaves_out_multiprocessing():
 
 
 def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats costs most of the CLI's start-up time
+    # scipy.stats costs most of the CLI's start-up time; the series products
+    # use numpy.fft, so scipy.signal and scipy.fft stay out as well
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, walklab.cli; print('scipy.stats' in sys.modules)"],
+         "import sys, walklab.cli; print([m for m in "
+         "('scipy.stats', 'scipy.signal', 'scipy.fft') if m in sys.modules])"],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"

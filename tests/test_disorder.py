@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from walklab import disorder
 from walklab import (
     ConfigurationError,
     TABLE2_PRESETS,
@@ -182,3 +183,17 @@ def test_sample_empirical_mean():
     spec = poisson(1.0)
     lengths = sample_realization(spec, 10 ** 6, 99).lengths
     assert lengths.mean() == pytest.approx(1.0, abs=0.005)
+
+
+def test_support_table_is_built_once_per_spec_and_read_only():
+    spec = poisson(1.7)
+    ls, ps = spec.support_table()
+    # an equal spec reuses the same arrays
+    again = poisson(1.7).support_table()
+    assert again[0] is ls and again[1] is ps
+    for table in (ls, ps):
+        with pytest.raises(ValueError):
+            table[0] = 0
+    fresh_ls, fresh_ps = disorder._support_table.__wrapped__(spec)
+    np.testing.assert_array_equal(ls, fresh_ls)
+    np.testing.assert_array_equal(ps, fresh_ps)

@@ -1,5 +1,6 @@
 """Property tests of the one walk pipeline against the dict-walk oracles,
-of batched (R-row) walks against single walks, and of the mirror symmetry.
+of batched (R-row) walks against single walks, of the mirror symmetry, and
+of the absorption series against the exact Fraction oracle.
 
 Hypothesis draws the engine, the coin and initial coin state, a step-length
 sequence that may contain zero-length steps, and an absorber on either side
@@ -12,22 +13,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dict_classical_walk, dict_quantum_walk
+from oracles import dict_classical_walk, dict_quantum_walk, exact_absorption_probabilities
 from walklab import (
     TABLE2_PRESETS,
     AbsorberConfig,
     CoinOperator,
     EnsembleConfig,
     WalkConfig,
+    absorption_probabilities,
+    absorption_summaries,
+    absorption_summary,
     child_seed,
     coin_by_name,
     ensemble,
+    generating_function,
     iterate_walk,
     poisson,
     probability_distribution,
     run_ensemble,
     run_walk,
     sample_realization,
+    series,
     total_mass,
 )
 
@@ -197,3 +203,37 @@ def test_block_layout_does_not_change_ensembles(
     width = 1 + 2 * int(max(row.sum() for row in lengths))  # the widest window
     np.testing.assert_allclose(split_absorbed, absorbed, rtol=0, atol=mass_tol(width))
     assert_sigma_close(split_sigma, sigma)
+
+
+# FFT products in w = z² against exact rational p_t: absolute 1e-15
+SERIES_ATOL = 1e-15
+positions = st.integers(1, 12).flatmap(lambda m: st.sampled_from((m, -m)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(m1=positions, initial=st.sampled_from("LR"), order=st.integers(12, 64))
+def test_series_probabilities_match_fraction_oracle(m1, initial, order):
+    # a negative m1 is the mirrored walk: absorber at |m1|, coin roles swapped
+    mirrored = initial if m1 > 0 else "RL"[initial == "R"]
+    exact = exact_absorption_probabilities(abs(m1), mirrored, order)
+    got = absorption_probabilities(m1, initial, order)
+    np.testing.assert_allclose(got, exact, rtol=0, atol=SERIES_ATOL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m1s=st.lists(positions, min_size=1, max_size=8),
+    initial=st.sampled_from("LR"),
+    order=st.integers(12, 64),
+    tail=st.sampled_from(("power_law", "none")),
+)
+def test_multi_row_summaries_equal_one_row_calls(m1s, initial, order, tail):
+    # bit for bit: every row reads the same chain of powers
+    assert absorption_summaries(m1s, initial, order, tail) == [
+        absorption_summary(m1, initial, order, tail) for m1 in m1s
+    ]
+    rows = dict(series._amplitude_rows(m1s, initial, order))
+    assert sorted(rows) == sorted(set(m1s))
+    for m1, amps in rows.items():
+        np.testing.assert_array_equal(
+            amps, generating_function(m1, initial, order).coeffs)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import binomial_half_coeffs, exact_absorption_probabilities
+from walklab import series
 from walklab import (
     AbsorberConfig,
     ConfigurationError,
@@ -11,6 +12,7 @@ from walklab import (
     PowerSeries,
     WalkConfig,
     absorption_probabilities,
+    absorption_summaries,
     absorption_summary,
     classical_avg_time_term,
     generating_function,
@@ -103,6 +105,40 @@ def test_absorption_probabilities_match_exact_oracle(m1, initial):
     np.testing.assert_allclose(mine, exact, atol=1e-13)
 
 
+def direct_amplitudes(order, m1_max):
+    """{(m1, initial): amplitudes} by direct convolution in z, as a chain
+    f·g^(m1−1) (initial L) and g^m1 (initial R) of truncated products."""
+    c = [float(x) for x in binomial_half_coeffs(order // 4 + 2)]
+    f, g = np.zeros(order + 1), np.zeros(order + 1)
+    f[1], g[1] = 1.0, -1.0
+    for k in range(1, len(c)):
+        if 4 * k - 1 <= order:
+            f[4 * k - 1] = g[4 * k - 1] = -c[k]
+    f, g = f / math.sqrt(2), g / math.sqrt(2)
+    rows, power = {}, np.zeros(order + 1)
+    power[0] = 1.0
+    for m1 in range(1, m1_max + 1):
+        rows[m1, "L"] = np.convolve(f, power)[: order + 1]
+        power = np.convolve(g, power)[: order + 1]
+        rows[m1, "R"] = power
+    return rows
+
+
+def test_fft_amplitudes_match_direct_convolution():
+    # tolerance fixed before the comparison: absolute 1e-15 per amplitude
+    order = 2 ** 12
+    ts = np.arange(1, order + 1, dtype=np.float64)
+    direct = direct_amplitudes(order, 10)
+    for (m1, initial), want in direct.items():
+        got = generating_function(m1, initial, order).coeffs
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        # FFT round-off at the structural zeros stays below the tail fit's
+        # peak·1e-12 filter, so both paths fit the same points
+        fitted = [series._tail_power_law(ts, (a * a)[1:], order)[2]
+                  for a in (got, want)]
+        assert fitted[0] == fitted[1] >= 8, (m1, initial, fitted)
+
+
 @pytest.mark.parametrize("m1", [-1, -2, -5])
 def test_mirrored_absorber_equals_simulation(m1):
     probs = absorption_probabilities(m1, "L", 128)
@@ -165,6 +201,12 @@ def test_generating_function_validation():
         generating_function(2, "X")
     with pytest.raises(ConfigurationError):
         generating_function(100, "L", order=50)
+    # a table checks every row, and its tail mode, before it computes any
+    with pytest.raises(ConfigurationError):
+        absorption_summaries([2, 0], "L", 256)
+    with pytest.raises(ConfigurationError):
+        absorption_summaries([2], "L", 256, tail="cubic")
+    assert absorption_summaries([], "L", 256) == []
 
 
 def test_raabe_on_analytic_power_laws():
