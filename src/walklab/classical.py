@@ -1,10 +1,11 @@
 """Classical random walk kernels and first-passage laws.
 
 The walker splits its mass half left, half right by the step length each
-step; the absorber removes mass at or beyond its position exactly as in the
-quantum engine. `engine.run_walk` drives these kernels for configs with
-engine "classical". Exact vector propagation replaces Monte Carlo everywhere;
-trajectory sampling exists only in the test suite as a cross-check oracle.
+step; the absorber cuts the window at its position and returns the mass
+beyond it, exactly as in the quantum engine. `engine.run_walk` drives these
+kernels for configs with engine "classical". Exact vector propagation
+replaces Monte Carlo everywhere; trajectory sampling exists only in the test
+suite as a cross-check oracle.
 """
 from __future__ import annotations
 
@@ -48,15 +49,12 @@ def crw_step(state: ClassicalState, l=1) -> ClassicalState:
 def crw_apply_absorber(
     state: ClassicalState, absorber: AbsorberConfig
 ) -> tuple[ClassicalState, float]:
-    """Remove mass on the absorber's side; return (state, removed mass),
-    the removed mass per row for a state with rows."""
-    sl = absorber.window_slice(state.n_min, state.width)
-    absorbed = row_sum(state.prob[..., sl], 1)
-    if np.count_nonzero(absorbed) == 0:
-        return state, absorbed
-    prob = state.prob.copy()
-    prob[..., sl] = 0.0
-    return ClassicalState(time=state.time, n_min=state.n_min, prob=prob), absorbed
+    """Cut the window at the absorber; return (a view of the kept sites, the
+    mass of the cut sites), the cut mass per row for a state with rows."""
+    kept, cut = absorber.split(state.n_min, state.width)
+    absorbed = row_sum(state.prob[..., cut], 1)
+    return ClassicalState(time=state.time, n_min=state.n_min + kept.start,
+                          prob=state.prob[..., kept]), absorbed
 
 
 def classical_first_passage(t: int, m1: int) -> float:

@@ -97,7 +97,7 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise ConfigurationError(f"range bounds must be integers, got {text!r}") from None
 
 
-def _parse_m1_range(text: str) -> list[int]:
+def _parse_m1_range(text: str) -> range:
     lo, sep, hi = text.partition("..")
     if not sep:
         raise ConfigurationError(f"m1 range {text!r} must look like A..B")
@@ -107,7 +107,8 @@ def _parse_m1_range(text: str) -> list[int]:
         raise ConfigurationError(f"m1 range bounds must be integers, got {text!r}") from None
     if a > b:
         raise ConfigurationError(f"empty m1 range {text!r}")
-    return list(range(a, b + 1))
+    # lazy: the table checks the order and each position before storing any
+    return range(a, b + 1)
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
@@ -220,7 +221,8 @@ def cmd_walk(args) -> str:
     rows = []
     for dist in snapshot_distributions(config, args.snapshot or [args.steps]):
         for pos, prob in zip(dist.positions.tolist(), dist.probs.tolist()):
-            # parity-forbidden and absorbed sites carry exactly zero mass
+            # absorbed sites are not in the window; parity-forbidden ones
+            # carry exactly zero mass
             if prob != 0.0:
                 rows.append((dist.time, pos, float(prob)))
     return _render(args, _walk_meta(args, spec), ["time", "position", "probability"], rows)

@@ -2,13 +2,13 @@
 
 A quantum time step is coin → shift → absorb. The shift moves the
 left-mover component l sites down and the right-mover component l sites up;
-l = 0 steps apply the coin but no movement. The absorber removes, every
-step, all probability amplitude at or beyond its position (on its side of
-the origin), and the removed mass is recorded as that step's absorption
-probability. A classical step is the fair split `classical.crw_step`
-followed by `classical.crw_apply_absorber`; a walk config's engine picks
-only the initial state and that kernel pair, so both engines share the
-config, the iterator, the runner and the snapshots.
+l = 0 steps apply the coin but no movement. The absorber is an edge of the
+window: every step it cuts off the sites at or beyond its position (on its
+side of the origin), whose mass is that step's absorption probability, so
+absorbed sites are never stored. A classical step is the fair split
+`classical.crw_step` followed by `classical.crw_apply_absorber`; a walk
+config's engine picks only the initial state and that kernel pair, so both
+engines share the config, the iterator, the runner and the snapshots.
 Step lengths shaped (R, steps) run R independent walks (rows) at once on
 one shared window; every kernel works row by row.
 """
@@ -110,11 +110,13 @@ class AbsorberConfig:
         if int(self.position) != self.position or self.position == 0:
             raise ConfigurationError("absorber position must be nonzero")
 
-    def window_slice(self, n_min: int, width: int) -> slice:
-        """Indices of the absorbed region inside a window [n_min, n_min+width)."""
+    def split(self, n_min: int, width: int) -> tuple[slice, slice]:
+        """(kept, absorbed) index ranges of a window [n_min, n_min + width)."""
         if self.position > 0:
-            return slice(max(self.position - n_min, 0), width)
-        return slice(0, min(max(self.position - n_min + 1, 0), width))
+            k = min(max(self.position - n_min, 0), width)
+            return slice(0, k), slice(k, width)
+        k = min(max(self.position - n_min + 1, 0), width)
+        return slice(k, width), slice(0, k)
 
 
 def apply_coin(state: QuantumState, coin: CoinOperator) -> QuantumState:
@@ -154,15 +156,12 @@ def step(state: QuantumState, coin: CoinOperator, l=1) -> QuantumState:
 def apply_absorber(
     state: QuantumState, absorber: AbsorberConfig
 ) -> tuple[QuantumState, float]:
-    """Remove amplitude on the absorber's side; return (state, removed mass),
-    the removed mass per row for a state with rows."""
-    sl = absorber.window_slice(state.n_min, state.width)
-    absorbed = row_sum(np.abs(state.psi[..., sl]) ** 2, 2)
-    if np.count_nonzero(absorbed) == 0:
-        return state, absorbed
-    psi = state.psi.copy()
-    psi[..., sl] = 0.0
-    return QuantumState(time=state.time, n_min=state.n_min, psi=psi), absorbed
+    """Cut the window at the absorber; return (a view of the kept sites, the
+    mass of the cut sites), the cut mass per row for a state with rows."""
+    kept, cut = absorber.split(state.n_min, state.width)
+    absorbed = row_sum(np.abs(state.psi[..., cut]) ** 2, 2)
+    return QuantumState(time=state.time, n_min=state.n_min + kept.start,
+                        psi=state.psi[..., kept]), absorbed
 
 
 @dataclass
@@ -240,8 +239,8 @@ def iterate_walk(config: WalkConfig) -> Iterator[tuple[WalkerState, float]]:
     """Yield (state after step t, mass absorbed at step t) for t = 1..steps.
 
     Stops early after a step that leaves every row without surviving mass:
-    nothing evolves past that point. Rows share one window, which spans the
-    farthest any row has moved.
+    nothing evolves past that point. Rows share one window: the sites within
+    the farthest any row has moved from the start, up to the absorber.
     """
     lengths = config.lengths()
     rows = lengths.shape[:-1]
@@ -260,14 +259,12 @@ def iterate_walk(config: WalkConfig) -> Iterator[tuple[WalkerState, float]]:
         state = initial_classical_state(config.initial_position)
         state.prob = np.tile(state.prob, rows + (1,))
         advance, absorb = crw_step, crw_apply_absorber
-    # a step widens the window by its longest row length; trim it back to
-    # the farthest any row has moved
+    # a step widens the window by its longest row length; clamp it back to
+    # the farthest any row has moved (no row has mass beyond that)
+    n0 = config.initial_position
     reach = np.cumsum(lengths, axis=-1).reshape(-1, config.steps).max(axis=0)
-    slack = lengths.reshape(-1, config.steps).max(axis=0) - np.diff(reach, prepend=0)
-    for l, trim in zip(lengths.T, slack.tolist()):
-        state = advance(state, l)
-        if trim:
-            state = state.cropped(trim)
+    for l, r in zip(lengths.T, reach.tolist()):
+        state = advance(state, l).clamped(n0 - r, n0 + r)
         absorbed = 0.0
         if config.absorber is not None:
             state, absorbed = absorb(state, config.absorber)

@@ -2,8 +2,9 @@
 
 A quantum state stores two complex amplitude arrays (left-mover and
 right-mover components) over a contiguous position window; a classical state
-stores one probability array over the same kind of window. Windows grow as
-the walk spreads, so propagation is exact: no probability is ever clipped.
+stores one probability array over the same kind of window. A walk's window
+holds the sites within reach of its start, cut at the absorber: no site
+outside it carries surviving mass, so propagation is exact.
 Every array may carry a leading row axis: R independent walks (rows) on one
 shared window, whose masses, distributions and spreads are taken per row.
 """
@@ -67,9 +68,10 @@ class QuantumState:
     def mass(self):
         return row_sum(np.abs(self.psi) ** 2, 2)
 
-    def cropped(self, k: int) -> "QuantumState":
-        """The window without its k outermost sites on each side."""
-        return QuantumState(self.time, self.n_min + k, self.psi[..., k:self.width - k])
+    def clamped(self, lo: int, hi: int) -> "QuantumState":
+        """A view of the window cut to the sites lo..hi."""
+        a, b = max(lo - self.n_min, 0), max(hi + 1 - self.n_min, 0)
+        return QuantumState(self.time, self.n_min + a, self.psi[..., a:b])
 
 
 @dataclass
@@ -91,9 +93,10 @@ class ClassicalState:
     def mass(self):
         return row_sum(self.prob, 1)
 
-    def cropped(self, k: int) -> "ClassicalState":
-        """The window without its k outermost sites on each side."""
-        return ClassicalState(self.time, self.n_min + k, self.prob[..., k:self.width - k])
+    def clamped(self, lo: int, hi: int) -> "ClassicalState":
+        """A view of the window cut to the sites lo..hi."""
+        a, b = max(lo - self.n_min, 0), max(hi + 1 - self.n_min, 0)
+        return ClassicalState(self.time, self.n_min + a, self.prob[..., a:b])
 
 
 @dataclass
@@ -180,6 +183,8 @@ def std_dev(dist: PositionDistribution):
         raise EmptyStateError("zero-mass distribution has no spread")
     with np.errstate(invalid="ignore"):  # 0/0 on a row without mass
         mu = np.sum(dist.positions * dist.probs, axis=-1) / m
-        second = np.sum(dist.positions.astype(float) ** 2 * dist.probs, axis=-1) / m
-    sigma = np.sqrt(np.maximum(second - mu * mu, 0.0))
+        # centred second pass: E[n²] − μ² would lose σ to rounding when σ is
+        # small next to |μ| (a point mass at −3 read σ = 4e-8)
+        dev = dist.positions - mu[..., np.newaxis]
+        sigma = np.sqrt(np.sum(dev * dev * dist.probs, axis=-1) / m)
     return float(sigma) if dist.probs.ndim == 1 else sigma

@@ -37,10 +37,10 @@ MAX_ORDER = 2 ** 22
 class PowerSeries:
     """Real-coefficient polynomial truncated at a fixed maximum degree.
 
-    coeffs[k] is the coefficient of z^k. Arithmetic truncates results to the
-    smaller operand order and multiplies by direct convolution, so every
-    retained coefficient is exact; `generating_function` returns its
-    amplitudes in this form.
+    coeffs[k] is the coefficient of z^k. A product truncates to the smaller
+    operand order and multiplies by direct convolution, so every retained
+    coefficient is exact; `generating_function` returns its amplitudes in
+    this form.
     """
 
     coeffs: np.ndarray
@@ -56,35 +56,12 @@ class PowerSeries:
     def order(self) -> int:
         return self.coeffs.size - 1
 
-    @classmethod
-    def monomial(cls, degree: int, order: int, value: float = 1.0) -> "PowerSeries":
-        if degree > order:
-            raise ConfigurationError(f"degree {degree} exceeds order {order}")
-        c = np.zeros(order + 1)
-        c[degree] = value
-        return cls(c)
-
     def coefficient(self, k: int) -> float:
         if not 0 <= k <= self.order:
             raise ConfigurationError(
                 f"coefficient index {k} outside truncation order {self.order}"
             )
         return float(self.coeffs[k])
-
-    def truncate(self, order: int) -> "PowerSeries":
-        if order > self.order:
-            raise ConfigurationError(
-                f"cannot extend order {self.order} to {order}"
-            )
-        return PowerSeries(self.coeffs[: order + 1].copy())
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.order, other.order) + 1
-        return PowerSeries(self.coeffs[:n] + other.coeffs[:n])
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.order, other.order) + 1
-        return PowerSeries(self.coeffs[:n] - other.coeffs[:n])
 
     def __mul__(self, other):
         if isinstance(other, PowerSeries):
@@ -94,31 +71,6 @@ class PowerSeries:
         return PowerSeries(self.coeffs * float(other))
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "PowerSeries":
-        if exponent < 0 or int(exponent) != exponent:
-            raise ConfigurationError("series powers must use integers >= 0")
-        result = PowerSeries.monomial(0, self.order)
-        base = self
-        e = int(exponent)
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def shift_down(self, k: int) -> "PowerSeries":
-        """Divide by z^k; the k lowest coefficients must vanish."""
-        if k == 0:
-            return self
-        low = self.coeffs[:k]
-        if np.max(np.abs(low), initial=0.0) > 1e-12:
-            raise NumericalError(
-                f"series is not divisible by z^{k}: low-order residue "
-                f"{np.max(np.abs(low)):.3e}"
-            )
-        return PowerSeries(self.coeffs[k:].copy())
 
 
 def _sqrt_binomial(n_terms: int) -> np.ndarray:
@@ -188,15 +140,15 @@ def _amplitude_rows(
         raise ConfigurationError(
             f"series order {order} is above the memory budget of {MAX_ORDER}"
         )
-    rows = {}  # (power k = |m1|, row uses f) -> m1
-    for m1 in m1s:
+    for m1 in m1s:  # a lazy range is checked before anything is stored
         if m1 == 0:
             raise ConfigurationError("absorber position must be nonzero")
         if abs(m1) > order:
             raise ConfigurationError(
                 f"absorber at {abs(m1)} needs series order >= {abs(m1)}, got {order}"
             )
-        rows[abs(m1), (m1 > 0) == (initial == "L")] = m1
+    # (power k = |m1|, row uses f) -> m1
+    rows = {(abs(m1), (m1 > 0) == (initial == "L")): m1 for m1 in m1s}
     n = (order + 1) // 2
     g, f = _w_series(n)
     power = None  # G^(k−1); None stands for G^0 = 1, which needs no product

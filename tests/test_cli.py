@@ -1,4 +1,6 @@
 """CLI behavior: output schemas, determinism, anchors, exit codes, goldens."""
+import ast
+import importlib
 import json
 import math
 import subprocess
@@ -9,7 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from walklab import AbsorptionRecord, ConfigurationError, finite_horizon_avg_time
+from walklab import (
+    AbsorptionRecord,
+    ConfigurationError,
+    PowerSeries,
+    finite_horizon_avg_time,
+)
 from walklab.cli import main, parse_disorder
 from walklab.series import MAX_ORDER
 
@@ -233,6 +240,22 @@ def test_series_order_above_budget_exits_2_before_allocating(capsys):
     assert out == ""
     assert f"series order {MAX_ORDER + 1} is above the memory budget" in err
     # one length-T float64 array would already be 32 MiB
+    assert peak < 2 ** 20
+
+
+def test_series_m1_range_beyond_order_exits_2_before_listing(capsys):
+    tracemalloc.start()
+    try:
+        rc, out, err = run_cli(
+            ["series", "--m1-range", "1..100000000", "--seed", "1"], capsys
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert out == ""
+    assert "absorber at 16385 needs series order >= 16385, got 16384" in err
+    # a list of the whole range would hold 10^8 ints
     assert peak < 2 ** 20
 
 
@@ -565,3 +588,20 @@ def test_cli_import_leaves_out_scipy_stats():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_benchmark_tracer_targets_exist():
+    """perfbench/tracing.py wraps these names from outside the program and
+    records a missing one instead of failing, so a renamed or deleted target
+    would leave a traced benchmark run silently incomplete."""
+    source = (Path(__file__).parents[1] / "perfbench" / "tracing.py").read_text()
+    (targets,) = [
+        ast.literal_eval(node.value) for node in ast.parse(source).body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "TARGETS" for t in node.targets)
+    ]
+    assert targets
+    for module, attr, _ in targets:
+        assert callable(getattr(importlib.import_module(module), attr, None)), \
+            f"{module}.{attr}"
+    assert callable(getattr(PowerSeries, "__mul__", None))

@@ -14,6 +14,7 @@ from walklab import (
     NumericalError,
     WalkConfig,
     child_seed,
+    classical_avg_time_partial,
     disorder_avg_absorb_time,
     disorder_avg_sigma,
     finite_horizon_avg_time,
@@ -256,3 +257,26 @@ def test_fit_exponent_errors():
     bad[ts.tolist().index(25)] = 0.0
     with pytest.raises(NumericalError, match="25"):
         fit_exponent(_curve(ts, bad), t_lo=10, t_hi=30)
+
+
+def test_absorbing_time_growth_reverses_under_disorder():
+    """⟨t_a^(n)⟩ ∝ n^γ over horizons n = 100..400, absorber 2. Bounds fixed
+    from measured fits (value ± ci95): clean quantum 0.0087 ± 0.0011, the
+    classical closed form 0.529 ± 0.003 (tending to 1/2 from above), and a
+    Poisson(1) quantum ensemble of 40 (seed 1) 0.611 ± 0.022; seeds 1..12
+    gave 0.58..0.68."""
+    hs = np.unique(np.geomspace(25, 400, 24).astype(np.int64))
+    walk = WalkConfig(steps=400, absorber=AbsorberConfig(2))
+
+    def gamma(curve):
+        return fit_exponent(curve, 100, 400)
+
+    clean = gamma(disorder_avg_absorb_time(EnsembleConfig(walk, 1), hs))
+    assert abs(clean.alpha) < 0.02
+    values = np.array([classical_avg_time_partial(2, int(n)) for n in hs])
+    classical = gamma(AveragedCurve(hs, values, np.zeros(hs.size), 1,
+                                    np.ones(hs.size, dtype=np.int64)))
+    assert abs(classical.alpha - 0.5) < 0.05
+    disordered = gamma(disorder_avg_absorb_time(
+        EnsembleConfig(walk, 40, master_seed=1, disorder=poisson(1.0)), hs))
+    assert disordered.alpha - disordered.ci95_halfwidth > 0.5

@@ -6,11 +6,12 @@ Hypothesis draws the engine, the coin and initial coin state, a step-length
 sequence that may contain zero-length steps, and an absorber on either side
 of the origin (or none).
 """
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import dict_classical_walk, dict_quantum_walk, exact_absorption_probabilities
@@ -40,7 +41,8 @@ from walklab import (
 TOL = 1e-12
 # Rows on a shared (wider) window, or a mirrored walk, sum the same terms in
 # another order: absorbed mass may differ by W·2^-52 for a window of W sites,
-# and sigma by a relative 1e-12.
+# and sigma by a relative 1e-12, which also bounds sigma against the
+# math.fsum oracle.
 SIGMA_RTOL = 1e-12
 
 
@@ -84,8 +86,32 @@ def oracle(config, t):
     return {n: abs(l) ** 2 + abs(r) ** 2 for n, (l, r) in psi.items()}, absorbed
 
 
+def oracle_sigma(dist):
+    """σ of a {site: probability} distribution, renormalized, summed with
+    math.fsum; NaN without mass."""
+    mass = math.fsum(dist.values())
+    if mass == 0.0:
+        return math.nan
+    mean = math.fsum(n * p for n, p in dist.items()) / mass
+    return math.sqrt(math.fsum(p * (n - mean) ** 2 for n, p in dist.items()) / mass)
+
+
+def assert_live_window(config, state):
+    """The window is exactly the sites within the farthest any row has moved
+    from the start, cut at the absorber: no site lies at or beyond it."""
+    lengths = np.atleast_2d(config.step_lengths)[:, :state.time]
+    reach = int(lengths.sum(axis=1).max())
+    lo, hi = config.initial_position - reach, config.initial_position + reach
+    if config.absorber is not None:
+        a = config.absorber.position
+        lo, hi = (lo, min(hi, a - 1)) if a > 0 else (max(lo, a + 1), hi)
+    np.testing.assert_array_equal(state.positions, np.arange(lo, hi + 1))
+
+
 @settings(max_examples=60, deadline=None)
 @given(walks())
+# a surviving point mass at −3: σ is 0, not the rounding floor of E[n²] − μ²
+@example(WalkConfig(steps=1, absorber=AbsorberConfig(1), step_lengths=np.array([3])))
 def test_run_walk_matches_oracle_every_step(config):
     result = run_walk(config)
     _, absorbed = oracle(config, config.steps)
@@ -94,11 +120,13 @@ def test_run_walk_matches_oracle_every_step(config):
     padded = np.pad(result.record.per_step, (0, config.steps - horizon))
     np.testing.assert_allclose(padded, absorbed, rtol=0, atol=TOL)
     for state, _ in iterate_walk(config):
+        assert_live_window(config, state)
         want, _ = oracle(config, state.time)
         dist = probability_distribution(state)
         got = dict(zip(dist.positions.tolist(), dist.probs.tolist()))
         for site in set(got) | set(want):
             assert abs(got.get(site, 0.0) - want.get(site, 0.0)) <= TOL
+        assert_sigma_close(result.sigma[state.time - 1], oracle_sigma(want))
 
 
 @settings(max_examples=100, deadline=None)
@@ -127,6 +155,10 @@ def batched_walks(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(batched_walks())
+# a window cropped symmetrically at t = 2 would drop row 2's mass at +3
+# before the absorber at 2 counted it
+@example(WalkConfig(steps=2, absorber=AbsorberConfig(2),
+                    step_lengths=np.array([[5, 0], [0, 3]])))
 def test_batched_walk_equals_single_row_walks(config):
     batch = run_walk(config)
     atol = mass_tol(batch.final_state.width)
@@ -142,9 +174,8 @@ def test_batched_walk_equals_single_row_walks(config):
         assert not np.any(batch.record.per_step[row, h:])
         assert np.all(np.isnan(batch.sigma[row, h:]))
     assert batch.record.horizon == max(horizons)
-    # the shared window spans exactly the farthest any row has moved
-    reach = config.step_lengths[:, :batch.record.horizon].sum(axis=1).max()
-    assert batch.final_state.width == 1 + 2 * int(reach)
+    for state, _ in iterate_walk(config):
+        assert_live_window(config, state)
 
 
 def mirror(config):
