@@ -10,9 +10,7 @@ from .errors import (
     WalklabError,
 )
 from .lattice import (
-    ClassicalState,
     PositionDistribution,
-    QuantumState,
     initial_classical_state,
     initial_quantum_state,
     mean_position,
@@ -26,7 +24,6 @@ from .engine import (
     AbsorptionRecord,
     CoinOperator,
     WalkConfig,
-    WalkResult,
     apply_absorber,
     apply_coin,
     apply_shift,
@@ -37,7 +34,6 @@ from .engine import (
     mirrored_hadamard_coin,
     run_walk,
     snapshot_distribution,
-    snapshot_distributions,
     step,
 )
 from .classical import (
@@ -45,14 +41,11 @@ from .classical import (
     classical_avg_time_term,
     classical_first_passage,
     classical_total_absorption,
-    crw_apply_absorber,
     crw_step,
     first_passage_series,
 )
 from .series import (
-    DEFAULT_ORDER,
     PowerSeries,
-    RaabeReport,
     absorption_probabilities,
     absorption_summaries,
     absorption_summary,
@@ -65,10 +58,8 @@ from .series import (
     sqrt_one_plus_z4,
 )
 from .disorder import (
-    FAMILIES,
     TABLE2_PRESETS,
     DisorderSpec,
-    Realization,
     binomial,
     build_spec,
     child_seed,
@@ -83,7 +74,6 @@ from .disorder import (
 from .ensemble import (
     AveragedCurve,
     EnsembleConfig,
-    FitResult,
     disorder_avg_absorb_time,
     disorder_avg_sigma,
     finite_horizon_avg_time,
@@ -93,4 +83,24 @@ from .ensemble import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names the README and the tests use; submodules stay out of `import *`
+__all__ = [
+    "AbsorberConfig", "AbsorptionRecord", "AveragedCurve", "CoinOperator",
+    "ConfigurationError", "DisorderSpec", "EmptyStateError", "EnsembleConfig",
+    "NoAbsorptionError", "NumericalError", "PositionDistribution",
+    "PowerSeries", "TABLE2_PRESETS", "WalkConfig", "WalklabError",
+    "absorption_probabilities", "absorption_summaries", "absorption_summary",
+    "apply_absorber", "apply_coin", "apply_shift", "binomial", "build_spec",
+    "child_seed", "classical_avg_time_partial", "classical_avg_time_term",
+    "classical_first_passage", "classical_total_absorption", "coin_by_name",
+    "crw_step", "disorder_avg_absorb_time", "disorder_avg_sigma",
+    "finite_horizon_avg_time", "first_passage_series", "fit_exponent",
+    "generating_function", "geometric", "geometric_shifted", "hadamard_coin",
+    "hypergeometric", "initial_classical_state", "initial_quantum_state",
+    "iterate_walk", "kempe_coin", "mean_position", "mirrored_hadamard_coin",
+    "negative_binomial", "point_mass", "poisson", "probability_distribution",
+    "quantum_absorption_prob", "quantum_avg_time_term", "raabe_estimate",
+    "renormalize", "run_ensemble", "run_walk", "sample_realization",
+    "series_f", "series_g", "snapshot_distribution", "sqrt_one_plus_z4",
+    "std_dev", "step", "total_mass",
+]

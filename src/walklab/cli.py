@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .classical import classical_avg_time_term
-from .disorder import TABLE2_PRESETS, DisorderSpec, build_spec, child_seed, sample_realization
+from .disorder import TABLE2_PRESETS, DisorderSpec, child_seed, parse_disorder, sample_realization
 from .engine import (
     AbsorberConfig,
     WalkConfig,
@@ -62,28 +62,6 @@ def _env_int(name: str, fallback: int) -> int:
         return int(raw)
     except ValueError:
         raise ConfigurationError(f"{name} must be an integer, got {raw!r}") from None
-
-
-def parse_disorder(text: str) -> DisorderSpec:
-    """Parse the CLI disorder grammar: preset name or family:key=value,..."""
-    if text in TABLE2_PRESETS:
-        return TABLE2_PRESETS[text]
-    if ":" not in text:
-        presets = ", ".join(TABLE2_PRESETS)
-        raise ConfigurationError(
-            f"disorder spec {text!r} is neither a preset ({presets}) "
-            "nor family:key=value,..."
-        )
-    family, _, rest = text.partition(":")
-    fields = {}
-    for item in rest.split(","):
-        if "=" not in item:
-            raise ConfigurationError(
-                f"malformed disorder parameter {item!r} (expected key=value)"
-            )
-        key, _, value = item.partition("=")
-        fields[key.strip()] = value.strip()
-    return build_spec(family.strip(), fields)
 
 
 def _parse_range(text: str) -> tuple[int, int]:

@@ -4,14 +4,15 @@ A disorder spec fixes one discrete distribution over nonnegative step
 lengths; a realization is the frozen sequence of lengths one walk uses for
 all its steps. Sampling is inverse-CDF over a precomputed cumulative table
 (truncated where the remaining tail mass is below 1e-12), so identical
-(spec, seed, n) triples always reproduce identical lengths.
+(spec, seed, n) triples always reproduce identical lengths. Each family is
+declared once, in `_FAMILIES`; `parse_disorder` is its only text grammar.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import gammaln
@@ -19,50 +20,139 @@ from scipy.special import gammaln
 from .errors import ConfigurationError
 
 _TAIL_EPS = 1e-12
+# longest support table: a bounded support beyond it is refused, an
+# unbounded one whose tail is not negligible by then as well
 _MAX_SUPPORT = 100_000
 
-FAMILIES = (
-    "poisson",
-    "binomial",
-    "hypergeometric",
-    "negative_binomial",
-    "geometric",
-    "geometric_shifted",
-    "point_mass",
-)
 
-# canonical parameter order per family, as used in serialized text
-_PARAM_KEYS = {
-    "poisson": ("lambda",),
-    "binomial": ("n", "p"),
-    "hypergeometric": ("N", "K", "n"),
-    "negative_binomial": ("r", "k"),
-    "geometric": ("k",),
-    "geometric_shifted": ("k",),
-    "point_mass": ("length",),
+class _Family(NamedTuple):
+    """One pmf family. Every callable takes the parameter values in `keys`
+    order; `pmf` also takes the lengths (as floats) first, all within the
+    support."""
+
+    keys: tuple  # canonical parameter order, as in serialized text
+    integers: tuple  # the keys whose values must be integers
+    check: Callable[..., bool]  # are the values admissible?
+    requires: str  # what `check` asks for
+    support: Callable[..., tuple]  # (lowest length, highest length or None)
+    pmf: Callable[..., np.ndarray]
+    moments: Callable[..., tuple]  # closed-form (mean, variance)
+
+
+def _log(x: float) -> float:
+    return math.log(x) if x > 0 else -math.inf
+
+
+def _xlog(x: np.ndarray, log_y: float) -> np.ndarray:
+    """x·log_y, taken as 0 where x = 0 (so 0·log 0 is 0, not NaN)."""
+    return np.multiply(x, log_y, out=np.zeros_like(x), where=x > 0)
+
+
+def _log_comb(a, b):
+    return gammaln(a + 1.0) - gammaln(b + 1.0) - gammaln(a - b + 1.0)
+
+
+def _geometric(lowest: int) -> _Family:
+    """Geometric over lowest, lowest + 1, ... with success probability k."""
+    return _Family(
+        ("k",), (), lambda k: 0.0 < k <= 1.0, "k in (0, 1]",
+        lambda k: (lowest, None),
+        lambda l, k: (np.where(l == lowest, 1.0, 0.0) if k == 1.0
+                      else np.exp((l - lowest) * math.log(1 - k)) * k),
+        lambda k: (1 / k if lowest else (1 - k) / k, (1 - k) / k ** 2),
+    )
+
+
+_FAMILIES = {
+    "poisson": _Family(
+        ("lambda",), (), lambda lam: lam > 0, "lambda > 0",
+        lambda lam: (0, None),
+        lambda l, lam: np.exp(l * math.log(lam) - lam - gammaln(l + 1.0)),
+        lambda lam: (lam, lam),
+    ),
+    "binomial": _Family(
+        ("n", "p"), ("n",), lambda n, p: n >= 1 and 0.0 <= p <= 1.0,
+        "n >= 1 and p in [0, 1]",
+        lambda n, p: (0, n),
+        lambda l, n, p: np.exp(gammaln(n + 1.0) - gammaln(l + 1.0)
+                               - gammaln(n - l + 1.0) + _xlog(l, _log(p))
+                               + _xlog(n - l, _log(1 - p))),
+        lambda n, p: (n * p, n * p * (1 - p)),
+    ),
+    "hypergeometric": _Family(
+        ("N", "K", "n"), ("N", "K", "n"),
+        lambda N, K, n: N >= 1 and 0 <= K <= N and 0 <= n <= N,
+        "N >= 1 and K, n in [0, N]",
+        lambda N, K, n: (max(0, n - (N - K)), min(n, K)),
+        lambda l, N, K, n: np.exp(_log_comb(float(K), l)
+                                  + _log_comb(float(N - K), n - l)
+                                  - _log_comb(float(N), float(n))),
+        lambda N, K, n: (n * K / N, n * (K / N) * (1 - K / N) * (N - n) / (N - 1)
+                         if N > 1 else 0.0),
+    ),
+    # pmf C(l + r - 1, l)(1 - k)^r k^l
+    "negative_binomial": _Family(
+        ("r", "k"), (), lambda r, k: r > 0 and 0.0 < k < 1.0,
+        "r > 0 and k in (0, 1)",
+        lambda r, k: (0, None),
+        lambda l, r, k: np.exp(gammaln(l + r) - gammaln(r) - gammaln(l + 1.0)
+                               + r * math.log(1 - k) + l * math.log(k)),
+        lambda r, k: (r * k / (1 - k), r * k / (1 - k) ** 2),
+    ),
+    "geometric": _geometric(1),
+    "geometric_shifted": _geometric(0),
+    "point_mass": _Family(
+        ("length",), ("length",), lambda length: length >= 0, "length >= 0",
+        lambda length: (length, length),
+        lambda l, length: np.ones_like(l),
+        lambda length: (float(length), 0.0),
+    ),
 }
+
+
+def _family(name: str) -> _Family:
+    if name not in _FAMILIES:
+        raise ConfigurationError(
+            f"unknown disorder family {name!r} (known: {', '.join(_FAMILIES)})"
+        )
+    return _FAMILIES[name]
 
 
 @dataclass(frozen=True)
 class DisorderSpec:
-    """One step-length distribution: a family name plus its parameters."""
+    """One step-length distribution: a family name plus its parameters.
+
+    The parameters are checked, then stored as ints (integer keys) and
+    floats (the rest)."""
 
     family: str
     params: tuple  # ((key, value), ...) in canonical order
 
     def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise ConfigurationError(
-                f"unknown disorder family {self.family!r} "
-                f"(known: {', '.join(FAMILIES)})"
-            )
+        fam = _family(self.family)
         keys = tuple(k for k, _ in self.params)
-        if keys != _PARAM_KEYS[self.family]:
+        if keys != fam.keys:
             raise ConfigurationError(
-                f"family {self.family!r} needs parameters "
-                f"{_PARAM_KEYS[self.family]}, got {keys}"
+                f"family {self.family!r} needs parameters {fam.keys}, got {keys}"
             )
-        _VALIDATORS[self.family](dict(self.params))
+        for key, value in self.params:
+            if not math.isfinite(value):
+                raise ConfigurationError(
+                    f"disorder parameter {key} must be finite, got {value!r}"
+                )
+            if key in fam.integers and not float(value).is_integer():
+                raise ConfigurationError(
+                    f"{self.family} needs an integer {key}, got {value!r}"
+                )
+        params = tuple((k, int(v) if k in fam.integers else float(v))
+                       for k, v in self.params)
+        if not fam.check(*(v for _, v in params)):
+            raise ConfigurationError(f"{self.family} needs {fam.requires}")
+        object.__setattr__(self, "params", params)
+
+    @property
+    def values(self) -> tuple:
+        return tuple(v for _, v in self.params)
 
     def param(self, key: str) -> float:
         return dict(self.params)[key]
@@ -71,19 +161,6 @@ class DisorderSpec:
         parts = [f"family={self.family}"]
         parts += [f"{k}={_fmt_num(v)}" for k, v in self.params]
         return " ".join(parts)
-
-    @classmethod
-    def from_text(cls, text: str) -> "DisorderSpec":
-        fields = {}
-        for chunk in text.split():
-            if "=" not in chunk:
-                raise ConfigurationError(f"malformed disorder field {chunk!r}")
-            key, _, value = chunk.partition("=")
-            fields[key] = value
-        family = fields.pop("family", None)
-        if family is None:
-            raise ConfigurationError("disorder text lacks a family= field")
-        return build_spec(family, fields)
 
     def pmf(self, l: int) -> float:
         if l < 0 or int(l) != l:
@@ -97,7 +174,7 @@ class DisorderSpec:
 
     def moments(self) -> tuple[float, float]:
         """Closed-form (mean, variance)."""
-        return _MOMENTS[self.family](dict(self.params))
+        return _FAMILIES[self.family].moments(*self.values)
 
     def classification(self) -> str:
         mean, var = self.moments()
@@ -112,121 +189,51 @@ def _fmt_num(v: float) -> str:
     return repr(float(v))
 
 
-def _validate_poisson(p: dict) -> None:
-    if not p["lambda"] > 0:
-        raise ConfigurationError("poisson needs lambda > 0")
-
-
-def _validate_binomial(p: dict) -> None:
-    n = p["n"]
-    if n < 1 or int(n) != n:
-        raise ConfigurationError("binomial needs integer n >= 1")
-    if not 0.0 <= p["p"] <= 1.0:
-        raise ConfigurationError("binomial needs p in [0, 1]")
-
-
-def _validate_hypergeometric(p: dict) -> None:
-    big_n, k, n = p["N"], p["K"], p["n"]
-    for name, v in (("N", big_n), ("K", k), ("n", n)):
-        if int(v) != v or v < 0:
-            raise ConfigurationError(f"hypergeometric needs integer {name} >= 0")
-    if not (big_n >= k and big_n >= n and big_n >= 1):
-        raise ConfigurationError("hypergeometric needs N >= K, N >= n, N >= 1")
-
-
-def _validate_negative_binomial(p: dict) -> None:
-    if not p["r"] > 0:
-        raise ConfigurationError("negative_binomial needs r > 0")
-    if not 0.0 < p["k"] < 1.0:
-        raise ConfigurationError("negative_binomial needs k in (0, 1)")
-
-
-def _validate_geometric(p: dict) -> None:
-    if not 0.0 < p["k"] <= 1.0:
-        raise ConfigurationError("geometric needs k in (0, 1]")
-
-
-def _validate_point_mass(p: dict) -> None:
-    length = p["length"]
-    if int(length) != length or length < 0:
-        raise ConfigurationError("point_mass needs integer length >= 0")
-
-
-_VALIDATORS = {
-    "poisson": _validate_poisson,
-    "binomial": _validate_binomial,
-    "hypergeometric": _validate_hypergeometric,
-    "negative_binomial": _validate_negative_binomial,
-    "geometric": _validate_geometric,
-    "geometric_shifted": _validate_geometric,
-    "point_mass": _validate_point_mass,
-}
+def _spec(family: str, *values) -> DisorderSpec:
+    return DisorderSpec(family, tuple(zip(_FAMILIES[family].keys, values)))
 
 
 def poisson(lam: float) -> DisorderSpec:
-    return DisorderSpec("poisson", (("lambda", float(lam)),))
+    return _spec("poisson", lam)
 
 
 def binomial(n: int, p: float) -> DisorderSpec:
-    return DisorderSpec("binomial", (("n", int(n)), ("p", float(p))))
+    return _spec("binomial", n, p)
 
 
 def hypergeometric(N: int, K: int, n: int) -> DisorderSpec:
-    return DisorderSpec(
-        "hypergeometric", (("N", int(N)), ("K", int(K)), ("n", int(n)))
-    )
+    return _spec("hypergeometric", N, K, n)
 
 
 def negative_binomial(r: float, k: float) -> DisorderSpec:
-    return DisorderSpec("negative_binomial", (("r", float(r)), ("k", float(k))))
+    return _spec("negative_binomial", r, k)
 
 
 def geometric(k: float) -> DisorderSpec:
-    return DisorderSpec("geometric", (("k", float(k)),))
+    return _spec("geometric", k)
 
 
 def geometric_shifted(k: float) -> DisorderSpec:
-    return DisorderSpec("geometric_shifted", (("k", float(k)),))
+    return _spec("geometric_shifted", k)
 
 
 def point_mass(length: int = 1) -> DisorderSpec:
     """Every step uses the same length; reduces disordered runs to clean ones."""
-    return DisorderSpec("point_mass", (("length", int(length)),))
-
-
-_FACTORIES = {
-    "poisson": poisson,
-    "binomial": binomial,
-    "hypergeometric": hypergeometric,
-    "negative_binomial": negative_binomial,
-    "geometric": geometric,
-    "geometric_shifted": geometric_shifted,
-    "point_mass": point_mass,
-}
+    return _spec("point_mass", length)
 
 
 def build_spec(family: str, fields: dict) -> DisorderSpec:
-    """Construct a spec from string-or-number parameter values."""
-    if family not in FAMILIES:
+    """Construct a spec from string-or-number parameter values, in any key
+    order; the spec checks them."""
+    keys = _family(family).keys
+    if set(fields) != set(keys):
         raise ConfigurationError(
-            f"unknown disorder family {family!r} (known: {', '.join(FAMILIES)})"
-        )
-    expected = _PARAM_KEYS[family]
-    if set(fields) != set(expected):
-        raise ConfigurationError(
-            f"family {family!r} needs parameters {expected}, "
-            f"got {tuple(sorted(fields))}"
+            f"family {family!r} needs parameters {keys}, got {tuple(sorted(fields))}"
         )
     try:
-        values = [float(fields[k]) for k in expected]
+        return _spec(family, *(float(fields[k]) for k in keys))
     except ValueError as exc:
         raise ConfigurationError(f"non-numeric disorder parameter: {exc}") from None
-    for key, value in zip(expected, values):
-        if not math.isfinite(value):
-            raise ConfigurationError(
-                f"disorder parameter {key} must be finite, got {fields[key]!r}"
-            )
-    return _FACTORIES[family](*values)
 
 
 # Table II rows at unit mean. The hypergeometric triple (10, 5, 2) gives
@@ -239,152 +246,55 @@ TABLE2_PRESETS = {
 }
 
 
+def parse_disorder(text: str) -> DisorderSpec:
+    """Parse the disorder grammar: a preset name or family:key=value,..."""
+    if text in TABLE2_PRESETS:
+        return TABLE2_PRESETS[text]
+    if ":" not in text:
+        presets = ", ".join(TABLE2_PRESETS)
+        raise ConfigurationError(
+            f"disorder spec {text!r} is neither a preset ({presets}) "
+            "nor family:key=value,..."
+        )
+    family, _, rest = text.partition(":")
+    fields = {}
+    for item in rest.split(","):
+        if "=" not in item:
+            raise ConfigurationError(
+                f"malformed disorder parameter {item!r} (expected key=value)"
+            )
+        key, _, value = item.partition("=")
+        fields[key.strip()] = value.strip()
+    return build_spec(family.strip(), fields)
+
+
 def _pmf_array(spec: DisorderSpec, ls: np.ndarray) -> np.ndarray:
-    p = dict(spec.params)
+    fam, values = _FAMILIES[spec.family], spec.values
+    lo, hi = fam.support(*values)
     ls = np.asarray(ls, dtype=np.int64)
+    ok = (ls >= lo) if hi is None else (ls >= lo) & (ls <= hi)
     out = np.zeros(ls.shape, dtype=np.float64)
-    fam = spec.family
-    if fam == "poisson":
-        lam = p["lambda"]
-        ok = ls >= 0
-        lf = ls[ok].astype(np.float64)
-        out[ok] = np.exp(lf * math.log(lam) - lam - gammaln(lf + 1.0))
-    elif fam == "binomial":
-        n, q = int(p["n"]), p["p"]
-        ok = (ls >= 0) & (ls <= n)
-        lf = ls[ok].astype(np.float64)
-        with np.errstate(divide="ignore"):
-            log_q = math.log(q) if q > 0 else -np.inf
-            log_1q = math.log(1 - q) if q < 1 else -np.inf
-        log_pmf = (
-            gammaln(n + 1.0) - gammaln(lf + 1.0) - gammaln(n - lf + 1.0)
-        )
-        log_pmf = log_pmf + np.where(lf > 0, lf * log_q, 0.0)
-        log_pmf = log_pmf + np.where(n - lf > 0, (n - lf) * log_1q, 0.0)
-        out[ok] = np.exp(log_pmf)
-    elif fam == "hypergeometric":
-        big_n, k, n = int(p["N"]), int(p["K"]), int(p["n"])
-        lo = max(0, n - (big_n - k))
-        hi = min(n, k)
-        ok = (ls >= lo) & (ls <= hi)
-        lf = ls[ok].astype(np.float64)
-
-        def log_comb(a, b):
-            return gammaln(a + 1.0) - gammaln(b + 1.0) - gammaln(a - b + 1.0)
-
-        out[ok] = np.exp(
-            log_comb(float(k), lf)
-            + log_comb(float(big_n - k), n - lf)
-            - log_comb(float(big_n), float(n))
-        )
-    elif fam == "negative_binomial":
-        r, k = p["r"], p["k"]
-        ok = ls >= 0
-        lf = ls[ok].astype(np.float64)
-        out[ok] = np.exp(
-            gammaln(lf + r) - gammaln(r) - gammaln(lf + 1.0)
-            + r * math.log(1 - k) + lf * math.log(k)
-        )
-    elif fam == "geometric":
-        k = p["k"]
-        ok = ls >= 1
-        lf = ls[ok].astype(np.float64)
-        if k == 1.0:
-            out[ok] = np.where(lf == 1, 1.0, 0.0)
-        else:
-            out[ok] = np.exp((lf - 1.0) * math.log(1 - k)) * k
-    elif fam == "geometric_shifted":
-        k = p["k"]
-        ok = ls >= 0
-        lf = ls[ok].astype(np.float64)
-        if k == 1.0:
-            out[ok] = np.where(lf == 0, 1.0, 0.0)
-        else:
-            out[ok] = np.exp(lf * math.log(1 - k)) * k
-    elif fam == "point_mass":
-        out[ls == int(p["length"])] = 1.0
-    else:  # pragma: no cover - guarded by the constructor
-        raise ConfigurationError(f"unknown family {fam!r}")
+    out[ok] = fam.pmf(ls[ok].astype(np.float64), *values)
     return out
 
 
 @functools.lru_cache(maxsize=64)
 def _support_table(spec: DisorderSpec) -> tuple[np.ndarray, np.ndarray]:
-    # built once per spec and shared by every caller, so read-only
-    p = dict(spec.params)
-    fam = spec.family
-    if fam == "binomial":
-        hi = int(p["n"])
-    elif fam == "hypergeometric":
-        hi = min(int(p["n"]), int(p["K"]))
-    elif fam == "point_mass":
-        hi = int(p["length"])
-    else:
-        # unbounded support: grow until the remaining tail is negligible
-        hi = 64
-        while hi <= _MAX_SUPPORT:
-            ls = np.arange(hi + 1)
-            ps = _pmf_array(spec, ls)
-            if 1.0 - float(np.sum(ps)) < _TAIL_EPS:
-                break
-            hi *= 2
-        else:
-            raise ConfigurationError(
-                f"disorder {spec.to_text()!r} has too heavy a tail to tabulate"
-            )
-    ls = np.arange(hi + 1)
-    ps = _pmf_array(spec, ls)
-    ls.flags.writeable = ps.flags.writeable = False
-    return ls, ps
-
-
-def _mom_poisson(p: dict) -> tuple[float, float]:
-    return p["lambda"], p["lambda"]
-
-
-def _mom_binomial(p: dict) -> tuple[float, float]:
-    n, q = p["n"], p["p"]
-    return n * q, n * q * (1 - q)
-
-
-def _mom_hypergeometric(p: dict) -> tuple[float, float]:
-    big_n, k, n = p["N"], p["K"], p["n"]
-    mean = n * k / big_n
-    if big_n <= 1:
-        return mean, 0.0
-    var = n * (k / big_n) * (1 - k / big_n) * (big_n - n) / (big_n - 1)
-    return mean, var
-
-
-def _mom_negative_binomial(p: dict) -> tuple[float, float]:
-    # consistent with the pmf C(l+r-1, l)(1-k)^r k^l
-    r, k = p["r"], p["k"]
-    return r * k / (1 - k), r * k / (1 - k) ** 2
-
-
-def _mom_geometric(p: dict) -> tuple[float, float]:
-    k = p["k"]
-    return 1.0 / k, (1 - k) / k ** 2
-
-
-def _mom_geometric_shifted(p: dict) -> tuple[float, float]:
-    k = p["k"]
-    return (1 - k) / k, (1 - k) / k ** 2
-
-
-def _mom_point_mass(p: dict) -> tuple[float, float]:
-    return float(p["length"]), 0.0
-
-
-_MOMENTS = {
-    "poisson": _mom_poisson,
-    "binomial": _mom_binomial,
-    "hypergeometric": _mom_hypergeometric,
-    "negative_binomial": _mom_negative_binomial,
-    "geometric": _mom_geometric,
-    "geometric_shifted": _mom_geometric_shifted,
-    "point_mass": _mom_point_mass,
-}
+    # built once per spec and shared by every caller, so read-only; an
+    # unbounded support grows until the remaining tail is negligible
+    highest = _FAMILIES[spec.family].support(*spec.values)[1]
+    hi = 64 if highest is None else highest
+    while hi <= _MAX_SUPPORT:
+        ls = np.arange(hi + 1)
+        ps = _pmf_array(spec, ls)
+        if highest is not None or 1.0 - float(np.sum(ps)) < _TAIL_EPS:
+            ls.flags.writeable = ps.flags.writeable = False
+            return ls, ps
+        hi *= 2
+    raise ConfigurationError(
+        f"disorder {spec.to_text()!r} needs step lengths beyond the support "
+        f"cap of {_MAX_SUPPORT}"
+    )
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from .lattice import (
     shift_span,
     std_dev,
 )
+from .series import MAX_ARRAY_BYTES
 
 WalkerState = Union[QuantumState, ClassicalState]
 
@@ -176,7 +177,9 @@ class AbsorptionRecord:
         return row_sum(self.per_step, 1)
 
 
-ENGINES = ("quantum", "classical")
+# bytes per site of each engine's window: complex L and R amplitudes, or one
+# probability
+SITE_BYTES = {"quantum": 2 * 16, "classical": 8}
 
 
 @dataclass
@@ -198,9 +201,9 @@ class WalkConfig:
     step_lengths: Optional[Sequence[int]] = None
 
     def __post_init__(self) -> None:
-        if self.engine not in ENGINES:
+        if self.engine not in SITE_BYTES:
             raise ConfigurationError(
-                f"engine must be one of {ENGINES}, got {self.engine!r}"
+                f"engine must be one of {tuple(SITE_BYTES)}, got {self.engine!r}"
             )
         if self.steps < 1:
             raise ConfigurationError(f"steps must be >= 1, got {self.steps}")
@@ -240,8 +243,21 @@ def iterate_walk(config: WalkConfig) -> Iterator[tuple[WalkerState, float]]:
 
     Stops early after a step that leaves every row without surviving mass:
     nothing evolves past that point. Rows share one window: the sites within
-    the farthest any row has moved from the start, up to the absorber.
+    the farthest any row has moved from the start, up to the absorber. A
+    window that could pass MAX_ARRAY_BYTES is refused before the walk starts.
     """
+    if config.step_lengths is None:
+        count, farthest = 1, config.steps
+    else:
+        sums = np.sum(config.step_lengths, axis=-1)
+        count, farthest = np.size(sums), int(np.max(sums))
+    sites = 1 + 2 * farthest
+    nbytes = count * sites * SITE_BYTES[config.engine]
+    if nbytes > MAX_ARRAY_BYTES:
+        raise ConfigurationError(
+            f"a walk window of {count} row(s) × {sites} sites needs {nbytes} "
+            f"bytes, above the budget of {MAX_ARRAY_BYTES}"
+        )
     lengths = config.lengths()
     rows = lengths.shape[:-1]
     if config.engine == "quantum":

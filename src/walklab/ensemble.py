@@ -15,8 +15,9 @@ import numpy as np
 from scipy.special import stdtrit
 
 from .disorder import DisorderSpec, child_seed, sample_realization
-from .engine import AbsorptionRecord, WalkConfig, run_walk
+from .engine import SITE_BYTES, AbsorptionRecord, WalkConfig, run_walk
 from .errors import ConfigurationError, NoAbsorptionError, NumericalError
+from .series import MAX_ARRAY_BYTES
 
 # The rows of a block share one window, which at its widest holds
 # rows · C · itemsize · (1 + 2·max Σl) bytes for C channels per site. Blocks
@@ -82,9 +83,16 @@ def run_ensemble(
     Returns (absorbed, sigma), each shaped (realizations, steps). σ is NaN
     after a realization lost all its mass and at steps outside
     `sigma_times` (default: every step). Without disorder one walk stands
-    for every realization.
+    for every realization. A (realizations × steps) matrix beyond
+    MAX_ARRAY_BYTES is refused before anything is sampled.
     """
     walk, count = config.walk, config.realizations
+    nbytes = count * walk.steps * 8  # one 8-byte value per realization and step
+    if nbytes > MAX_ARRAY_BYTES:
+        raise ConfigurationError(
+            f"{count} realizations × {walk.steps} steps need {nbytes} bytes per "
+            f"matrix, above the budget of {MAX_ARRAY_BYTES}"
+        )
     blocks = [(slice(None), walk)]
     if config.disorder is not None:
         lengths = np.stack([
@@ -92,9 +100,8 @@ def run_ensemble(
                                child_seed(config.master_seed, i)).lengths
             for i in range(count)
         ])
-        site_bytes = 2 * 16 if walk.engine == "quantum" else 8  # complex L, R or a float
         widest = 1 + 2 * int(lengths.sum(axis=1).max())
-        size = max(1, BLOCK_BYTES // (site_bytes * widest))
+        size = max(1, BLOCK_BYTES // (SITE_BYTES[walk.engine] * widest))
         blocks = [(slice(i, i + size), replace(walk, step_lengths=lengths[i:i + size]))
                   for i in range(0, count, size)]
     absorbed = np.zeros((count, walk.steps))

@@ -31,6 +31,12 @@ DEFAULT_ORDER = 2 ** 14
 # matrices: about 95 bytes per unit of order at its peak (a ten-row table at
 # 2^20 peaked 96 MB above the interpreter), so about 400 MB at 2^22.
 MAX_ORDER = 2 ** 22
+# Largest array a walk may ask for: one step's window (all rows) or an
+# ensemble's (realizations × steps) matrix. A step holds up to three windows
+# (the state, the coined state and the shifted one; 2.3 windows measured), an
+# ensemble about six matrices (the lengths, p_t and σ, each also as per-step
+# lists; 6.0 measured), so the peak stays near 400 MB as for MAX_ORDER.
+MAX_ARRAY_BYTES = 2 ** 26
 
 
 @dataclass(frozen=True)

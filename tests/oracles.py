@@ -5,6 +5,7 @@ structures than the library (dicts, exact rationals, brute-force path
 enumeration instead of arrays and float recurrences), so agreement between
 the two is meaningful evidence and not a shared bug.
 """
+import math
 from collections import defaultdict
 from fractions import Fraction
 
@@ -144,3 +145,34 @@ def exact_absorption_probabilities(m1, initial, order):
         acc = _poly_mul(acc, e, order)
     scale = Fraction(1, 2 ** m1)
     return [float(c * c * scale) for c in acc[1:]]
+
+
+def pmf_oracle(family, params, l):
+    """P(step length = l) from each family's closed form, one length at a
+    time: exact rationals (`math.comb`, `Fraction`) for the binomial and
+    hypergeometric, `math.lgamma` for the Poisson and negative binomial."""
+    if family == "binomial":
+        n, p = params["n"], Fraction(params["p"])
+        return float(math.comb(n, l) * p ** l * (1 - p) ** (n - l)) if l <= n else 0.0
+    if family == "hypergeometric":
+        big_n, k, n = params["N"], params["K"], params["n"]
+        if l > n:
+            return 0.0
+        return float(Fraction(math.comb(k, l) * math.comb(big_n - k, n - l),
+                              math.comb(big_n, n)))
+    if family == "poisson":
+        lam = params["lambda"]
+        return math.exp(l * math.log(lam) - lam - math.lgamma(l + 1))
+    if family == "negative_binomial":
+        r, k = params["r"], params["k"]
+        return math.exp(math.lgamma(l + r) - math.lgamma(r) - math.lgamma(l + 1)
+                        + r * math.log(1 - k) + l * math.log(k))
+    if family == "geometric":
+        k = params["k"]
+        return k * (1 - k) ** (l - 1) if l >= 1 else 0.0
+    if family == "geometric_shifted":
+        k = params["k"]
+        return k * (1 - k) ** l
+    if family == "point_mass":
+        return 1.0 if l == params["length"] else 0.0
+    raise ValueError(f"no oracle for {family!r}")

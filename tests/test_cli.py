@@ -1,6 +1,7 @@
 """CLI behavior: output schemas, determinism, anchors, exit codes, goldens."""
 import ast
 import importlib
+import inspect
 import json
 import math
 import subprocess
@@ -18,7 +19,7 @@ from walklab import (
     finite_horizon_avg_time,
 )
 from walklab.cli import main, parse_disorder
-from walklab.series import MAX_ORDER
+from walklab.series import MAX_ARRAY_BYTES, MAX_ORDER
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -259,6 +260,60 @@ def test_series_m1_range_beyond_order_exits_2_before_listing(capsys):
     assert peak < 2 ** 20
 
 
+def run_cli_traced(argv, capsys):
+    """run_cli plus the peak of memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        rc, out, err = run_cli(argv, capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return rc, out, err, peak
+
+
+@pytest.mark.parametrize("spec", [
+    "binomial:n=1e30,p=0.5",
+    "binomial:n=1e9,p=0.5",
+    "hypergeometric:N=1e12,K=1e11,n=1e11",
+    "point_mass:length=1e18",
+    "point_mass:length=100000000",
+])
+def test_bounded_support_above_cap_exits_2_before_allocating(spec, capsys):
+    rc, out, err, peak = run_cli_traced(
+        ["walk", "--engine", "quantum", "--steps", "3", "--disorder", spec,
+         "--seed", "1"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert "beyond the support cap of 100000" in err
+    # the smallest of these tables would hold 10^8 lengths
+    assert peak < 2 ** 20
+
+
+def test_walk_window_above_budget_exits_2_before_allocating(capsys):
+    # 1000 steps of length 10^5 reach 1 + 2·10^8 sites, 6.4 GB of amplitudes
+    rc, out, err, peak = run_cli_traced(
+        ["walk", "--engine", "quantum", "--steps", "1000",
+         "--disorder", "point_mass:length=100000", "--seed", "1"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert (f"a walk window of 1 row(s) × 200000001 sites needs 6400000032 "
+            f"bytes, above the budget of {MAX_ARRAY_BYTES}") in err
+    # the support table of 10^5 lengths takes 2.4 MB of that
+    assert peak < 4 * 2 ** 20
+
+
+def test_ensemble_above_budget_exits_2_before_sampling(capsys):
+    rc, out, err, peak = run_cli_traced(
+        ["absorb", "--engine", "classical", "--absorber", "2", "--steps", "100000",
+         "--disorder", "poisson:lambda=1", "--realizations", "1000000",
+         "--horizons", "10", "--seed", "1"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert (f"1000000 realizations × 100000 steps need 800000000000 bytes per "
+            f"matrix, above the budget of {MAX_ARRAY_BYTES}") in err
+    assert peak < 2 ** 20
+
+
 def test_series_raabe_ignores_order_budget(capsys):
     rc, out, _ = run_cli(
         ["series", "--raabe", "quantum", "--n-max", "1000", "--T", str(2 ** 40),
@@ -370,6 +425,20 @@ def test_exit_code_bad_disorder(capsys):
     )
     assert rc == 2
     assert "key=value" in err
+
+
+@pytest.mark.parametrize("spec, key", [
+    ("binomial:n=2.5,p=0.5", "n"),
+    ("point_mass:length=1.5", "length"),
+    ("hypergeometric:N=10.7,K=5,n=2", "N"),
+])
+def test_non_integer_disorder_parameter_exits_2(spec, key, capsys):
+    rc, out, err = run_cli(
+        ["walk", "--engine", "quantum", "--steps", "3", "--disorder", spec,
+         "--seed", "1"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert f"needs an integer {key}" in err
 
 
 def test_exit_code_unknown_preset(capsys):
@@ -552,16 +621,42 @@ def test_module_entrypoint():
     "poisson:lambda=nan",
 ])
 def test_non_finite_disorder_parameter_exits_2(spec):
+    proc = walk_with_disorder(spec)
+    assert proc.returncode == 2
+    assert "must be finite" in proc.stderr
+
+
+@pytest.mark.parametrize("p, positions", [("0", {0}), ("1", {-6, -2, 2, 6})])
+def test_degenerate_binomial_walks_without_warning(p, positions):
+    # every step has length 0 (p = 0) or 2 (p = 1)
+    proc = walk_with_disorder(f"binomial:n=2,p={p}")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    _, _, rows = parse_csv(proc.stdout)
+    assert {int(row[1]) for row in rows} <= positions
+
+
+def walk_with_disorder(spec):
+    """A three-step quantum walk in a fresh interpreter, so that no warning
+    filter of the test run hides what the CLI prints; it never leaks a
+    traceback or a RuntimeWarning."""
     proc = subprocess.run(
         [sys.executable, "-m", "walklab.cli", "walk", "--engine", "quantum",
          "--steps", "3", "--disorder", spec, "--seed", "1"],
         capture_output=True,
         text=True,
     )
-    assert proc.returncode == 2
-    assert "must be finite" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
+    return proc
+
+
+def test_star_import_brings_in_no_module():
+    names = {}
+    exec("from walklab import *", names)
+    del names["__builtins__"]
+    assert names
+    assert not [n for n, v in names.items() if inspect.ismodule(v)]
 
 
 def test_cli_import_leaves_out_multiprocessing():

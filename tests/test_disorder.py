@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import pmf_oracle
 from walklab import disorder
 from walklab import (
     ConfigurationError,
@@ -18,6 +21,7 @@ from walklab import (
     poisson,
     sample_realization,
 )
+from walklab.disorder import parse_disorder
 
 ALL_SPECS = [
     poisson(1.0),
@@ -94,7 +98,14 @@ def test_negbinomial_equals_shifted_geometric():
         assert a.pmf(l) == pytest.approx(0.5 ** (l + 1), abs=1e-14)
 
 
-def test_degenerate_geometric_is_point_mass():
+def test_degenerate_geometric_is_point_mass(recwarn):
+    # a degenerate binomial is a point mass too; its tables are built afresh
+    # so that the cache hides no warning
+    for p, table in ((0.0, [1.0, 0.0, 0.0]), (1.0, [0.0, 0.0, 1.0])):
+        ls, ps = disorder._support_table.__wrapped__(binomial(2, p))
+        assert ls.tolist() == [0, 1, 2]
+        assert ps.tolist() == table
+    assert not recwarn.list
     assert geometric(1.0).pmf(1) == 1.0
     assert geometric_shifted(1.0).pmf(0) == 1.0
     ls, ps = point_mass(1).support_table()
@@ -106,11 +117,12 @@ def test_degenerate_geometric_is_point_mass():
 
 
 def test_spec_text_round_trip():
-    from walklab import DisorderSpec
-
+    # every spec comes back equal from its family:key=value text
     for spec in ALL_SPECS:
-        again = DisorderSpec.from_text(spec.to_text())
-        assert again == spec
+        text = spec.family + ":" + ",".join(f"{k}={v!r}" for k, v in spec.params)
+        assert parse_disorder(text) == spec
+    for name, spec in TABLE2_PRESETS.items():
+        assert parse_disorder(name) is spec
 
 
 def test_build_spec_validation():
@@ -128,8 +140,57 @@ def test_build_spec_validation():
         build_spec("hypergeometric", {"N": "5", "K": "7", "n": "2"})
     with pytest.raises(ConfigurationError):
         build_spec("geometric", {"k": "0"})
+    # integer parameters are checked before anything is converted to int
+    for family, fields in [
+        ("binomial", {"n": "2.5", "p": "0.5"}),
+        ("point_mass", {"length": "1.5"}),
+        ("hypergeometric", {"N": "10.7", "K": "5", "n": "2"}),
+        ("hypergeometric", {"N": "10", "K": "5", "n": "2.000001"}),
+    ]:
+        with pytest.raises(ConfigurationError, match="needs an integer"):
+            build_spec(family, fields)
+    with pytest.raises(ConfigurationError, match="needs an integer n"):
+        binomial(2.5, 0.5)
     spec = build_spec("poisson", {"lambda": "1"})
     assert spec.param("lambda") == 1.0
+    spec = build_spec("binomial", {"p": "0.5", "n": "2.0"})  # any key order
+    assert spec == binomial(2, 0.5)
+    assert type(spec.param("n")) is int
+
+
+# The library sums log-gamma terms of up to ~1e4 in magnitude, a relative
+# error of ~1e-11 at most; values near underflow carry no relative precision.
+PMF_RTOL, PMF_ATOL = 1e-9, 1e-300
+
+PMF_PARAMS = {
+    "poisson": st.fixed_dictionaries({"lambda": st.floats(0.01, 100.0)}),
+    "binomial": st.fixed_dictionaries(
+        {"n": st.integers(1, 300), "p": st.floats(0.0, 1.0)}),
+    "hypergeometric": st.integers(1, 300).flatmap(
+        lambda big_n: st.fixed_dictionaries({
+            "N": st.just(big_n), "K": st.integers(0, big_n), "n": st.integers(0, big_n),
+        })),
+    "negative_binomial": st.fixed_dictionaries(
+        {"r": st.floats(0.05, 20.0), "k": st.floats(0.01, 0.95)}),
+    "geometric": st.fixed_dictionaries({"k": st.floats(0.01, 1.0)}),
+    "geometric_shifted": st.fixed_dictionaries({"k": st.floats(0.01, 1.0)}),
+    "point_mass": st.fixed_dictionaries({"length": st.integers(0, 1000)}),
+}
+
+
+@pytest.mark.parametrize("family", list(PMF_PARAMS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_pmf_matches_oracle(family, data):
+    spec = build_spec(family, data.draw(PMF_PARAMS[family]))
+    ls, ps = spec.support_table()
+    params = dict(spec.params)
+    for l, p in zip(ls.tolist(), ps.tolist()):
+        assert math.isclose(p, pmf_oracle(family, params, l),
+                            rel_tol=PMF_RTOL, abs_tol=PMF_ATOL), (spec.to_text(), l)
+    for l in (ls.size, ls.size + 1):  # past the table
+        assert math.isclose(spec.pmf(l), pmf_oracle(family, params, l),
+                            rel_tol=PMF_RTOL, abs_tol=PMF_ATOL), (spec.to_text(), l)
 
 
 def test_sampler_determinism():
