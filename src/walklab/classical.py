@@ -13,7 +13,6 @@ import math
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ConfigurationError, NoAbsorptionError
 from .lattice import ClassicalState, place_rows, row_sum, shift_span
@@ -76,6 +75,9 @@ def classical_first_passage(t: int, m1: int) -> float:
 
 def _log_first_passage(ts: np.ndarray, m: int) -> np.ndarray:
     """log p_t on the support grid (callers guarantee parity and t ≥ m)."""
+    # imported on use: scipy would dominate the CLI's start-up
+    from scipy.special import gammaln
+
     return (
         np.log(m)
         - np.log(ts)

@@ -48,6 +48,7 @@ from .ensemble import (
 from .errors import ConfigurationError, NumericalError
 from .series import (
     DEFAULT_ORDER,
+    MAX_ARRAY_BYTES,
     absorption_summaries,
     quantum_avg_time_term,
     raabe_estimate,
@@ -194,6 +195,12 @@ def cmd_walk(args) -> str:
     absorber = AbsorberConfig(args.absorber) if args.absorber is not None else None
     lengths = None
     if spec is not None:
+        nbytes = args.steps * 8  # one int64 length per step, drawn before the walk
+        if nbytes > MAX_ARRAY_BYTES:
+            raise ConfigurationError(
+                f"{args.steps} disordered steps need {nbytes} bytes of step "
+                f"lengths, above the budget of {MAX_ARRAY_BYTES}"
+            )
         lengths = sample_realization(spec, args.steps, child_seed(args.seed, 0)).lengths
     config = _walk_config(args, absorber, lengths)
     rows = []

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ConfigurationError
 
@@ -48,8 +47,16 @@ def _xlog(x: np.ndarray, log_y: float) -> np.ndarray:
     return np.multiply(x, log_y, out=np.zeros_like(x), where=x > 0)
 
 
+def _gammaln(x):
+    """scipy.special.gammaln, imported on use: scipy would dominate the
+    CLI's start-up, and only disordered runs tabulate a pmf."""
+    from scipy.special import gammaln
+
+    return gammaln(x)
+
+
 def _log_comb(a, b):
-    return gammaln(a + 1.0) - gammaln(b + 1.0) - gammaln(a - b + 1.0)
+    return _gammaln(a + 1.0) - _gammaln(b + 1.0) - _gammaln(a - b + 1.0)
 
 
 def _geometric(lowest: int) -> _Family:
@@ -67,15 +74,15 @@ _FAMILIES = {
     "poisson": _Family(
         ("lambda",), (), lambda lam: lam > 0, "lambda > 0",
         lambda lam: (0, None),
-        lambda l, lam: np.exp(l * math.log(lam) - lam - gammaln(l + 1.0)),
+        lambda l, lam: np.exp(l * math.log(lam) - lam - _gammaln(l + 1.0)),
         lambda lam: (lam, lam),
     ),
     "binomial": _Family(
         ("n", "p"), ("n",), lambda n, p: n >= 1 and 0.0 <= p <= 1.0,
         "n >= 1 and p in [0, 1]",
         lambda n, p: (0, n),
-        lambda l, n, p: np.exp(gammaln(n + 1.0) - gammaln(l + 1.0)
-                               - gammaln(n - l + 1.0) + _xlog(l, _log(p))
+        lambda l, n, p: np.exp(_gammaln(n + 1.0) - _gammaln(l + 1.0)
+                               - _gammaln(n - l + 1.0) + _xlog(l, _log(p))
                                + _xlog(n - l, _log(1 - p))),
         lambda n, p: (n * p, n * p * (1 - p)),
     ),
@@ -95,7 +102,7 @@ _FAMILIES = {
         ("r", "k"), (), lambda r, k: r > 0 and 0.0 < k < 1.0,
         "r > 0 and k in (0, 1)",
         lambda r, k: (0, None),
-        lambda l, r, k: np.exp(gammaln(l + r) - gammaln(r) - gammaln(l + 1.0)
+        lambda l, r, k: np.exp(_gammaln(l + r) - _gammaln(r) - _gammaln(l + 1.0)
                                + r * math.log(1 - k) + l * math.log(k)),
         lambda r, k: (r * k / (1 - k), r * k / (1 - k) ** 2),
     ),
@@ -280,12 +287,13 @@ def _pmf_array(spec: DisorderSpec, ls: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _support_table(spec: DisorderSpec) -> tuple[np.ndarray, np.ndarray]:
-    # built once per spec and shared by every caller, so read-only; an
-    # unbounded support grows until the remaining tail is negligible
-    highest = _FAMILIES[spec.family].support(*spec.values)[1]
+    # built once per spec and shared by every caller, so read-only; it starts
+    # at the lowest length of the support, and an unbounded support grows
+    # until the remaining tail is negligible
+    lowest, highest = _FAMILIES[spec.family].support(*spec.values)
     hi = 64 if highest is None else highest
     while hi <= _MAX_SUPPORT:
-        ls = np.arange(hi + 1)
+        ls = np.arange(lowest, hi + 1)
         ps = _pmf_array(spec, ls)
         if highest is not None or 1.0 - float(np.sum(ps)) < _TAIL_EPS:
             ls.flags.writeable = ps.flags.writeable = False

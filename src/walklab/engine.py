@@ -230,11 +230,11 @@ class WalkResult:
 
     sigma[..., t-1] is the standard deviation of the surviving
     (renormalized) position distribution after step t; NaN if that step left
-    no mass, or if σ was not asked for at t.
+    no mass, or if σ was not asked for at t. None if σ was asked for at no t.
     """
 
     record: AbsorptionRecord
-    sigma: np.ndarray
+    sigma: Optional[np.ndarray]
     final_state: WalkerState
 
 
@@ -293,24 +293,23 @@ def iterate_walk(config: WalkConfig) -> Iterator[tuple[WalkerState, float]]:
 def run_walk(config: WalkConfig,
              sigma_times: Optional[Iterable[int]] = None) -> WalkResult:
     """Run the whole walk; σ only after the steps in `sigma_times` (default:
-    every step)."""
+    every step). An empty `sigma_times` stores no σ at all (sigma is None)."""
     wanted = None if sigma_times is None else set(sigma_times)
     rows = config.lengths().shape[:-1]
-    per_step = []
-    sigma = []
-    state = None
+    per_step = np.zeros(rows + (config.steps,))
+    sigma = None if wanted == set() else np.full(rows + (config.steps,), np.nan)
+    state, horizon = None, 0
     for state, absorbed in iterate_walk(config):
-        per_step.append(np.broadcast_to(absorbed, rows))
-        if wanted is None or state.time in wanted:
+        horizon = state.time
+        per_step[..., horizon - 1] = absorbed
+        if sigma is not None and (wanted is None or horizon in wanted):
             dist = probability_distribution(state)
             # std_dev gives NaN for an empty row; a single empty walk has no σ
-            sigma.append(std_dev(dist) if rows or dist.mass() > 0.0 else np.nan)
-        else:
-            sigma.append(np.full(rows, np.nan))
+            if rows or dist.mass() > 0.0:
+                sigma[..., horizon - 1] = std_dev(dist)
     return WalkResult(
-        record=AbsorptionRecord(per_step=np.stack(per_step, axis=-1),
-                                horizon=len(per_step)),
-        sigma=np.stack(sigma, axis=-1),
+        record=AbsorptionRecord(per_step=per_step[..., :horizon], horizon=horizon),
+        sigma=None if sigma is None else sigma[..., :horizon],
         final_state=state,
     )
 

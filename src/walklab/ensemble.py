@@ -12,7 +12,6 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .disorder import DisorderSpec, child_seed, sample_realization
 from .engine import SITE_BYTES, AbsorptionRecord, WalkConfig, run_walk
@@ -82,7 +81,8 @@ def run_ensemble(
 
     Returns (absorbed, sigma), each shaped (realizations, steps). σ is NaN
     after a realization lost all its mass and at steps outside
-    `sigma_times` (default: every step). Without disorder one walk stands
+    `sigma_times` (default: every step); with `sigma_times` empty no σ
+    matrix is built and sigma is None. Without disorder one walk stands
     for every realization. A (realizations × steps) matrix beyond
     MAX_ARRAY_BYTES is refused before anything is sampled.
     """
@@ -95,21 +95,22 @@ def run_ensemble(
         )
     blocks = [(slice(None), walk)]
     if config.disorder is not None:
-        lengths = np.stack([
-            sample_realization(config.disorder, walk.steps,
-                               child_seed(config.master_seed, i)).lengths
-            for i in range(count)
-        ])
+        lengths = np.empty((count, walk.steps), dtype=np.int64)
+        for i, row in enumerate(lengths):
+            row[:] = sample_realization(config.disorder, walk.steps,
+                                        child_seed(config.master_seed, i)).lengths
         widest = 1 + 2 * int(lengths.sum(axis=1).max())
         size = max(1, BLOCK_BYTES // (SITE_BYTES[walk.engine] * widest))
         blocks = [(slice(i, i + size), replace(walk, step_lengths=lengths[i:i + size]))
                   for i in range(0, count, size)]
+    times = None if sigma_times is None else set(sigma_times)
     absorbed = np.zeros((count, walk.steps))
-    sigma = np.full((count, walk.steps), np.nan)
+    sigma = None if times == set() else np.full((count, walk.steps), np.nan)
     for rows, block in blocks:
-        result = run_walk(block, sigma_times)
+        result = run_walk(block, times)
         absorbed[rows, :result.record.horizon] = result.record.per_step
-        sigma[rows, :result.record.horizon] = result.sigma
+        if sigma is not None:
+            sigma[rows, :result.record.horizon] = result.sigma
     return absorbed, sigma
 
 
@@ -129,13 +130,14 @@ def finite_horizon_avg_time(record: AbsorptionRecord, n: int) -> float:
 def _horizon_ratios(absorbed: np.ndarray, horizons: np.ndarray) -> np.ndarray:
     """Per-realization t_a^(n) at each horizon; NaN where nothing absorbed."""
     steps = absorbed.shape[1]
-    ts = np.arange(1, steps + 1, dtype=np.float64)
-    num = np.cumsum(absorbed * ts, axis=1)
-    den = np.cumsum(absorbed, axis=1)
     cols = horizons - 1
+    # in place where possible: the absorbed matrix may be large
+    num = absorbed * np.arange(1, steps + 1, dtype=np.float64)
+    num = np.cumsum(num, axis=1, out=num)[:, cols]
+    den = np.cumsum(absorbed, axis=1)[:, cols]
     with np.errstate(invalid="ignore", divide="ignore"):
-        ratios = num[:, cols] / den[:, cols]
-    ratios[den[:, cols] <= 0.0] = np.nan
+        ratios = np.divide(num, den, out=num)
+    ratios[den <= 0.0] = np.nan
     return ratios
 
 
@@ -176,8 +178,8 @@ def disorder_avg_absorb_time(
         raise ConfigurationError(
             f"horizons must lie in 1..{steps}, got {hs[0]}..{hs[-1]}"
         )
-    absorbed, _ = run_ensemble(config, sigma_times=())
-    return _nan_average(_horizon_ratios(absorbed, hs), hs, config.realizations,
+    ratios = _horizon_ratios(run_ensemble(config, sigma_times=())[0], hs)
+    return _nan_average(ratios, hs, config.realizations,
                         "avg_absorb_time", NoAbsorptionError,
                         "no realization absorbed anything by horizon(s)")
 
@@ -229,6 +231,9 @@ def fit_exponent(curve: AveragedCurve, t_lo: int = 20, t_hi: int = 80) -> FitRes
     rss = float(np.sum(resid ** 2))
     residual_rms = math.sqrt(rss / n)
     if n > 2:
+        # imported on use: scipy would dominate the CLI's start-up
+        from scipy.special import stdtrit
+
         slope_se = math.sqrt(rss / (n - 2) / sxx)
         ci95 = float(stdtrit(n - 2, 0.975)) * slope_se
     else:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ConfigurationError, NumericalError
 
@@ -215,6 +214,8 @@ def quantum_avg_time_term(m1: int = 2) -> Callable:
         raise ConfigurationError(
             "closed-form average-time terms exist only for the absorber at 2"
         )
+    # imported on use: scipy would dominate the CLI's start-up
+    from scipy.special import gammaln
 
     def term(n):
         m = np.asarray(n, dtype=np.float64)

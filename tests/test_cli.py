@@ -298,8 +298,29 @@ def test_walk_window_above_budget_exits_2_before_allocating(capsys):
     assert out == ""
     assert (f"a walk window of 1 row(s) × 200000001 sites needs 6400000032 "
             f"bytes, above the budget of {MAX_ARRAY_BYTES}") in err
-    # the support table of 10^5 lengths takes 2.4 MB of that
+    # the point mass is tabulated as its one length, not 10^5 of them
     assert peak < 4 * 2 ** 20
+
+
+def test_disordered_walk_steps_above_budget_exit_2_before_sampling(capsys):
+    # length-0 steps keep the window one site wide, so only the 8 TB of step
+    # lengths themselves stand in the way
+    rc, out, err, peak = run_cli_traced(
+        ["walk", "--engine", "classical", "--steps", "1000000000000",
+         "--disorder", "point_mass:length=0", "--seed", "1"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert (f"1000000000000 disordered steps need 8000000000000 bytes of step "
+            f"lengths, above the budget of {MAX_ARRAY_BYTES}") in err
+    assert peak < 2 ** 20
+    # the first length count past the budget
+    steps = MAX_ARRAY_BYTES // 8 + 1
+    rc, out, err = run_cli(
+        ["walk", "--engine", "quantum", "--steps", str(steps),
+         "--disorder", "poisson:lambda=1", "--seed", "1"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert f"{steps} disordered steps need {8 * steps} bytes" in err
 
 
 def test_ensemble_above_budget_exits_2_before_sampling(capsys):
@@ -671,18 +692,41 @@ def test_cli_import_leaves_out_multiprocessing():
     assert proc.stdout.strip() == "False"
 
 
+SCIPY_MODULES = "[m for m in sys.modules if m.split('.')[0] == 'scipy']"
+
+
 def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats costs most of the CLI's start-up time; the series products
-    # use numpy.fft, so scipy.signal and scipy.fft stay out as well
+    # importing scipy (any of it: scipy.special pulls in numpy.testing and
+    # more) costs most of the CLI's start-up time, so scipy is imported only
+    # inside the functions that call it
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, walklab.cli; print([m for m in "
-         "('scipy.stats', 'scipy.signal', 'scipy.fft') if m in sys.modules])"],
+        [sys.executable, "-c", f"import sys, walklab.cli; print({SCIPY_MODULES})"],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["series", "--m1-range", "1..3", "--T", "256"],
+    ["absorb", "--engine", "quantum", "--steps", "50", "--absorber", "2"],
+    ["absorb", "--engine", "classical", "--steps", "50", "--absorber", "-3"],
+    ["walk", "--engine", "quantum", "--steps", "20", "--absorber", "2",
+     "--snapshot", "5", "--snapshot", "20"],
+    ["walk", "--engine", "classical", "--steps", "20"],
+], ids=["series", "absorb-quantum", "absorb-classical", "walk-quantum",
+        "walk-classical"])
+def test_commands_without_disorder_or_fits_run_without_scipy(argv):
+    # only pmf tables, closed-form series terms, first-passage laws and the
+    # fit's t quantile need scipy.special
+    code = (f"import sys; from walklab.cli import main; rc = main({argv!r}); "
+            f"print(rc, {SCIPY_MODULES}, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+    assert proc.stderr.splitlines()[-1] == "0 []"
 
 
 def test_benchmark_tracer_targets_exist():

@@ -188,7 +188,7 @@ def test_pmf_matches_oracle(family, data):
     for l, p in zip(ls.tolist(), ps.tolist()):
         assert math.isclose(p, pmf_oracle(family, params, l),
                             rel_tol=PMF_RTOL, abs_tol=PMF_ATOL), (spec.to_text(), l)
-    for l in (ls.size, ls.size + 1):  # past the table
+    for l in (int(ls[-1]) + 1, int(ls[-1]) + 2):  # past the table
         assert math.isclose(spec.pmf(l), pmf_oracle(family, params, l),
                             rel_tol=PMF_RTOL, abs_tol=PMF_ATOL), (spec.to_text(), l)
 
@@ -258,3 +258,32 @@ def test_support_table_is_built_once_per_spec_and_read_only():
     fresh_ls, fresh_ps = disorder._support_table.__wrapped__(spec)
     np.testing.assert_array_equal(ls, fresh_ls)
     np.testing.assert_array_equal(ps, fresh_ps)
+
+
+def _sample_from_zero(spec, n, seed):
+    """Inverse-CDF draws over a table of every length from 0 to the top of
+    the spec's table, zeros below its support included."""
+    full = np.arange(int(spec.support_table()[0][-1]) + 1)
+    cum = np.cumsum(disorder._pmf_array(spec, full))
+    idx = np.searchsorted(cum, np.random.default_rng(seed).random(n), side="right")
+    return full[np.minimum(idx, full.size - 1)]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [*TABLE2_PRESETS.values(), geometric(0.5), hypergeometric(10, 8, 5),
+     point_mass(3), point_mass(100_000)],
+    ids=lambda s: s.to_text(),
+)
+def test_support_table_starts_at_lowest_length(spec):
+    # leading zero-probability lengths would only pad the table: the draws
+    # are the same as from a table that starts at 0
+    ls, ps = spec.support_table()
+    lowest, highest = disorder._FAMILIES[spec.family].support(*spec.values)
+    assert ls[0] == lowest and ps[0] > 0.0
+    if highest == lowest:
+        assert ls.tolist() == [lowest] and ps.tolist() == [1.0]
+    for seed in range(5):
+        np.testing.assert_array_equal(
+            sample_realization(spec, 2000, seed).lengths,
+            _sample_from_zero(spec, 2000, seed))

@@ -1,5 +1,6 @@
 """Tests for disorder ensembles: averaging, exclusions, and exponent fits."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +76,34 @@ def test_block_layout_does_not_change_results(engine, monkeypatch):
     np.testing.assert_allclose(a6, a1, rtol=0, atol=width * 2.0 ** -52)
     np.testing.assert_allclose(s6, s1, rtol=1e-12, atol=0)
     assert np.array_equal(np.isnan(s6), np.isnan(s1))
+
+
+def test_ensemble_without_sigma_stores_none():
+    # 2,000 realizations × 100 steps: one 1.6 MB matrix. The ensemble holds
+    # its absorbed matrix and its step lengths, plus block windows of at most
+    # BLOCK_BYTES; asked for no σ, it builds no σ rows or σ matrix
+    steps, count = 100, 2000
+    cfg = EnsembleConfig(
+        walk=WalkConfig(steps=steps, engine="classical", absorber=AbsorberConfig(2)),
+        realizations=count,
+        disorder=poisson(1.0),
+    )
+    matrix = count * steps * 8
+    cfg.disorder.support_table()  # cached, and scipy loaded, before tracing
+    tracemalloc.start()
+    try:
+        absorbed, sigma = run_ensemble(cfg, sigma_times=())
+        held, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        disorder_avg_absorb_time(cfg, range(1, steps + 1))
+        average_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert sigma is None
+    assert peak < 3 * matrix
+    assert average_peak < 5 * matrix
+    with_sigma, _ = run_ensemble(cfg, sigma_times=[steps])
+    assert np.array_equal(absorbed, with_sigma)
 
 
 def test_single_realization_matches_clean_run():

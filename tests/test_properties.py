@@ -2,9 +2,9 @@
 of batched (R-row) walks against single walks, of the mirror symmetry, and
 of the absorption series against the exact Fraction oracle.
 
-Hypothesis draws the engine, the coin and initial coin state, a step-length
-sequence that may contain zero-length steps, and an absorber on either side
-of the origin (or none).
+Hypothesis draws the engine, the coin (a named one, or any 2×2 unitary) and
+initial coin state, a step-length sequence that may contain zero-length
+steps, and an absorber on either side of the origin (or none).
 """
 import math
 from dataclasses import replace
@@ -139,6 +139,57 @@ def test_absorbed_plus_surviving_mass_is_one(config):
     result = run_walk(config)
     total = result.record.cumulative_total + total_mass(result.final_state)
     assert abs(total - 1.0) <= TOL
+
+
+angles = st.floats(0.0, 2 * math.pi, allow_nan=False)
+
+
+@st.composite
+def unitary_coins(draw):
+    """e^{iφ}·[[cos θ e^{iα}, sin θ e^{iβ}], [−sin θ e^{−iβ}, cos θ e^{−iα}]]:
+    every 2×2 unitary has this form."""
+    phase, theta, alpha, beta = (draw(angles) for _ in range(4))
+    g = complex(math.cos(phase), math.sin(phase))
+
+    def e(x):
+        return complex(math.cos(x), math.sin(x))
+
+    return CoinOperator(g * math.cos(theta) * e(alpha), -g * math.sin(theta) * e(-beta),
+                        g * math.sin(theta) * e(beta), g * math.cos(theta) * e(-alpha))
+
+
+@pytest.mark.parametrize("absorbing", [False, True])
+@settings(max_examples=50, deadline=None)
+@given(
+    coin=unitary_coins(),
+    chi=angles,
+    psi=angles,
+    lengths=st.lists(st.integers(0, 3), min_size=1, max_size=24),
+    position=st.integers(-6, 6).filter(bool),
+)
+def test_random_unitary_coin_matches_oracle(absorbing, coin, chi, psi, lengths,
+                                            position):
+    config = WalkConfig(
+        steps=len(lengths), coin=coin,
+        initial_amp_left=math.cos(chi),
+        initial_amp_right=math.sin(chi) * complex(math.cos(psi), math.sin(psi)),
+        absorber=AbsorberConfig(position) if absorbing else None,
+        step_lengths=np.array(lengths, dtype=np.int64),
+    )
+    result = run_walk(config)
+    want, absorbed = oracle(config, config.steps)
+    padded = np.pad(result.record.per_step, (0, config.steps - result.record.horizon))
+    np.testing.assert_allclose(padded, absorbed, rtol=0, atol=TOL)
+    dist = probability_distribution(result.final_state)
+    got = dict(zip(dist.positions.tolist(), dist.probs.tolist()))
+    for site in set(got) | set(want):
+        assert abs(got.get(site, 0.0) - want.get(site, 0.0)) <= TOL
+    absorbed_so_far = 0.0
+    for state, step_absorbed in iterate_walk(config):
+        absorbed_so_far += step_absorbed
+        assert abs(absorbed_so_far + total_mass(state) - 1.0) <= TOL
+    if not absorbing:
+        assert not np.any(result.record.per_step)
 
 
 @st.composite
