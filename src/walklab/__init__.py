@@ -38,7 +38,7 @@ from .engine import (
 )
 from .classical import (
     classical_avg_time_partial,
-    classical_avg_time_term,
+    classical_avg_time_ratio,
     classical_first_passage,
     classical_total_absorption,
     crw_step,
@@ -51,7 +51,7 @@ from .series import (
     absorption_summary,
     generating_function,
     quantum_absorption_prob,
-    quantum_avg_time_term,
+    quantum_avg_time_ratio,
     raabe_estimate,
     series_f,
     series_g,
@@ -91,7 +91,7 @@ __all__ = [
     "PowerSeries", "TABLE2_PRESETS", "WalkConfig", "WalklabError",
     "absorption_probabilities", "absorption_summaries", "absorption_summary",
     "apply_absorber", "apply_coin", "apply_shift", "binomial", "build_spec",
-    "child_seed", "classical_avg_time_partial", "classical_avg_time_term",
+    "child_seed", "classical_avg_time_partial", "classical_avg_time_ratio",
     "classical_first_passage", "classical_total_absorption", "coin_by_name",
     "crw_step", "disorder_avg_absorb_time", "disorder_avg_sigma",
     "finite_horizon_avg_time", "first_passage_series", "fit_exponent",
@@ -99,7 +99,7 @@ __all__ = [
     "hypergeometric", "initial_classical_state", "initial_quantum_state",
     "iterate_walk", "kempe_coin", "mean_position", "mirrored_hadamard_coin",
     "negative_binomial", "point_mass", "poisson", "probability_distribution",
-    "quantum_absorption_prob", "quantum_avg_time_term", "raabe_estimate",
+    "quantum_absorption_prob", "quantum_avg_time_ratio", "raabe_estimate",
     "renormalize", "run_ensemble", "run_walk", "sample_realization",
     "series_f", "series_g", "snapshot_distribution", "sqrt_one_plus_z4",
     "std_dev", "step", "total_mass",

@@ -20,9 +20,6 @@ from .lattice import ClassicalState, place_rows, row_sum, shift_span
 if TYPE_CHECKING:  # engine imports this module for its kernels
     from .engine import AbsorberConfig
 
-# exact integer binomials below this step count, log-gamma beyond
-_EXACT_COMB_LIMIT = 1000
-
 
 def crw_step(state: ClassicalState, l=1) -> ClassicalState:
     """One fair step of length l: p'(n) = ½ p(n+l) + ½ p(n−l).
@@ -60,47 +57,36 @@ def classical_first_passage(t: int, m1: int) -> float:
     """Probability the unit-step walk first reaches ±|m1| at step t.
 
     p_t = (|m1| / (t·2^t)) · t! / (((t+|m1|)/2)! ((t−|m1|)/2)!), nonzero only
-    for t ≥ |m1| with t ≡ m1 (mod 2). Symmetric in the sign of m1.
+    for t ≥ |m1| with t ≡ m1 (mod 2). Symmetric in the sign of m1. Exact
+    integers, rounded once.
     """
-    if m1 == 0:
-        raise ConfigurationError("absorber position must be nonzero")
-    m = abs(int(m1))
+    m = _distance(m1)
     t = int(t)
     if t < m or (t - m) % 2 != 0:
         return 0.0
-    if t <= _EXACT_COMB_LIMIT:
-        return m * math.comb(t, (t + m) // 2) / (t * 2 ** t)
-    return float(np.exp(_log_first_passage(np.array([t], dtype=np.float64), m))[0])
+    return m * math.comb(t, (t + m) // 2) / (t * 2 ** t)
 
 
-def _log_first_passage(ts: np.ndarray, m: int) -> np.ndarray:
-    """log p_t on the support grid (callers guarantee parity and t ≥ m)."""
-    # imported on use: scipy would dominate the CLI's start-up
-    from scipy.special import gammaln
-
-    return (
-        np.log(m)
-        - np.log(ts)
-        - ts * math.log(2.0)
-        + gammaln(ts + 1.0)
-        - gammaln((ts + m) / 2.0 + 1.0)
-        - gammaln((ts - m) / 2.0 + 1.0)
-    )
-
-
-def _support_grid(m: int, horizon: int) -> np.ndarray:
-    return np.arange(m, horizon + 1, 2, dtype=np.float64)
+def _distance(m1: int) -> int:
+    if m1 == 0:
+        raise ConfigurationError("absorber position must be nonzero")
+    return abs(int(m1))
 
 
 def first_passage_series(m1: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """(support times, first-passage probabilities) for t ≤ horizon."""
-    if m1 == 0:
-        raise ConfigurationError("absorber position must be nonzero")
-    m = abs(int(m1))
-    if horizon < m:
-        return np.empty(0), np.empty(0)
-    ts = _support_grid(m, horizon)
-    return ts, np.exp(_log_first_passage(ts, m))
+    """(support times, first-passage probabilities) for t ≤ horizon.
+
+    Steps the exact term ratio p_{t+2}/p_t = t(t+1)/((t+m+2)(t−m+2)) from
+    p_m = 2^−m (m = |m1|), summed in logs so that no partial product
+    underflows or overflows.
+    """
+    m = _distance(m1)
+    ts = np.arange(m, horizon + 1, 2, dtype=np.float64)
+    t = ts[:-1]
+    log_p = np.empty(ts.size)
+    log_p[:1] = -m * math.log(2.0)
+    log_p[1:] = np.log(t * (t + 1) / ((t + m + 2) * (t - m + 2)))
+    return ts, np.exp(np.cumsum(log_p))
 
 
 def classical_total_absorption(m1: int, horizon: int) -> float:
@@ -124,18 +110,17 @@ def classical_avg_time_partial(m1: int, horizon: int) -> float:
     return float(np.sum(ts * ps)) / den
 
 
-def classical_avg_time_term(m1: int):
-    """Terms u_n = t·p_t (t = |m1| + 2n) of the average-time numerator series.
+def classical_avg_time_ratio(m1: int):
+    """Term ratio u_n/u_{n+1} of the average-time numerator series
+    u_n = t·p_t (t = |m1| + 2n): (t+m+2)(t−m+2) / ((t+1)(t+2)).
 
-    Vectorized over n (n ≥ 1); feeds the Raabe convergence estimator, which
+    Vectorized over n (n ≥ 0); feeds the Raabe convergence estimator, which
     finds the limit 1/2, i.e. divergence.
     """
-    if m1 == 0:
-        raise ConfigurationError("absorber position must be nonzero")
-    m = abs(int(m1))
+    m = _distance(m1)
 
-    def term(n):
-        ts = m + 2.0 * np.asarray(n, dtype=np.float64)
-        return ts * np.exp(_log_first_passage(ts, m))
+    def ratio(n):
+        t = m + 2.0 * np.asarray(n, dtype=np.float64)
+        return (t + m + 2) * (t - m + 2) / ((t + 1) * (t + 2))
 
-    return term
+    return ratio

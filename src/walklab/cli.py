@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .classical import classical_avg_time_term
+from .classical import classical_avg_time_ratio
 from .disorder import TABLE2_PRESETS, DisorderSpec, child_seed, parse_disorder, sample_realization
 from .engine import (
     AbsorberConfig,
@@ -41,6 +41,7 @@ from .engine import (
 from .ensemble import (
     EnsembleConfig,
     _horizon_ratios,
+    check_fit_range,
     disorder_avg_absorb_time,
     disorder_avg_sigma,
     fit_exponent,
@@ -50,7 +51,7 @@ from .series import (
     DEFAULT_ORDER,
     MAX_ARRAY_BYTES,
     absorption_summaries,
-    quantum_avg_time_term,
+    quantum_avg_time_ratio,
     raabe_estimate,
 )
 
@@ -223,7 +224,7 @@ def cmd_absorb(args) -> str:
             [absorbed for _, absorbed in iterate_walk(_walk_config(args, absorber))]
         )
         ts = np.arange(1, per_step.size + 1)
-        avg_time = _horizon_ratios(per_step[np.newaxis, :], ts)[0]
+        avg_time = _horizon_ratios(per_step[np.newaxis, :].copy(), ts)[0]
         rows = list(zip(ts.tolist(), per_step.tolist(),
                         np.cumsum(per_step).tolist(), avg_time.tolist()))
         meta = {**_walk_meta(args, spec), "cumulative_total": float(np.sum(per_step))}
@@ -259,10 +260,10 @@ def cmd_series(args) -> str:
     if args.raabe:
         m1 = args.m1 if args.m1 is not None else 2
         if args.raabe == "classical":
-            term = classical_avg_time_term(m1)
+            ratio = classical_avg_time_ratio(m1)
         else:
-            term = quantum_avg_time_term(m1)
-        report = raabe_estimate(term, n_max=args.n_max)
+            ratio = quantum_avg_time_ratio(m1)
+        report = raabe_estimate(ratio, n_max=args.n_max)
         meta = {
             "command": "series",
             "mode": f"raabe-{args.raabe}",
@@ -298,10 +299,10 @@ def cmd_series(args) -> str:
 
 def _fit_sigma(config: EnsembleConfig, t_lo: int, t_hi: int):
     """Fit the ensemble's ⟨σ⟩, computing σ only where the fit reads it:
-    the fit range clipped to 1..steps (an empty clip is left for
-    fit_exponent to report)."""
+    the fit range clipped to 1..steps, checked before any walk runs."""
     grid = range(max(t_lo, 1), min(t_hi, config.walk.steps) + 1)
-    return fit_exponent(disorder_avg_sigma(config, grid or None), t_lo, t_hi)
+    check_fit_range(t_lo, t_hi, len(grid))
+    return fit_exponent(disorder_avg_sigma(config, grid), t_lo, t_hi)
 
 
 def cmd_exponent(args) -> str:

@@ -128,13 +128,18 @@ def finite_horizon_avg_time(record: AbsorptionRecord, n: int) -> float:
 
 
 def _horizon_ratios(absorbed: np.ndarray, horizons: np.ndarray) -> np.ndarray:
-    """Per-realization t_a^(n) at each horizon; NaN where nothing absorbed."""
+    """Per-realization t_a^(n) at each horizon; NaN where nothing absorbed.
+
+    Overwrites `absorbed` (with its running sums): the matrix may be large.
+    The result is in F order: each horizon's column is contiguous, which
+    fixes the (pairwise) order in which `_nan_average` sums it.
+    """
     steps = absorbed.shape[1]
-    cols = horizons - 1
-    # in place where possible: the absorbed matrix may be large
-    num = absorbed * np.arange(1, steps + 1, dtype=np.float64)
-    num = np.cumsum(num, axis=1, out=num)[:, cols]
-    den = np.cumsum(absorbed, axis=1)[:, cols]
+    num = np.multiply(absorbed, np.arange(1, steps + 1, dtype=np.float64), order="F")
+    np.cumsum(num, axis=1, out=num)
+    den = np.cumsum(absorbed, axis=1, out=absorbed)
+    if horizons.size < steps:  # distinct steps in 1..steps: else every step
+        num, den = num[:, horizons - 1], den[:, horizons - 1]
     with np.errstate(invalid="ignore", divide="ignore"):
         ratios = np.divide(num, den, out=num)
     ratios[den <= 0.0] = np.nan
@@ -144,15 +149,20 @@ def _horizon_ratios(absorbed: np.ndarray, horizons: np.ndarray) -> np.ndarray:
 def _nan_average(matrix: np.ndarray, abscissa: np.ndarray, realizations: int,
                  label: str, error: type, empty_message: str) -> AveragedCurve:
     """Columnwise mean/stderr/count ignoring NaN entries, as a curve over
-    `abscissa`; raises `error` if some column has no entry at all."""
-    mask = ~np.isnan(matrix)
-    included = mask.sum(axis=0)
+    `abscissa`; raises `error` if some column has no entry at all.
+
+    Overwrites `matrix`: the matrix may be large.
+    """
+    missing = np.isnan(matrix)
+    included = matrix.shape[0] - missing.sum(axis=0)
     if np.any(included == 0):
         raise error(f"{empty_message} {abscissa[included == 0].tolist()}")
-    filled = np.where(mask, matrix, 0.0)
-    means = filled.sum(axis=0) / included
-    ssd = np.where(mask, (matrix - means) ** 2, 0.0).sum(axis=0)
-    spread = np.sqrt(ssd / np.maximum(included - 1, 1))
+    matrix[missing] = 0.0
+    means = matrix.sum(axis=0) / included
+    matrix -= means
+    matrix *= matrix
+    matrix[missing] = 0.0
+    spread = np.sqrt(matrix.sum(axis=0) / np.maximum(included - 1, 1))
     stderr = np.where(included > 1, spread, 0.0) / np.sqrt(included)
     return AveragedCurve(abscissa=abscissa, values=means, stderr=stderr,
                          realization_count=realizations, included=included,
@@ -201,17 +211,22 @@ def disorder_avg_sigma(
                         NumericalError, "no surviving mass at t =")
 
 
-def fit_exponent(curve: AveragedCurve, t_lo: int = 20, t_hi: int = 80) -> FitResult:
-    """OLS fit of ln(value) against ln(t) over integer t in [t_lo, t_hi]."""
+def check_fit_range(t_lo: int, t_hi: int, points: int) -> None:
+    """Raise unless [t_lo, t_hi], holding `points` curve points, can be fit."""
     if t_lo >= t_hi:
         raise ConfigurationError(
             f"fit range needs t_lo < t_hi, got [{t_lo}, {t_hi}]"
         )
-    mask = (curve.abscissa >= t_lo) & (curve.abscissa <= t_hi)
-    if np.count_nonzero(mask) < 3:
+    if points < 3:
         raise ConfigurationError(
             f"fit range [{t_lo}, {t_hi}] covers fewer than 3 curve points"
         )
+
+
+def fit_exponent(curve: AveragedCurve, t_lo: int = 20, t_hi: int = 80) -> FitResult:
+    """OLS fit of ln(value) against ln(t) over integer t in [t_lo, t_hi]."""
+    mask = (curve.abscissa >= t_lo) & (curve.abscissa <= t_hi)
+    check_fit_range(t_lo, t_hi, np.count_nonzero(mask))
     t_sel = curve.abscissa[mask].astype(np.float64)
     v_sel = curve.values[mask]
     bad = np.nonzero(~(v_sel > 0.0))[0]

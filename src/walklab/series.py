@@ -8,7 +8,8 @@ coefficients: one chain of powers G, G², … serves every absorber position of
 a table, and each row costs one truncated FFT product. Squaring the
 amplitudes gives the per-step absorption probabilities, whose sums yield the
 total absorption probability and the average absorbing time. A ratio
-(Raabe) test estimator classifies convergence of the associated series.
+(Raabe) test estimator classifies convergence of the associated series from
+their exact term ratios.
 
 All series have real coefficients and are truncated at a fixed order; a
 truncated product keeps every retained coefficient to within FFT round-off.
@@ -203,8 +204,9 @@ def quantum_absorption_prob(t: int) -> float:
     return amp * amp
 
 
-def quantum_avg_time_term(m1: int = 2) -> Callable:
-    """Terms u_m = t·p_t (t = 4m − 2) of the average-time numerator series.
+def quantum_avg_time_ratio(m1: int = 2) -> Callable:
+    """Term ratio u_m/u_{m+1} of the average-time numerator series
+    u_m = t·p_t (t = 4m − 2): 4(m+1)² / ((2m+1)(2m−1)).
 
     Vectorized over m (m ≥ 1); feeds the Raabe estimator, which finds the
     limit 2 > 1, i.e. convergence. Only the absorber-at-2 series has this
@@ -214,20 +216,12 @@ def quantum_avg_time_term(m1: int = 2) -> Callable:
         raise ConfigurationError(
             "closed-form average-time terms exist only for the absorber at 2"
         )
-    # imported on use: scipy would dominate the CLI's start-up
-    from scipy.special import gammaln
 
-    def term(n):
+    def ratio(n):
         m = np.asarray(n, dtype=np.float64)
-        log_amp = (
-            gammaln(2 * m - 1)
-            - (2 * m - 1) * math.log(2.0)
-            - gammaln(m)
-            - gammaln(m + 1)
-        )
-        return (4 * m - 2) * np.exp(2 * log_amp)
+        return 4 * (m + 1) ** 2 / ((2 * m + 1) * (2 * m - 1))
 
-    return term
+    return ratio
 
 
 def _tail_power_law(
@@ -302,6 +296,12 @@ def absorption_summary(
     return absorption_summaries([m1], initial, order, tail)[0]
 
 
+# Raabe limits within RAABE_BAND of 1 are inconclusive; E_n is sampled at
+# RAABE_POINTS_PER_OCTAVE geometric grid points per octave of n.
+RAABE_BAND = 0.05
+RAABE_POINTS_PER_OCTAVE = 8
+
+
 @dataclass
 class RaabeReport:
     """Outcome of the ratio-test (Raabe) convergence estimate."""
@@ -313,43 +313,38 @@ class RaabeReport:
     samples: list  # (n, E_n) pairs on the evaluation grid
 
 
-def raabe_estimate(
-    term: Callable,
-    n_max: int = 10 ** 6,
-    band: float = 0.05,
-    points_per_octave: int = 8,
-) -> RaabeReport:
-    """Estimate E = lim n·(u_n/u_{n+1} − 1) for a positive series u_n.
+def raabe_estimate(ratio: Callable, n_max: int = 10 ** 6) -> RaabeReport:
+    """Estimate E = lim n·(u_n/u_{n+1} − 1) for a positive series u_n from
+    its term ratio, `ratio(n)` = u_n/u_{n+1} (vectorized over n).
 
-    E > 1 means Σu_n converges, E < 1 diverges; |E − 1| < band is reported
-    inconclusive. E_n is evaluated on a geometric grid up to n_max and
-    extrapolated by a least-squares fit of E_n = E + c/n over the top two
-    octaves, which cancels the leading finite-n bias.
+    E > 1 means Σu_n converges, E < 1 diverges; |E − 1| < RAABE_BAND is
+    reported inconclusive. E_n is evaluated on a geometric grid up to n_max
+    and extrapolated by a least-squares fit of E_n = E + c/n over the top
+    two octaves, which cancels the leading finite-n bias.
     """
     if n_max < 16:
         raise ConfigurationError(f"n_max must be >= 16, got {n_max}")
     octaves = int(math.floor(math.log2(n_max / 4)))
-    ratios = 2.0 ** (np.arange(octaves * points_per_octave + 1)
-                     / points_per_octave)
-    ns = np.unique(np.round(n_max / ratios).astype(np.int64))
+    scales = 2.0 ** (np.arange(octaves * RAABE_POINTS_PER_OCTAVE + 1)
+                     / RAABE_POINTS_PER_OCTAVE)
+    ns = np.unique(np.round(n_max / scales).astype(np.int64))
     ns = ns[ns >= 4]
-    u_n = np.asarray(term(ns), dtype=np.float64)
-    u_next = np.asarray(term(ns + 1), dtype=np.float64)
-    bad = np.nonzero((u_n <= 0) | (u_next <= 0))[0]
+    r = np.asarray(ratio(ns), dtype=np.float64)
+    bad = np.nonzero(~(r > 0))[0]
     if bad.size:
         raise NumericalError(
-            f"series term at n = {int(ns[bad[0]])} is not positive"
+            f"series term ratio at n = {int(ns[bad[0]])} is not positive"
         )
-    e_samples = ns * (u_n / u_next - 1.0)
+    e_samples = ns * (r - 1.0)
     top = ns >= n_max / 4
     if np.count_nonzero(top) >= 3:
         slope_fit = np.polyfit(1.0 / ns[top], e_samples[top], 1)
         limit = float(slope_fit[1])
     else:
         limit = float(e_samples[-1])
-    if limit > 1.0 + band:
+    if limit > 1.0 + RAABE_BAND:
         verdict = "converges"
-    elif limit < 1.0 - band:
+    elif limit < 1.0 - RAABE_BAND:
         verdict = "diverges"
     else:
         verdict = "inconclusive"
@@ -357,6 +352,6 @@ def raabe_estimate(
         limit=limit,
         verdict=verdict,
         n_max=int(n_max),
-        band=float(band),
+        band=RAABE_BAND,
         samples=list(zip(ns.tolist(), e_samples.tolist())),
     )

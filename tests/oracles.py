@@ -81,6 +81,22 @@ def brute_force_first_passage(t_max, m1):
     return [Fraction(c, 2 ** t_max) for c in counts]
 
 
+def exact_first_passage(t, m1):
+    """Exact probability (a Fraction) that a fair unit-step walk from 0 first
+    reaches m1 at step t, by the reflection principle: the walk must stand
+    at |m1| − 1 after t − 1 steps without having touched |m1|, which is
+    P(S_{t−1} = |m1| − 1) − P(S_{t−1} = |m1| + 1), and then step outward.
+    """
+    m, n = abs(int(m1)), t - 1
+    if t < m or (t - m) % 2:
+        return Fraction(0)
+
+    def at(k):  # P(S_n = k)
+        return Fraction(math.comb(n, (n + k) // 2), 2 ** n) if k <= n else Fraction(0)
+
+    return (at(m - 1) - at(m + 1)) / 2
+
+
 def binomial_half_coeffs(n_terms):
     """Exact generalized binomial coefficients C(1/2, k) for k = 0..n_terms-1.
 
@@ -128,6 +144,12 @@ def _rational_half_series(order):
 
 
 def exact_absorption_probabilities(m1, initial, order):
+    """p_t (t = 1..order) for an absorber at m1 >= 1, each exact rational
+    rounded once to a float."""
+    return [float(p) for p in exact_absorption_fractions(m1, initial, order)]
+
+
+def exact_absorption_fractions(m1, initial, order):
     """Exact rational p_t (t = 1..order) for an absorber at m1 >= 1.
 
     The absorbed-amplitude series is h^m1 / 2^(m1/2) for initial coin R and
@@ -144,7 +166,7 @@ def exact_absorption_probabilities(m1, initial, order):
     if initial == "L":
         acc = _poly_mul(acc, e, order)
     scale = Fraction(1, 2 ** m1)
-    return [float(c * c * scale) for c in acc[1:]]
+    return [c * c * scale for c in acc[1:]]
 
 
 def pmf_oracle(family, params, l):

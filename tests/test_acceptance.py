@@ -19,7 +19,7 @@ from walklab import (
     WalkConfig,
     absorption_probabilities,
     absorption_summary,
-    classical_avg_time_term,
+    classical_avg_time_ratio,
     classical_first_passage,
     classical_total_absorption,
     coin_by_name,
@@ -30,7 +30,7 @@ from walklab import (
     point_mass,
     poisson,
     probability_distribution,
-    quantum_avg_time_term,
+    quantum_avg_time_ratio,
     raabe_estimate,
     run_ensemble,
     run_walk,
@@ -203,8 +203,8 @@ def test_criterion_04_classical_exactness():
 
 def test_criterion_05_ratio_test_diagnostics():
     start = time.monotonic()
-    classical = raabe_estimate(classical_avg_time_term(2), n_max=10 ** 6)
-    quantum = raabe_estimate(quantum_avg_time_term(2), n_max=10 ** 6)
+    classical = raabe_estimate(classical_avg_time_ratio(2), n_max=10 ** 6)
+    quantum = raabe_estimate(quantum_avg_time_ratio(2), n_max=10 ** 6)
     elapsed = time.monotonic() - start
     checks = [
         (

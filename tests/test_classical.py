@@ -8,7 +8,7 @@ from walklab import (
     NoAbsorptionError,
     WalkConfig,
     classical_avg_time_partial,
-    classical_avg_time_term,
+    classical_avg_time_ratio,
     classical_first_passage,
     classical_total_absorption,
     crw_step,
@@ -87,7 +87,7 @@ def test_first_passage_support_and_parity():
 
 
 def test_large_t_log_branch_continuous():
-    # the exact-comb and log-gamma branches agree where they meet
+    # the closed form stays exact at large t
     for m1 in (1, 2, 5):
         for t in range(995, 1011):
             if (t - m1) % 2:
@@ -155,9 +155,10 @@ def test_avg_time_partial_errors_without_support():
 
 
 def test_avg_time_term_values():
-    term = classical_avg_time_term(2)
-    # u_n = t * p_t at t = 2 + 2n: u_0 = 2 * 1/4, u_1 = 4 * 1/8
-    np.testing.assert_allclose(term(np.array([0, 1])), [0.5, 0.5], atol=1e-15)
+    ratio = classical_avg_time_ratio(2)
+    # u_n = t * p_t at t = 2 + 2n: u_0 = 2 * 1/4, u_1 = 4 * 1/8, u_2 = 6 * 5/64
+    np.testing.assert_allclose(ratio(np.array([0, 1])), [0.5 / 0.5, 0.5 / (30 / 64)],
+                               atol=1e-15)
 
 
 def test_mass_accounting():

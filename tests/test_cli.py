@@ -16,6 +16,7 @@ from walklab import (
     AbsorptionRecord,
     ConfigurationError,
     PowerSeries,
+    ensemble,
     finite_horizon_avg_time,
 )
 from walklab.cli import main, parse_disorder
@@ -401,6 +402,29 @@ def test_exponent_fit_range_is_clipped_to_the_walk(capsys):
     assert (fit["t_lo"], fit["t_hi"], fit["n_points"]) == (20, 100, 61)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["exponent", "--engine", "quantum", "--steps", "80", "--t-range", "100:200"],
+     "fit range [100, 200] covers fewer than 3 curve points"),
+    (["exponent", "--engine", "quantum", "--steps", "80", "--t-range", "80:20"],
+     "fit range needs t_lo < t_hi, got [80, 20]"),
+    (["exponent", "--engine", "classical", "--steps", "80", "--t-range", "79:200"],
+     "fit range [79, 200] covers fewer than 3 curve points"),
+    (["sweep", "--presets", "tableII-binomial", "--steps", "30", "--t-range", "40:60"],
+     "fit range [40, 60] covers fewer than 3 curve points"),
+], ids=["beyond-steps", "inverted", "two-points", "sweep"])
+def test_bad_fit_range_exits_before_any_walk(argv, message, capsys, monkeypatch):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("a walk ran before the fit range was checked")
+
+    monkeypatch.setattr(ensemble, "run_walk", no_walk)
+    disorder = [] if argv[0] == "sweep" else ["--disorder", "poisson:lambda=1"]
+    rc, out, err = run_cli(argv + disorder + ["--realizations", "2000", "--seed", "1"],
+                           capsys)
+    assert rc == 2
+    assert out == ""
+    assert f"error: {message}" in err
+
+
 def test_exponent_quantum_free_is_ballistic(capsys):
     rc, out, _ = run_cli(
         ["exponent", "--engine", "quantum", "--steps", "80", "--seed", "1"],
@@ -715,11 +739,13 @@ def test_cli_import_leaves_out_scipy_stats():
     ["walk", "--engine", "quantum", "--steps", "20", "--absorber", "2",
      "--snapshot", "5", "--snapshot", "20"],
     ["walk", "--engine", "classical", "--steps", "20"],
+    ["series", "--raabe", "quantum", "--n-max", "1000"],
+    ["series", "--raabe", "classical", "--n-max", "1000"],
 ], ids=["series", "absorb-quantum", "absorb-classical", "walk-quantum",
-        "walk-classical"])
+        "walk-classical", "raabe-quantum", "raabe-classical"])
 def test_commands_without_disorder_or_fits_run_without_scipy(argv):
-    # only pmf tables, closed-form series terms, first-passage laws and the
-    # fit's t quantile need scipy.special
+    # only pmf tables and the fit's t quantile need scipy.special; the
+    # closed-form series step exact term ratios
     code = (f"import sys; from walklab.cli import main; rc = main({argv!r}); "
             f"print(rc, {SCIPY_MODULES}, file=sys.stderr)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,

@@ -81,7 +81,9 @@ def test_block_layout_does_not_change_results(engine, monkeypatch):
 def test_ensemble_without_sigma_stores_none():
     # 2,000 realizations × 100 steps: one 1.6 MB matrix. The ensemble holds
     # its absorbed matrix and its step lengths, plus block windows of at most
-    # BLOCK_BYTES; asked for no σ, it builds no σ rows or σ matrix
+    # BLOCK_BYTES; asked for no σ, it builds no σ rows or σ matrix. The
+    # average then reduces in place, one more matrix and a mask at most, so
+    # its peak is the ensemble's own (2.56 matrices measured)
     steps, count = 100, 2000
     cfg = EnsembleConfig(
         walk=WalkConfig(steps=steps, engine="classical", absorber=AbsorberConfig(2)),
@@ -102,6 +104,7 @@ def test_ensemble_without_sigma_stores_none():
     assert sigma is None
     assert peak < 3 * matrix
     assert average_peak < 5 * matrix
+    assert average_peak < 3 * matrix
     with_sigma, _ = run_ensemble(cfg, sigma_times=[steps])
     assert np.array_equal(absorbed, with_sigma)
 
@@ -192,6 +195,21 @@ def test_avg_absorb_time_matches_manual_average():
             ratios.append(float((ts * row).sum() / den))
     curve = disorder_avg_absorb_time(cfg, horizons=[8])
     assert curve.values[0] == pytest.approx(np.mean(ratios), abs=1e-12)
+
+
+def test_avg_absorb_time_every_horizon_equals_a_horizon_subset():
+    # bit for bit: every step as a horizon skips the column selection, but
+    # each horizon's column is reduced in the same order either way
+    cfg = EnsembleConfig(
+        walk=WalkConfig(steps=100, engine="classical", absorber=AbsorberConfig(2)),
+        realizations=300,
+        master_seed=5,
+        disorder=poisson(1.0),
+    )
+    every = disorder_avg_absorb_time(cfg, range(1, 101))
+    subset = disorder_avg_absorb_time(cfg, range(2, 101))
+    for field in ("values", "stderr", "included"):
+        np.testing.assert_array_equal(getattr(every, field)[1:], getattr(subset, field))
 
 
 def test_avg_absorb_time_all_empty_raises():

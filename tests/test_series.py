@@ -1,9 +1,15 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from oracles import binomial_half_coeffs, exact_absorption_probabilities
+from oracles import (
+    binomial_half_coeffs,
+    exact_absorption_fractions,
+    exact_absorption_probabilities,
+    exact_first_passage,
+)
 from walklab import series
 from walklab import (
     AbsorberConfig,
@@ -14,10 +20,10 @@ from walklab import (
     absorption_probabilities,
     absorption_summaries,
     absorption_summary,
-    classical_avg_time_term,
+    classical_avg_time_ratio,
     generating_function,
     quantum_absorption_prob,
-    quantum_avg_time_term,
+    quantum_avg_time_ratio,
     raabe_estimate,
     run_walk,
     series_f,
@@ -198,47 +204,88 @@ def test_generating_function_validation():
     assert absorption_summaries([], "L", 256) == []
 
 
+def power_law_ratio(s):
+    """u_n/u_{n+1} for u_n = n^(-s)."""
+    return lambda n: (1.0 + 1.0 / np.asarray(n, float)) ** s
+
+
 def test_raabe_on_analytic_power_laws():
     # non-circular check: u_n = n^(-s) has ratio limit exactly s
     for s in (0.5, 1.5, 2.0):
-        report = raabe_estimate(lambda n, s=s: np.asarray(n, float) ** -s)
+        report = raabe_estimate(power_law_ratio(s))
         assert report.limit == pytest.approx(s, abs=1e-6)
-    assert raabe_estimate(lambda n: np.asarray(n, float) ** -2.0).verdict == "converges"
-    assert raabe_estimate(lambda n: np.asarray(n, float) ** -0.5).verdict == "diverges"
+    assert raabe_estimate(power_law_ratio(2.0)).verdict == "converges"
+    assert raabe_estimate(power_law_ratio(0.5)).verdict == "diverges"
 
 
 def test_raabe_geometric_converges():
-    report = raabe_estimate(lambda n: 0.5 ** np.asarray(n, float), n_max=500)
+    # u_n = 2^(-n)
+    report = raabe_estimate(lambda n: np.full(np.shape(n), 2.0), n_max=500)
     assert report.verdict == "converges"
     assert report.limit > 1.5
 
 
 def test_raabe_borderline_inconclusive():
-    report = raabe_estimate(lambda n: 1.0 / np.asarray(n, float))
+    report = raabe_estimate(power_law_ratio(1.0))
     assert report.verdict == "inconclusive"
     assert report.limit == pytest.approx(1.0, abs=1e-6)
 
 
 def test_raabe_classical_terms():
-    report = raabe_estimate(classical_avg_time_term(2))
+    report = raabe_estimate(classical_avg_time_ratio(2))
     assert report.limit == pytest.approx(0.5, abs=0.01)
     assert report.verdict == "diverges"
 
 
 def test_raabe_quantum_terms():
-    report = raabe_estimate(quantum_avg_time_term(2))
+    report = raabe_estimate(quantum_avg_time_ratio(2))
     assert report.limit == pytest.approx(2.0, abs=0.02)
     assert report.verdict == "converges"
 
 
 def test_raabe_rejects_nonpositive_terms():
-    with pytest.raises(NumericalError):
-        raabe_estimate(lambda n: np.zeros_like(np.asarray(n, float)), n_max=100)
+    # a zero or undefined ratio: the terms are not all positive
+    for value in (0.0, np.nan):
+        with pytest.raises(NumericalError):
+            raabe_estimate(lambda n: np.full(np.shape(n), value), n_max=100)
 
 
 def test_quantum_avg_time_term_closed_form_guard():
     with pytest.raises(ConfigurationError):
-        quantum_avg_time_term(3)
-    term = quantum_avg_time_term(2)
-    # u_1 = 2 * 1/4, u_2 = 6 * 1/64
-    np.testing.assert_allclose(term(np.array([1, 2])), [0.5, 6 / 64], atol=1e-14)
+        quantum_avg_time_ratio(3)
+    ratio = quantum_avg_time_ratio(2)
+    # u_1 = 2 * 1/4, u_2 = 6 * 1/64, u_3 = 10 * 1/256
+    np.testing.assert_allclose(ratio(np.array([1, 2])), [0.5 / (6 / 64), (6 / 64) / (10 / 256)],
+                               atol=1e-14)
+
+
+def test_avg_time_ratios_are_exact_term_ratios():
+    # u_n = t·p_t from the exact rational series (quantum, t = 4n − 2) and
+    # the reflection principle (classical, t = |m1| + 2n)
+    ns = range(1, 41)
+    p = exact_absorption_fractions(2, "L", 4 * 41 - 2)
+    u = {n: (4 * n - 2) * p[4 * n - 3] for n in range(1, 42)}
+    np.testing.assert_allclose(quantum_avg_time_ratio(2)(np.array(ns)),
+                               [float(u[n] / u[n + 1]) for n in ns], rtol=1e-15, atol=0)
+    for m1 in (1, 2, 5, -3):
+        u = {n: (abs(m1) + 2 * n) * exact_first_passage(abs(m1) + 2 * n, m1)
+             for n in range(1, 42)}
+        np.testing.assert_allclose(classical_avg_time_ratio(m1)(np.array(ns)),
+                                   [float(u[n] / u[n + 1]) for n in ns], rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("mode, limit", [("quantum", 2), ("classical", Fraction(1, 2))])
+def test_raabe_samples_match_exact_rationals(mode, limit):
+    # E_n = n·(ratio(n) − 1) in exact rationals; in floats, ratio(n) is
+    # rounded once (its factors are exact integers), so E_n is off by at
+    # most n·2^-52 ≈ 2.2e-10 at n = 10^6
+    if mode == "quantum":
+        report = raabe_estimate(quantum_avg_time_ratio(2), n_max=10 ** 6)
+        exact = lambda n: 4 * (n + 1) ** 2 / ((2 * n + 1) * (2 * n - 1))
+    else:
+        report = raabe_estimate(classical_avg_time_ratio(2), n_max=10 ** 6)
+        exact = lambda n: (2 * n + 6) * (2 * n + 2) / ((2 * n + 3) * (2 * n + 4))
+    for n, e_n in report.samples:
+        n = Fraction(n)
+        assert abs(Fraction(e_n) - n * (exact(n) - 1)) <= 1e-9
+    assert abs(report.limit - limit) <= 1e-9
