@@ -1,45 +1,61 @@
 """Classical random walk kernels and first-passage laws.
 
 The walker splits its mass half left, half right by the step length each
-step; the absorber cuts the window at its position and returns the mass
-beyond it, exactly as in the quantum engine. `engine.run_walk` drives these
-kernels for configs with engine "classical". Exact vector propagation
+step, writing both halves straight into the spare buffer of its state (see
+`lattice`); the absorber cuts the window at its position and returns the
+mass beyond it, exactly as in the quantum engine. `engine.run_walk` drives
+these kernels for configs with engine "classical". Exact vector propagation
 replaces Monte Carlo everywhere; trajectory sampling exists only in the test
 suite as a cross-check oracle.
 """
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .errors import ConfigurationError, NoAbsorptionError
-from .lattice import ClassicalState, place_rows, row_sum, shift_span
+from .lattice import ClassicalState, cut_window, image, place_rows, plan_move
 
 if TYPE_CHECKING:  # engine imports this module for its kernels
     from .engine import AbsorberConfig
 
 
-def crw_step(state: ClassicalState, l=1) -> ClassicalState:
+def crw_step(state: ClassicalState, l=1,
+             within: Optional[tuple[int, int]] = None) -> ClassicalState:
     """One fair step of length l: p'(n) = ½ p(n+l) + ½ p(n−l).
 
-    `l` is one length, or one per row; the window grows by the longest.
+    `l` is one length, or one per row; the window grows by the longest and
+    is cut to the sites `within` (lo, hi) when given. The step overwrites
+    the input state's window.
     """
-    top, l = shift_span(l)
-    if top == 0:
-        return ClassicalState(time=state.time + 1, n_min=state.n_min,
-                              prob=state.prob.copy())
-    w = state.width
-    new = np.zeros(state.prob.shape[:-1] + (w + 2 * top,))
-    half = 0.5 * state.prob
-    if isinstance(l, int):  # every row moves by top: plain slices
-        new[..., :w] += half
-        new[..., 2 * top:] += half
-    else:
-        place_rows(new, half, top - l)
-        place_rows(new, half, top + l)
-    return ClassicalState(time=state.time + 1, n_min=state.n_min - top, prob=new)
+    if not (l if isinstance(l, int) else np.any(l)):
+        # no row moves: the same window, one step later
+        return state.with_window(state.time + 1, state.n_min, state.prob,
+                                 state.parity, state.frame)
+    move, moved = plan_move(state, l, within)
+    moved.time += 1
+    out, start, stop, lo, hi, base, down, up = move
+    prob = state.prob
+    if isinstance(down, int):  # every row moves alike: plain slices
+        width = prob.shape[-1]
+        (to_l, from_l), (to_r, from_r) = (image(move, down, width),
+                                          image(move, up, width))
+        np.multiply(prob[..., from_l], 0.5, out=out[..., to_l])
+        if to_l.start > lo:
+            out[..., lo:to_l.start] = 0
+        if to_l.stop < hi:
+            out[..., to_l.stop:hi] = 0
+        half, target = prob[..., from_r], out[..., to_r]
+        np.add(target, np.multiply(half, 0.5, out=half), out=target)
+        return moved
+    half = 0.5 * prob
+    span = out[..., start:stop]
+    span[...] = 0
+    place_rows(span, half, base + down - start)
+    place_rows(span, half, base + up - start)
+    return moved
 
 
 def crw_apply_absorber(
@@ -47,10 +63,7 @@ def crw_apply_absorber(
 ) -> tuple[ClassicalState, float]:
     """Cut the window at the absorber; return (a view of the kept sites, the
     mass of the cut sites), the cut mass per row for a state with rows."""
-    kept, cut = absorber.split(state.n_min, state.width)
-    absorbed = row_sum(state.prob[..., cut], 1)
-    return ClassicalState(time=state.time, n_min=state.n_min + kept.start,
-                          prob=state.prob[..., kept]), absorbed
+    return cut_window(state, absorber.position)
 
 
 def classical_first_passage(t: int, m1: int) -> float:

@@ -207,8 +207,8 @@ def cmd_walk(args) -> str:
     rows = []
     for dist in snapshot_distributions(config, args.snapshot or [args.steps]):
         for pos, prob in zip(dist.positions.tolist(), dist.probs.tolist()):
-            # absorbed sites are not in the window; parity-forbidden ones
-            # carry exactly zero mass
+            # the window holds only sites of the walk's parity and none that
+            # was absorbed; sites whose mass is exactly zero are left out
             if prob != 0.0:
                 rows.append((dist.time, pos, float(prob)))
     return _render(args, _walk_meta(args, spec), ["time", "position", "probability"], rows)

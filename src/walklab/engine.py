@@ -11,9 +11,17 @@ config's engine picks only the initial state and that kernel pair, so both
 engines share the config, the iterator, the runner and the snapshots.
 Step lengths shaped (R, steps) run R independent walks (rows) at once on
 one shared window; every kernel works row by row.
+
+States store one parity sublattice per row (see `lattice`). A walk
+allocates its two buffers once, over a frame that holds every site it can
+reach; a step writes the coin's output straight into its shifted place in
+the spare buffer, so no step allocates a window. Rows that move alike move
+by plain slices; rows that move by different amounts move by one indexed
+copy of all rows.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -27,12 +35,15 @@ from .lattice import (
     ClassicalState,
     PositionDistribution,
     QuantumState,
+    cut_window,
+    image,
     initial_classical_state,
     initial_quantum_state,
     place_rows,
+    plan_move,
+    point_in_frame,
     probability_distribution,
     row_sum,
-    shift_span,
     std_dev,
 )
 from .series import MAX_ARRAY_BYTES
@@ -111,21 +122,49 @@ class AbsorberConfig:
         if int(self.position) != self.position or self.position == 0:
             raise ConfigurationError("absorber position must be nonzero")
 
-    def split(self, n_min: int, width: int) -> tuple[slice, slice]:
-        """(kept, absorbed) index ranges of a window [n_min, n_min + width)."""
-        if self.position > 0:
-            k = min(max(self.position - n_min, 0), width)
-            return slice(0, k), slice(k, width)
-        k = min(max(self.position - n_min + 1, 0), width)
-        return slice(k, width), slice(0, k)
+
+def _evolve(state: QuantumState, coin: Optional[CoinOperator], l,
+            within: Optional[tuple[int, int]] = None) -> QuantumState:
+    """Apply `coin` (None: none) and move the components l sites apart,
+    writing into the spare buffer; overwrites the input window."""
+    move, moved = plan_move(state, l, within)
+    out, start, stop, lo, hi, base, down, up = move
+    psi = state.psi
+    if isinstance(down, int):  # every row moves alike: plain slices
+        width = psi.shape[-1]
+        (to_l, from_l), (to_r, from_r) = (image(move, down, width),
+                                          image(move, up, width))
+        left, right = out[..., LEFT, to_l], out[..., RIGHT, to_r]
+        src_l, src_r = psi[..., LEFT, from_l], psi[..., RIGHT, from_r]
+        if coin is None:
+            left[...], right[...] = src_l, src_r
+        else:
+            # a·L + c·R and b·L + d·R with no temporary: each cross term
+            # is written first, then each source scaled in place and added
+            np.multiply(psi[..., RIGHT, from_l], coin.c, out=left)
+            np.multiply(psi[..., LEFT, from_r], coin.b, out=right)
+            np.add(left, np.multiply(src_l, coin.a, out=src_l), out=left)
+            np.add(right, np.multiply(src_r, coin.d, out=src_r), out=right)
+        for channel, image_to in ((LEFT, to_l), (RIGHT, to_r)):
+            if image_to.start > lo:
+                out[..., channel, lo:image_to.start] = 0
+            if image_to.stop < hi:
+                out[..., channel, image_to.stop:hi] = 0
+        return moved
+    if coin is not None:  # in place: the input window is spent
+        left, right = psi[:, LEFT], psi[:, RIGHT]
+        cross_l, cross_r = coin.c * right, coin.b * left
+        np.add(np.multiply(left, coin.a, out=left), cross_l, out=left)
+        np.add(np.multiply(right, coin.d, out=right), cross_r, out=right)
+    span = out[..., start:stop]
+    span[...] = 0
+    place_rows(span, psi, base - start + np.stack([down, up], axis=1))
+    return moved
 
 
 def apply_coin(state: QuantumState, coin: CoinOperator) -> QuantumState:
-    psi = state.psi
-    new = np.empty_like(psi)
-    new[..., LEFT, :] = coin.a * psi[..., LEFT, :] + coin.c * psi[..., RIGHT, :]
-    new[..., RIGHT, :] = coin.b * psi[..., LEFT, :] + coin.d * psi[..., RIGHT, :]
-    return QuantumState(time=state.time, n_min=state.n_min, psi=new)
+    """Apply the coin at every site; overwrites the input state's window."""
+    return _evolve(state, coin, 0)
 
 
 def apply_shift(state: QuantumState, l=1) -> QuantumState:
@@ -133,25 +172,19 @@ def apply_shift(state: QuantumState, l=1) -> QuantumState:
 
     `l` is one length, or one per row; the window grows by the longest.
     """
-    top, l = shift_span(l)
-    if top == 0:
-        return QuantumState(time=state.time, n_min=state.n_min,
-                            psi=state.psi.copy())
-    psi, w = state.psi, state.width
-    new = np.zeros(psi.shape[:-1] + (w + 2 * top,), dtype=np.complex128)
-    if isinstance(l, int):  # every row moves by top: plain slices
-        new[..., LEFT, :w] = psi[..., LEFT, :]
-        new[..., RIGHT, 2 * top:] = psi[..., RIGHT, :]
-    else:
-        place_rows(new[:, LEFT], psi[:, LEFT], top - l)
-        place_rows(new[:, RIGHT], psi[:, RIGHT], top + l)
-    return QuantumState(time=state.time, n_min=state.n_min - top, psi=new)
+    return _evolve(state, None, l)
 
 
-def step(state: QuantumState, coin: CoinOperator, l=1) -> QuantumState:
-    """One full evolution step (coin then shift); advances the step counter."""
-    moved = apply_shift(apply_coin(state, coin), l)
-    return QuantumState(time=state.time + 1, n_min=moved.n_min, psi=moved.psi)
+def step(state: QuantumState, coin: CoinOperator, l=1,
+         within: Optional[tuple[int, int]] = None) -> QuantumState:
+    """One full evolution step (coin then shift); advances the step counter.
+
+    The new window is cut to the sites `within` (lo, hi) when given. The
+    step overwrites the input state's window.
+    """
+    moved = _evolve(state, coin, l, within)
+    moved.time += 1
+    return moved
 
 
 def apply_absorber(
@@ -159,10 +192,7 @@ def apply_absorber(
 ) -> tuple[QuantumState, float]:
     """Cut the window at the absorber; return (a view of the kept sites, the
     mass of the cut sites), the cut mass per row for a state with rows."""
-    kept, cut = absorber.split(state.n_min, state.width)
-    absorbed = row_sum(np.abs(state.psi[..., cut]) ** 2, 2)
-    return QuantumState(time=state.time, n_min=state.n_min + kept.start,
-                        psi=state.psi[..., kept]), absorbed
+    return cut_window(state, absorber.position)
 
 
 @dataclass
@@ -218,10 +248,36 @@ class WalkConfig:
             if np.any(lengths < 0) or not np.issubdtype(lengths.dtype, np.integer):
                 raise ConfigurationError("step lengths must be nonnegative integers")
 
-    def lengths(self) -> np.ndarray:
-        if self.step_lengths is None:
-            return np.ones(self.steps, dtype=np.int64)
-        return np.asarray(self.step_lengths, dtype=np.int64)
+    @property
+    def rows(self) -> tuple:
+        """The leading row axis of the walk's arrays: () for one walk."""
+        return () if self.step_lengths is None else np.shape(self.step_lengths)[:-1]
+
+
+def frame_span(start: int, farthest: int, longest: int,
+               absorber: Optional[AbsorberConfig], rows: int) -> tuple[int, int]:
+    """(origin, columns) of the frame a walk's two buffers share.
+
+    It holds every site within `farthest` of `start`, and for several rows
+    `longest` + 1 more on each side: rows that move by different amounts
+    are placed whole before the window is cut to their reach, and a window
+    column may hold a site one past the reach for the rows of the other
+    parity. Past an absorber it holds only the `longest` sites a step can
+    carry mass beyond it. The origin takes the absorber's parity (or the
+    one after it, for a left absorber), so that the cut falls between two
+    columns for either row parity.
+    """
+    pad = longest + 1 if rows > 1 else 0
+    lo, hi = start - farthest - pad, start + farthest + pad
+    parity = lo
+    if absorber is not None:
+        a = absorber.position
+        if a > 0:
+            hi, parity = min(hi, max(a - 1, start) + longest), a
+        else:
+            lo, parity = max(lo, min(a + 1, start) - longest), a + 1
+    origin = lo - ((lo - parity) & 1)
+    return origin, (hi - origin) // 2 + 1
 
 
 @dataclass
@@ -241,16 +297,20 @@ class WalkResult:
 def iterate_walk(config: WalkConfig) -> Iterator[tuple[WalkerState, float]]:
     """Yield (state after step t, mass absorbed at step t) for t = 1..steps.
 
-    Stops early after a step that leaves every row without surviving mass:
-    nothing evolves past that point. Rows share one window: the sites within
-    the farthest any row has moved from the start, up to the absorber. A
-    window that could pass MAX_ARRAY_BYTES is refused before the walk starts.
+    A yielded state is valid until the next step, which overwrites it. Stops
+    early after a step that leaves every row without surviving mass: nothing
+    evolves past that point. Rows share one window: the columns within the
+    farthest any row has moved from the start, up to the absorber. The walk
+    allocates its two buffers before the first step; a walk whose window
+    could pass MAX_ARRAY_BYTES is refused before that.
     """
-    if config.step_lengths is None:
-        count, farthest = 1, config.steps
+    lengths = config.step_lengths
+    if lengths is None:
+        count, farthest, longest = 1, config.steps, 1
     else:
-        sums = np.sum(config.step_lengths, axis=-1)
-        count, farthest = np.size(sums), int(np.max(sums))
+        lengths = np.asarray(lengths)
+        sums = np.sum(lengths, axis=-1)
+        count, farthest, longest = np.size(sums), int(np.max(sums)), int(lengths.max())
     sites = 1 + 2 * farthest
     nbytes = count * sites * SITE_BYTES[config.engine]
     if nbytes > MAX_ARRAY_BYTES:
@@ -258,55 +318,71 @@ def iterate_walk(config: WalkConfig) -> Iterator[tuple[WalkerState, float]]:
             f"a walk window of {count} row(s) × {sites} sites needs {nbytes} "
             f"bytes, above the budget of {MAX_ARRAY_BYTES}"
         )
-    lengths = config.lengths()
-    rows = lengths.shape[:-1]
+    n0 = config.initial_position
     if config.engine == "quantum":
-        state = initial_quantum_state(
-            config.initial_position, config.initial_amp_left,
-            config.initial_amp_right,
-        )
-        state.psi = np.tile(state.psi, rows + (1, 1))
+        start = initial_quantum_state(n0, config.initial_amp_left,
+                                      config.initial_amp_right)
 
-        def advance(current, l):
-            return step(current, config.coin, l)
+        def advance(current, l, within):
+            return step(current, config.coin, l, within)
 
         absorb = apply_absorber
     else:
-        state = initial_classical_state(config.initial_position)
-        state.prob = np.tile(state.prob, rows + (1,))
+        start = initial_classical_state(n0)
         advance, absorb = crw_step, crw_apply_absorber
-    # a step widens the window by its longest row length; clamp it back to
-    # the farthest any row has moved (no row has mass beyond that)
-    n0 = config.initial_position
-    reach = np.cumsum(lengths, axis=-1).reshape(-1, config.steps).max(axis=0)
-    for l, r in zip(lengths.T, reach.tolist()):
-        state = advance(state, l).clamped(n0 - r, n0 + r)
-        absorbed = 0.0
-        if config.absorber is not None:
-            state, absorbed = absorb(state, config.absorber)
+    rows = config.rows
+    state = point_in_frame(
+        start, *frame_span(n0, farthest, longest, config.absorber, count), rows)
+    if lengths is None:
+        schedule = zip(itertools.repeat(1, config.steps), itertools.repeat(None))
+    elif lengths.ndim == 1:
+        schedule = zip(lengths.tolist(), itertools.repeat(None))
+    else:
+        # a step widens the window by its longest row length; cut it back to
+        # the farthest any row has moved (no row has mass beyond that)
+        reach = np.cumsum(lengths, axis=-1).max(axis=0).tolist()
+        schedule = ((l, (n0 - r, n0 + r)) for l, r in zip(lengths.T, reach))
+    for l, within in schedule:
+        state = advance(state, l, within)
+        if config.absorber is None:
+            yield state, 0.0
+            continue
+        state, absorbed = absorb(state, config.absorber)
         yield state, absorbed
         # only absorption removes mass, so only a step that absorbed can empty
-        if np.count_nonzero(absorbed) and np.count_nonzero(state.mass()) == 0:
+        if (absorbed.any() if rows else absorbed) and state.is_empty():
             return
+
+
+def record_walk(config: WalkConfig, per_step: Optional[np.ndarray],
+                sigma: Optional[np.ndarray], columns: dict[int, int]):
+    """Run `config`, writing p_t to per_step[..., t − 1] (unless per_step is
+    None) and σ after step t to sigma[..., columns[t]] for each t in
+    `columns`; returns (the final state, the last step run)."""
+    state, horizon = None, 0
+    for state, absorbed in iterate_walk(config):
+        horizon = state.time
+        if per_step is not None:
+            per_step[..., horizon - 1] = absorbed
+        column = columns.get(horizon)
+        if column is not None:
+            dist = probability_distribution(state)
+            # std_dev gives NaN for an empty row; a single empty walk has no σ
+            if config.rows or dist.mass() > 0.0:
+                sigma[..., column] = std_dev(dist)
+    return state, horizon
 
 
 def run_walk(config: WalkConfig,
              sigma_times: Optional[Iterable[int]] = None) -> WalkResult:
     """Run the whole walk; σ only after the steps in `sigma_times` (default:
     every step). An empty `sigma_times` stores no σ at all (sigma is None)."""
-    wanted = None if sigma_times is None else set(sigma_times)
-    rows = config.lengths().shape[:-1]
-    per_step = np.zeros(rows + (config.steps,))
-    sigma = None if wanted == set() else np.full(rows + (config.steps,), np.nan)
-    state, horizon = None, 0
-    for state, absorbed in iterate_walk(config):
-        horizon = state.time
-        per_step[..., horizon - 1] = absorbed
-        if sigma is not None and (wanted is None or horizon in wanted):
-            dist = probability_distribution(state)
-            # std_dev gives NaN for an empty row; a single empty walk has no σ
-            if rows or dist.mass() > 0.0:
-                sigma[..., horizon - 1] = std_dev(dist)
+    times = range(1, config.steps + 1) if sigma_times is None else set(sigma_times)
+    shape = config.rows + (config.steps,)
+    per_step = np.zeros(shape)
+    sigma = np.full(shape, np.nan) if times else None
+    state, horizon = record_walk(config, per_step, sigma,
+                                 {t: t - 1 for t in times})
     return WalkResult(
         record=AbsorptionRecord(per_step=per_step[..., :horizon], horizon=horizon),
         sigma=None if sigma is None else sigma[..., :horizon],
@@ -336,7 +412,7 @@ def snapshot_distributions(
         else:  # the walk was fully absorbed before t
             dists.append(PositionDistribution(
                 time=t, positions=np.empty(0, dtype=np.int64),
-                probs=np.empty(config.lengths().shape[:-1] + (0,))))
+                probs=np.empty(config.rows + (0,))))
     return dists
 
 

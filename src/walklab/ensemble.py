@@ -4,6 +4,8 @@ Realization i of an ensemble walks with step lengths drawn from the derived
 seed child_seed(master_seed, i), so results are reproducible. All
 realizations run as the rows of one batched walk, split into blocks only
 to bound memory; averages are reduced in fixed realization-index order.
+Each block's lengths are drawn just before it runs, and its results are
+written straight into the ensemble's matrices.
 """
 from __future__ import annotations
 
@@ -14,14 +16,21 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .disorder import DisorderSpec, child_seed, sample_realization
-from .engine import SITE_BYTES, AbsorptionRecord, WalkConfig, run_walk
+from .engine import (
+    SITE_BYTES,
+    AbsorptionRecord,
+    WalkConfig,
+    frame_span,
+    record_walk,
+)
 from .errors import ConfigurationError, NoAbsorptionError, NumericalError
 from .series import MAX_ARRAY_BYTES
 
-# The rows of a block share one window, which at its widest holds
-# rows · C · itemsize · (1 + 2·max Σl) bytes for C channels per site. Blocks
-# are sized to keep that under BLOCK_BYTES (a single row may exceed it); a
-# step briefly holds a few such windows.
+# A row of a block holds its step lengths (8 bytes a step), its share of the
+# block's two walk buffers (C · itemsize bytes a column for C channels) and
+# of the three float arrays a σ holds (8 bytes a column each). Blocks take
+# realizations in index order while their rows stay under BLOCK_BYTES (a
+# single row may exceed it).
 BLOCK_BYTES = 2 ** 18
 
 
@@ -74,17 +83,28 @@ class FitResult:
     n_points: int
 
 
+def _row_bytes(walk: WalkConfig, farthest: int, longest: int) -> int:
+    """What one row of a block of `walk`s holds, for rows that move at most
+    `farthest` in all and `longest` in one step."""
+    _, columns = frame_span(walk.initial_position, farthest, longest,
+                            walk.absorber, rows=2)
+    return 8 * walk.steps + (2 * SITE_BYTES[walk.engine] + 3 * 8) * columns
+
+
 def run_ensemble(
-    config: EnsembleConfig, sigma_times: Optional[Iterable[int]] = None
-) -> tuple[np.ndarray, np.ndarray]:
+    config: EnsembleConfig, sigma_times: Optional[Iterable[int]] = None,
+    absorbed: bool = True,
+) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
     """All realizations' absorption and sigma curves, in index order.
 
-    Returns (absorbed, sigma), each shaped (realizations, steps). σ is NaN
-    after a realization lost all its mass and at steps outside
-    `sigma_times` (default: every step); with `sigma_times` empty no σ
-    matrix is built and sigma is None. Without disorder one walk stands
-    for every realization. A (realizations × steps) matrix beyond
-    MAX_ARRAY_BYTES is refused before anything is sampled.
+    Returns (absorbed, sigma): absorbed[i, t − 1] is realization i's p_t,
+    and sigma[i, j] its σ after the j-th of the sorted distinct
+    `sigma_times` (default: every step), NaN after it lost all its mass or
+    for a time beyond the steps. With `sigma_times` empty no σ matrix is
+    built and sigma is None; with `absorbed` False absorbed is None. Without
+    disorder one walk stands for every realization. A
+    (realizations × steps) matrix beyond MAX_ARRAY_BYTES is refused before
+    anything is sampled.
     """
     walk, count = config.walk, config.realizations
     nbytes = count * walk.steps * 8  # one 8-byte value per realization and step
@@ -93,25 +113,37 @@ def run_ensemble(
             f"{count} realizations × {walk.steps} steps need {nbytes} bytes per "
             f"matrix, above the budget of {MAX_ARRAY_BYTES}"
         )
-    blocks = [(slice(None), walk)]
-    if config.disorder is not None:
-        lengths = np.empty((count, walk.steps), dtype=np.int64)
-        for i, row in enumerate(lengths):
-            row[:] = sample_realization(config.disorder, walk.steps,
-                                        child_seed(config.master_seed, i)).lengths
-        widest = 1 + 2 * int(lengths.sum(axis=1).max())
-        size = max(1, BLOCK_BYTES // (SITE_BYTES[walk.engine] * widest))
-        blocks = [(slice(i, i + size), replace(walk, step_lengths=lengths[i:i + size]))
-                  for i in range(0, count, size)]
-    times = None if sigma_times is None else set(sigma_times)
-    absorbed = np.zeros((count, walk.steps))
-    sigma = None if times == set() else np.full((count, walk.steps), np.nan)
-    for rows, block in blocks:
-        result = run_walk(block, times)
-        absorbed[rows, :result.record.horizon] = result.record.per_step
-        if sigma is not None:
-            sigma[rows, :result.record.horizon] = result.sigma
-    return absorbed, sigma
+    times = range(1, walk.steps + 1) if sigma_times is None \
+        else sorted(set(sigma_times))
+    per_step = np.zeros((count, walk.steps)) if absorbed else None
+    sigma = np.full((count, len(times)), np.nan) if times else None
+    columns = {t: j for j, t in enumerate(times)}
+    if config.disorder is None:
+        record_walk(walk, per_step, sigma, columns)
+        return per_step, sigma
+
+    def run_block(first: int, rows: list) -> None:
+        """Run realizations first, first + 1, … with the sampled lengths
+        `rows`, which it empties so that only the block's array holds them."""
+        block, done = np.array(rows), slice(first, first + len(rows))
+        rows.clear()
+        record_walk(replace(walk, step_lengths=block),
+                    None if per_step is None else per_step[done],
+                    None if sigma is None else sigma[done], columns)
+
+    rows, farthest, longest = [], 0, 0
+    for i in range(count):
+        lengths = sample_realization(config.disorder, walk.steps,
+                                     child_seed(config.master_seed, i)).lengths
+        reach, top = int(lengths.sum()), int(lengths.max())
+        if rows and (len(rows) + 1) * _row_bytes(
+                walk, max(farthest, reach), max(longest, top)) > BLOCK_BYTES:
+            run_block(i - len(rows), rows)
+            farthest = longest = 0
+        rows.append(lengths)
+        farthest, longest = max(farthest, reach), max(longest, top)
+    run_block(count - len(rows), rows)
+    return per_step, sigma
 
 
 def finite_horizon_avg_time(record: AbsorptionRecord, n: int) -> float:
@@ -206,8 +238,8 @@ def disorder_avg_sigma(
     ts = np.asarray(sorted(set(int(t) for t in t_grid)), dtype=np.int64)
     if ts.size == 0 or ts[0] < 1 or ts[-1] > steps:
         raise ConfigurationError(f"t grid must lie within 1..{steps}")
-    _, sigma = run_ensemble(config, sigma_times=ts.tolist())
-    return _nan_average(sigma[:, ts - 1], ts, config.realizations, "avg_sigma",
+    _, sigma = run_ensemble(config, sigma_times=ts.tolist(), absorbed=False)
+    return _nan_average(sigma, ts, config.realizations, "avg_sigma",
                         NumericalError, "no surviving mass at t =")
 
 

@@ -1,19 +1,30 @@
 """Walker states on the 1D integer lattice and distribution statistics.
 
-A quantum state stores two complex amplitude arrays (left-mover and
-right-mover components) over a contiguous position window; a classical state
-stores one probability array over the same kind of window. A walk's window
-holds the sites within reach of its start, cut at the absorber: no site
-outside it carries surviving mass, so propagation is exact.
-Every array may carry a leading row axis: R independent walks (rows) on one
-shared window, whose masses, distributions and spreads are taken per row.
+A step of length l moves a walker's mass from site n to n ± l, so after
+every step all of one walk's mass sits on sites of one parity. A state
+stores only that sublattice: column j of a row of parity p is site
+n_min + p + 2j. A quantum state stores two complex amplitude arrays
+(left-mover and right-mover components) over a window of such columns; a
+classical state stores one probability array over the same kind of window.
+A walk's window holds the columns within reach of its start, cut at the
+absorber: no site outside it carries surviving mass, so propagation is
+exact. Every array may carry a leading row axis: R independent walks (rows)
+on one shared window of columns, whose masses, distributions and spreads
+are taken per row. Rows may differ in parity, so `positions` is then per
+row.
+
+The window is a view into one of two buffers in a fixed `Frame`. A step
+writes the next window into the spare buffer and hands the old one over as
+the next spare, so a walk allocates its buffers once; in exchange a step
+consumes its input, and a state is valid only until the next step.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigurationError, EmptyStateError
 
@@ -26,77 +37,229 @@ def row_sum(values: np.ndarray, walk_ndim: int):
     """Sum over one walk's axes (the last `walk_ndim`): a float for a single
     walk, one sum per row when `values` has a leading row axis."""
     if values.ndim == walk_ndim:
-        return float(np.sum(values))
+        return float(values.sum())
     return values.reshape(values.shape[0], -1).sum(axis=1)
 
 
-def shift_span(l) -> tuple:
-    """(longest step length, `l` as that int when every row takes it, else
-    as one length per row)."""
+def step_lengths(l):
+    """`l` as one int, or as one length per row; every length must be
+    nonnegative."""
     if isinstance(l, (int, np.integer)) or np.ndim(l) == 0:
-        top = shortest = int(l)
+        l = shortest = int(l)
     else:
         l = np.asarray(l)
-        top, shortest = int(l.max()), int(l.min())
+        shortest = int(l.min())
     if shortest < 0:
         raise ConfigurationError(f"step length must be nonnegative, got {shortest}")
-    return top, (top if shortest == top else l)
+    return l
 
 
 def place_rows(out: np.ndarray, values: np.ndarray, starts: np.ndarray) -> None:
-    """Add row r of `values` into row r of `out` from column starts[r] on."""
-    windows = sliding_window_view(out, values.shape[-1], axis=-1, writeable=True)
-    windows[np.arange(len(starts)), starts] += values
+    """Add each row of `values` (its last axis) into the same row of `out`
+    from column starts[row] on; `starts` has the leading shape of both."""
+    width = values.shape[-1]
+    windows = as_strided(out, out.shape[:-1] + (out.shape[-1] - width + 1, width),
+                         out.strides + out.strides[-1:])
+    rows = np.arange(len(starts)).reshape((-1,) + (1,) * (starts.ndim - 1))
+    lead = (rows,) if starts.ndim == 1 else (rows, np.arange(starts.shape[1]))
+    windows[lead + (starts,)] += values
+
+
+class Frame(NamedTuple):
+    """Two buffers over one column frame: column k holds site
+    origin + p + 2k in a row of parity p. `live` holds the window, `spare`
+    is what the next step writes (None: that step allocates it)."""
+
+    origin: int
+    live: np.ndarray
+    spare: Optional[np.ndarray]
+
+
+class _Window:
+    """What both states share: each is a dataclass of (time, n_min, its
+    window array, parity, frame), and `values` is the window array."""
+
+    @property
+    def width(self) -> int:
+        return self.values.shape[-1]
+
+    @property
+    def positions(self) -> np.ndarray:
+        """Sites of the window's columns: one row per walk when the rows
+        differ in parity."""
+        sites = self.n_min + 2 * np.arange(self.width)
+        if isinstance(self.parity, np.ndarray):
+            return sites + self.parity[:, np.newaxis]
+        return sites + self.parity
+
+    def is_empty(self) -> bool:
+        """True when no row holds a nonzero amplitude or probability."""
+        return not self.values.any()
+
+    def mass(self):
+        return self.mass_of(self.values)
+
+    def with_window(self, time: int, n_min: int, values: np.ndarray,
+                    parity, frame: Optional[Frame]):
+        return type(self)(time, n_min, values, parity, frame)
 
 
 @dataclass
-class QuantumState:
-    """Coin ⊗ position amplitudes over the window [n_min, n_min + width)."""
+class QuantumState(_Window):
+    """Coin ⊗ position amplitudes over a window of parity columns."""
 
     time: int
     n_min: int
     psi: np.ndarray  # complex128, shape ([rows,] 2, width); L = 0, R = 1
+    parity: Union[int, np.ndarray] = 0  # per row when the rows differ
+    frame: Optional[Frame] = None
 
     @property
-    def width(self) -> int:
-        return self.psi.shape[-1]
+    def values(self) -> np.ndarray:
+        return self.psi
 
-    @property
-    def positions(self) -> np.ndarray:
-        return np.arange(self.n_min, self.n_min + self.width)
-
-    def mass(self):
-        return row_sum(np.abs(self.psi) ** 2, 2)
-
-    def clamped(self, lo: int, hi: int) -> "QuantumState":
-        """A view of the window cut to the sites lo..hi."""
-        a, b = max(lo - self.n_min, 0), max(hi + 1 - self.n_min, 0)
-        return QuantumState(self.time, self.n_min + a, self.psi[..., a:b])
+    @staticmethod
+    def mass_of(values: np.ndarray):
+        return row_sum(np.abs(values) ** 2, 2)
 
 
 @dataclass
-class ClassicalState:
-    """Probability mass over the window [n_min, n_min + width)."""
+class ClassicalState(_Window):
+    """Probability mass over a window of parity columns."""
 
     time: int
     n_min: int
     prob: np.ndarray  # float64, shape ([rows,] width)
+    parity: Union[int, np.ndarray] = 0  # per row when the rows differ
+    frame: Optional[Frame] = None
 
     @property
-    def width(self) -> int:
-        return self.prob.shape[-1]
+    def values(self) -> np.ndarray:
+        return self.prob
 
-    @property
-    def positions(self) -> np.ndarray:
-        return np.arange(self.n_min, self.n_min + self.width)
+    @staticmethod
+    def mass_of(values: np.ndarray):
+        return row_sum(values, 1)
 
-    def mass(self):
-        return row_sum(self.prob, 1)
 
-    def clamped(self, lo: int, hi: int) -> "ClassicalState":
-        """A view of the window cut to the sites lo..hi."""
-        a, b = max(lo - self.n_min, 0), max(hi + 1 - self.n_min, 0)
-        return ClassicalState(self.time, self.n_min + a, self.prob[..., a:b])
+class Move(NamedTuple):
+    """Where one step puts a window: the buffer it writes, the columns
+    [start, stop) it writes, the columns [lo, hi) of its new window, the
+    column `base` where the old window starts, and the column offsets of
+    the two images of a column, each one int when every row moves alike,
+    else one per row."""
+
+    out: np.ndarray
+    start: int
+    stop: int
+    lo: int
+    hi: int
+    base: int
+    down: Union[int, np.ndarray]
+    up: Union[int, np.ndarray]
+
+
+def image(move: Move, offset: int, width: int) -> tuple[slice, slice]:
+    """(target, source) columns of the image of a `width`-column window
+    moved by `offset` columns, cut to the new window."""
+    start = move.base + offset
+    lo, hi = max(start, move.lo), min(start + width, move.hi)
+    if hi < lo:
+        hi = lo
+    return slice(lo, hi), slice(lo - start, hi - start)
+
+
+def plan_move(state, l, within: Optional[tuple[int, int]]) -> tuple[Move, object]:
+    """Plan one step of length `l` (one, or one per row) of `state`.
+
+    A row of parity p moves to parity p' = (p + l) mod 2, and its column k
+    to k + (p + l − p')/2 (up) and that less l (down). The new window
+    spans both images, cut to the sites `within` (lo, hi) when given. When
+    the rows move alike, a step writes only that window; otherwise it
+    writes each row's whole images first. Returns the move and the state of
+    the new window, whose values are not yet written.
+    """
+    values, parity, width = state.values, state.parity, state.values.shape[-1]
+    if not (isinstance(l, int) and l >= 0):
+        l = step_lengths(l)
+    moved_to = parity + l
+    new_parity, up = moved_to & 1, moved_to >> 1
+    down = up - l
+    first = last = new_parity
+    if isinstance(down, np.ndarray):
+        if isinstance(new_parity, np.ndarray):
+            first, last = int(new_parity.min()), int(new_parity.max())
+            if first == last:
+                new_parity = first
+        low, high = int(down.min()), int(up.max())
+        if low == int(down.max()) and high == int(up.min()):
+            down, up = low, high
+    else:
+        low, high = down, up
+    origin, live, spare = state.frame or (state.n_min, values, None)
+    base = (state.n_min - origin) >> 1
+    lo, hi = base + low, base + width + high
+    start, stop = lo, hi  # the columns the step writes
+    if within is not None:
+        lo = max(lo, (within[0] - origin - last + 1) >> 1)
+        hi = max(min(hi, ((within[1] - origin - first) >> 1) + 1), lo)
+        if isinstance(down, int):  # the images are cut as they are written
+            start, stop = lo, hi
+        else:
+            start, stop = min(lo, start), max(hi, stop)
+    if (spare is None or start < 0 or stop > spare.shape[-1]
+            or spare.shape[:-1] != values.shape[:-1]):
+        shift = max(-start, 0)
+        origin -= 2 * shift
+        base, lo, hi, start, stop = (x + shift for x in (base, lo, hi, start, stop))
+        spare = np.empty(values.shape[:-1] + (stop,), values.dtype)
+    moved = state.with_window(state.time, origin + 2 * lo, spare[..., lo:hi],
+                              new_parity, Frame(origin, spare, live))
+    return Move(spare, start, stop, lo, hi, base, down, up), moved
+
+
+def cut_window(state, position: int):
+    """Cut the window at an absorber at `position`; return (a view of the
+    kept columns, the mass of the cut sites), the cut mass per row for a
+    state with rows.
+
+    For position > 0 the sites n ≥ position are cut, for position < 0 the
+    sites n ≤ position. When rows differ in parity the cut may fall inside a
+    column: that column's sites at or beyond the absorber are absorbed and
+    zeroed, and the column stays for the rows it still holds a site of.
+    """
+    values, parity = state.values, state.parity
+    width = values.shape[-1]
+    pmin, pmax = (int(parity.min()), int(parity.max())) \
+        if isinstance(parity, np.ndarray) else (parity, parity)
+    offset = position - state.n_min
+    if position > 0:  # first cut column for parity p: ceil((offset − p)/2)
+        edge, end = (offset - pmax + 1) >> 1, (offset - pmin + 1) >> 1
+    else:  # first kept column for parity p: floor((offset − p)/2) + 1
+        edge, end = ((offset - pmax) >> 1) + 1, ((offset - pmin) >> 1) + 1
+    edge, end = min(max(edge, 0), width), min(max(end, 0), width)
+    kept, cut = (slice(0, end), slice(end, width)) if position > 0 \
+        else (slice(edge, width), slice(0, edge))
+    absorbed = state.mass_of(values[..., cut])
+    if edge != end:  # the rows whose parity reaches it lose column `edge`
+        hit = parity == (pmax if position > 0 else pmin)
+        absorbed[hit] += state.mass_of(values[hit, ..., edge:edge + 1])
+        values[hit, ..., edge] = 0
+    return state.with_window(state.time, state.n_min + 2 * kept.start,
+                             values[..., kept], parity, state.frame), absorbed
+
+
+def point_in_frame(state, origin: int, columns: int, rows: tuple):
+    """A copy of the one-site state `state` for each of `rows` in a fresh
+    pair of buffers of `columns` columns from `origin`."""
+    values = state.values
+    live = np.empty(rows + values.shape[:-1] + (columns,), values.dtype)
+    spare = np.empty_like(live)
+    offset = state.n_min - origin
+    k = offset >> 1
+    live[..., k:k + 1] = values
+    return state.with_window(state.time, origin + 2 * k, live[..., k:k + 1],
+                             offset & 1, Frame(origin, live, spare))
 
 
 @dataclass
@@ -150,9 +313,8 @@ def probability_distribution(state) -> PositionDistribution:
         probs = state.prob.copy()
     else:
         raise ConfigurationError(f"not a walker state: {type(state).__name__}")
-    return PositionDistribution(
-        time=state.time, positions=state.positions.copy(), probs=probs
-    )
+    return PositionDistribution(time=state.time, positions=state.positions,
+                                probs=probs)
 
 
 def renormalize(dist: PositionDistribution) -> PositionDistribution:
@@ -186,5 +348,7 @@ def std_dev(dist: PositionDistribution):
         # centred second pass: E[n²] − μ² would lose σ to rounding when σ is
         # small next to |μ| (a point mass at −3 read σ = 4e-8)
         dev = dist.positions - mu[..., np.newaxis]
-        sigma = np.sqrt(np.sum(dev * dev * dist.probs, axis=-1) / m)
+        dev *= dev
+        dev *= dist.probs
+        sigma = np.sqrt(np.sum(dev, axis=-1) / m)
     return float(sigma) if dist.probs.ndim == 1 else sigma

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,11 +16,14 @@ from walklab import (
     crw_step,
     first_passage_series,
     initial_classical_state,
+    iterate_walk,
     probability_distribution,
     run_walk,
     snapshot_distribution,
     total_mass,
 )
+from walklab.classical import crw_apply_absorber
+from walklab.lattice import ClassicalState
 
 
 def dist_dict(state):
@@ -173,3 +178,36 @@ def test_snapshot_matches_run():
     result = run_walk(config)
     final = probability_distribution(result.final_state)
     np.testing.assert_allclose(snap.probs, final.probs, atol=1e-15)
+
+
+@pytest.mark.parametrize("steps", [2000, 8000])
+def test_walk_loop_allocates_no_window_per_step(steps):
+    # the walk writes every step into one of two buffers it allocated up
+    # front, so its traced peak stays a small multiple of that pair however
+    # many steps it runs
+    config = WalkConfig(steps=steps, engine="classical", absorber=AbsorberConfig(2))
+    tracemalloc.start()
+    try:
+        for state, _ in iterate_walk(config):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert state.time == steps
+    pair = state.frame.live.nbytes + state.frame.spare.nbytes
+    assert peak <= 3 * pair
+
+
+def test_absorber_inside_a_column_cuts_only_the_rows_it_reaches():
+    # rows at sites 1 and 0 share a column of a frame whose origin has the
+    # other parity than the absorber at 1: the column stays, zeroed in the
+    # row it absorbs
+    state = ClassicalState(time=0, n_min=0, prob=np.array([[1.0], [1.0]]))
+    state = crw_step(state, l=np.array([1, 2]))
+    kept, absorbed = crw_apply_absorber(state, AbsorberConfig(1))
+    np.testing.assert_array_equal(absorbed, [0.5, 0.5])
+    np.testing.assert_array_equal(total_mass(kept), [0.5, 0.5])
+    dist = probability_distribution(kept)
+    for sites, probs, want in zip(dist.positions, dist.probs, ({-1: 0.5}, {-2: 0.5})):
+        assert {n: p for n, p in zip(sites.tolist(), probs.tolist()) if p} == want
+        assert sites.max() <= 1

@@ -416,7 +416,7 @@ def test_bad_fit_range_exits_before_any_walk(argv, message, capsys, monkeypatch)
     def no_walk(*args, **kwargs):
         raise AssertionError("a walk ran before the fit range was checked")
 
-    monkeypatch.setattr(ensemble, "run_walk", no_walk)
+    monkeypatch.setattr(ensemble, "record_walk", no_walk)
     disorder = [] if argv[0] == "sweep" else ["--disorder", "poisson:lambda=1"]
     rc, out, err = run_cli(argv + disorder + ["--realizations", "2000", "--seed", "1"],
                            capsys)

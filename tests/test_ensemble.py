@@ -109,6 +109,29 @@ def test_ensemble_without_sigma_stores_none():
     assert np.array_equal(absorbed, with_sigma)
 
 
+def test_sigma_average_holds_only_its_columns():
+    # 2,000 realizations × 100 steps, σ at t = 20..80: the ensemble keeps a
+    # (realizations × 61) σ matrix, reduces it in place, and holds no
+    # absorption matrix; each block of rows adds only what its rows hold
+    steps, count, ts = 100, 2000, range(20, 81)
+    cfg = EnsembleConfig(
+        walk=WalkConfig(steps=steps, engine="classical", absorber=AbsorberConfig(2)),
+        realizations=count,
+        disorder=poisson(1.0),
+    )
+    matrix = count * len(ts) * 8
+    cfg.disorder.support_table()  # cached, and scipy loaded, before tracing
+    tracemalloc.start()
+    try:
+        curve = disorder_avg_sigma(cfg, ts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * matrix
+    _, sigma = run_ensemble(cfg, sigma_times=ts, absorbed=False)
+    np.testing.assert_array_equal(curve.values, np.nanmean(sigma, axis=0))
+
+
 def test_single_realization_matches_clean_run():
     cfg = EnsembleConfig(walk=WalkConfig(steps=30, engine="quantum"), realizations=1)
     curve = disorder_avg_sigma(cfg)

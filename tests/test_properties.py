@@ -4,7 +4,9 @@ of the absorption series against the exact Fraction oracle.
 
 Hypothesis draws the engine, the coin (a named one, or any 2×2 unitary) and
 initial coin state, a step-length sequence that may contain zero-length
-steps, and an absorber on either side of the origin (or none).
+steps, and an absorber on either side of the origin (or none). The parity
+windows are drawn wider still: up to four rows that part in parity, an even
+or odd start, and an absorber on either side of it.
 """
 import math
 from dataclasses import replace
@@ -78,18 +80,24 @@ def walks(draw):
     )
 
 
-def oracle(config, t):
-    """({site: probability}, per-step absorbed) after t steps of `config`."""
-    absorber = config.absorber.position if config.absorber else None
-    lengths = config.step_lengths[:t]
+def oracle(config, t, lengths=None):
+    """({site: probability}, per-step absorbed) after t steps of `config`,
+    or of its row with step lengths `lengths`. The dict walks start at 0, so
+    they run with the absorber moved by −start, which keeps it on the same
+    side, and their sites are moved back."""
+    start = config.initial_position
+    absorber = config.absorber.position - start if config.absorber else None
+    lengths = (config.step_lengths if lengths is None else lengths)[:t]
     if config.engine == "classical":
-        return dict_classical_walk(t, absorber=absorber, lengths=lengths)
-    c = config.coin
-    psi, absorbed = dict_quantum_walk(
-        t, ((c.a, c.b), (c.c, c.d)), config.initial_amp_left,
-        config.initial_amp_right, absorber=absorber, lengths=lengths,
-    )
-    return {n: abs(l) ** 2 + abs(r) ** 2 for n, (l, r) in psi.items()}, absorbed
+        dist, absorbed = dict_classical_walk(t, absorber=absorber, lengths=lengths)
+    else:
+        c = config.coin
+        psi, absorbed = dict_quantum_walk(
+            t, ((c.a, c.b), (c.c, c.d)), config.initial_amp_left,
+            config.initial_amp_right, absorber=absorber, lengths=lengths,
+        )
+        dist = {n: abs(l) ** 2 + abs(r) ** 2 for n, (l, r) in psi.items()}
+    return {n + start: p for n, p in dist.items()}, absorbed
 
 
 def oracle_sigma(dist):
@@ -103,15 +111,28 @@ def oracle_sigma(dist):
 
 
 def assert_live_window(config, state):
-    """The window is exactly the sites within the farthest any row has moved
-    from the start, cut at the absorber: no site lies at or beyond it."""
-    lengths = np.atleast_2d(config.step_lengths)[:, :state.time]
-    reach = int(lengths.sum(axis=1).max())
-    lo, hi = config.initial_position - reach, config.initial_position + reach
+    """The window is exactly the columns that hold, for some row, a site of
+    that row's parity within the farthest any row has moved from the start,
+    cut at the absorber: no row holds a site at or beyond it."""
+    moved = np.atleast_2d(config.step_lengths)[:, :state.time].sum(axis=1)
+    n0 = config.initial_position
+    lo, hi = n0 - int(moved.max()), n0 + int(moved.max())
     if config.absorber is not None:
         a = config.absorber.position
         lo, hi = (lo, min(hi, a - 1)) if a > 0 else (max(lo, a + 1), hi)
-    np.testing.assert_array_equal(state.positions, np.arange(lo, hi + 1))
+    sites = np.broadcast_to(state.positions, (moved.size, state.width))
+    # each row holds the sites of its own parity, two apart
+    assert np.all(sites % 2 == ((n0 + moved) % 2)[:, np.newaxis])
+    assert np.all(np.diff(sites, axis=1) == 2)
+    inside = (sites >= lo) & (sites <= hi)
+    if config.absorber is not None:
+        assert not np.any(sites >= a if a > 0 else sites <= a)
+    # every column holds a site in the window, and no row lacks one
+    assert np.all(inside.any(axis=0))
+    for row, parity in zip(sites, (n0 + moved) % 2):
+        first = lo + (lo - parity) % 2
+        want = np.arange(first, hi + 1, 2)
+        assert set(want.tolist()) <= set(row.tolist())
 
 
 @settings(max_examples=60, deadline=None)
@@ -196,6 +217,70 @@ def test_random_unitary_coin_matches_oracle(absorbing, coin, chi, psi, lengths,
         assert abs(absorbed_so_far + total_mass(state) - 1.0) <= TOL
     if not absorbing:
         assert not np.any(result.record.per_step)
+
+
+@st.composite
+def parity_walks(draw):
+    """1..4 rows of step lengths, which may be zero, so rows part in parity;
+    an even or odd start; and an absorber on either side of it, or none."""
+    steps, rows = draw(st.integers(1, 16)), draw(st.integers(1, 4))
+    lengths = draw(st.lists(
+        st.lists(st.integers(0, 3), min_size=steps, max_size=steps),
+        min_size=rows, max_size=rows))
+    start = draw(st.integers(-5, 5))
+    side = draw(st.sampled_from((None, "right", "left")))
+    absorber = None
+    if side == "right":
+        nearest = max(start + 1, 1)
+        absorber = AbsorberConfig(draw(st.integers(nearest, nearest + 7)))
+    elif side == "left":
+        nearest = min(start - 1, -1)
+        absorber = AbsorberConfig(draw(st.integers(nearest - 7, nearest)))
+    initial = draw(st.sampled_from(((1.0, 0.0), (0.0, 1.0))))
+    return WalkConfig(
+        steps=steps,
+        engine=draw(st.sampled_from(("quantum", "classical"))),
+        coin=coin_by_name(draw(st.sampled_from(
+            ("hadamard", "hadamard-mirrored", "kempe")))),
+        initial_position=start,
+        initial_amp_left=initial[0],
+        initial_amp_right=initial[1],
+        absorber=absorber,
+        step_lengths=np.array(lengths if rows > 1 else lengths[0], dtype=np.int64),
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(parity_walks())
+# rows of both parities, the right absorber at an odd site
+@example(WalkConfig(steps=3, initial_position=-1, absorber=AbsorberConfig(1),
+                    step_lengths=np.array([[1, 0, 2], [0, 1, 1], [3, 0, 0]])))
+# an odd start, the left absorber, a zero-length first step
+@example(WalkConfig(steps=4, engine="classical", initial_position=3,
+                    absorber=AbsorberConfig(-2),
+                    step_lengths=np.array([[0, 2, 1, 3], [1, 1, 1, 1]])))
+def test_parity_windows_match_oracles_every_step(config):
+    """Every row of every step against the dict walk of its own lengths: its
+    p_t and its distribution at TOL, and its mass budget."""
+    lengths = np.atleast_2d(config.step_lengths)
+    absorbed_so_far = np.zeros(len(lengths))
+    for state, absorbed in iterate_walk(config):
+        t = state.time
+        assert_live_window(config, state)
+        absorbed_so_far += absorbed
+        np.testing.assert_allclose(absorbed_so_far + total_mass(state), 1.0,
+                                   rtol=0, atol=TOL)
+        dist = probability_distribution(state)
+        probs = np.atleast_2d(dist.probs)
+        sites = np.broadcast_to(dist.positions, probs.shape)
+        for row, own, got_absorbed in zip(
+                lengths, zip(sites.tolist(), probs.tolist()),
+                np.broadcast_to(absorbed, absorbed_so_far.shape)):
+            want, want_absorbed = oracle(config, t, row)
+            assert abs(got_absorbed - want_absorbed[t - 1]) <= TOL
+            got = dict(zip(*own))
+            for site in set(got) | set(want):
+                assert abs(got.get(site, 0.0) - want.get(site, 0.0)) <= TOL
 
 
 @st.composite
