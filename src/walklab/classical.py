@@ -2,59 +2,51 @@
 
 The walker splits its mass half left, half right by the step length each
 step, writing both halves straight into the spare buffer of its state (see
-`lattice`); the absorber cuts the window at its position and returns the
-mass beyond it, exactly as in the quantum engine. `engine.run_walk` drives
-these kernels for configs with engine "classical". Exact vector propagation
-replaces Monte Carlo everywhere; trajectory sampling exists only in the test
-suite as a cross-check oracle.
+`lattice`): by plain slices for one length, by index for one per row. The
+absorber cuts the window at its position and returns the mass beyond it,
+exactly as in the quantum engine. `engine.run_walk` drives these kernels
+for configs with engine "classical". Exact vector propagation replaces
+Monte Carlo everywhere; trajectory sampling exists only in the test suite
+as a cross-check oracle.
 """
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigurationError, NoAbsorptionError
-from .lattice import ClassicalState, cut_window, image, place_rows, plan_move
+from .lattice import ClassicalState, cut_window, place_rows, plan_move
 
 if TYPE_CHECKING:  # engine imports this module for its kernels
     from .engine import AbsorberConfig
 
 
-def crw_step(state: ClassicalState, l=1,
-             within: Optional[tuple[int, int]] = None) -> ClassicalState:
+def crw_step(state: ClassicalState, l=1) -> ClassicalState:
     """One fair step of length l: p'(n) = ½ p(n+l) + ½ p(n−l).
 
-    `l` is one length, or one per row; the window grows by the longest and
-    is cut to the sites `within` (lo, hi) when given. The step overwrites
-    the input state's window.
+    `l` is one length, or one per row; the window grows by the longest. The
+    step overwrites the input state's window.
     """
     if not (l if isinstance(l, int) else np.any(l)):
         # no row moves: the same window, one step later
         return state.with_window(state.time + 1, state.n_min, state.prob,
                                  state.parity, state.frame)
-    move, moved = plan_move(state, l, within)
+    moved, down, up = plan_move(state, l)
     moved.time += 1
-    out, start, stop, lo, hi, base, down, up = move
-    prob = state.prob
-    if isinstance(down, int):  # every row moves alike: plain slices
+    prob, out = state.prob, moved.prob
+    if isinstance(down, int):  # one length and parity: plain slices, l apart
         width = prob.shape[-1]
-        (to_l, from_l), (to_r, from_r) = (image(move, down, width),
-                                          image(move, up, width))
-        np.multiply(prob[..., from_l], 0.5, out=out[..., to_l])
-        if to_l.start > lo:
-            out[..., lo:to_l.start] = 0
-        if to_l.stop < hi:
-            out[..., to_l.stop:hi] = 0
-        half, target = prob[..., from_r], out[..., to_r]
-        np.add(target, np.multiply(half, 0.5, out=half), out=target)
+        np.multiply(prob, 0.5, out=out[..., :width])
+        out[..., width:] = 0
+        target = out[..., up:]
+        np.add(target, np.multiply(prob, 0.5, out=prob), out=target)
         return moved
     half = 0.5 * prob
-    span = out[..., start:stop]
-    span[...] = 0
-    place_rows(span, half, base + down - start)
-    place_rows(span, half, base + up - start)
+    out[...] = 0
+    place_rows(out, half, down)
+    place_rows(out, half, up)
     return moved
 
 

@@ -146,8 +146,12 @@ def _render(args, meta: dict, columns: list[str], rows: list[tuple],
 
 def _write(args, text: str) -> None:
     if args.output and args.output != "-":
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigurationError(
+                f"cannot write {args.output}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 

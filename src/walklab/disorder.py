@@ -315,6 +315,8 @@ class Realization:
 
 def child_seed(master_seed: int, index: int) -> int:
     """Derive realization seed i from the master seed, order-independently."""
+    if master_seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {master_seed}")
     ss = np.random.SeedSequence((int(master_seed), int(index)))
     return int(ss.generate_state(1, np.uint64)[0])
 

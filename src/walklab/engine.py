@@ -15,9 +15,9 @@ one shared window; every kernel works row by row.
 States store one parity sublattice per row (see `lattice`). A walk
 allocates its two buffers once, over a frame that holds every site it can
 reach; a step writes the coin's output straight into its shifted place in
-the spare buffer, so no step allocates a window. Rows that move alike move
-by plain slices; rows that move by different amounts move by one indexed
-copy of all rows.
+the spare buffer, so no step allocates a window: by plain slices for one
+length per step, else by one indexed copy of all rows, whose window
+`iterate_walk` then cuts back to the rows' reach.
 """
 from __future__ import annotations
 
@@ -35,8 +35,8 @@ from .lattice import (
     ClassicalState,
     PositionDistribution,
     QuantumState,
+    clamped,
     cut_window,
-    image,
     initial_classical_state,
     initial_quantum_state,
     place_rows,
@@ -123,42 +123,32 @@ class AbsorberConfig:
             raise ConfigurationError("absorber position must be nonzero")
 
 
-def _evolve(state: QuantumState, coin: Optional[CoinOperator], l,
-            within: Optional[tuple[int, int]] = None) -> QuantumState:
+def _evolve(state: QuantumState, coin: Optional[CoinOperator], l) -> QuantumState:
     """Apply `coin` (None: none) and move the components l sites apart,
     writing into the spare buffer; overwrites the input window."""
-    move, moved = plan_move(state, l, within)
-    out, start, stop, lo, hi, base, down, up = move
-    psi = state.psi
-    if isinstance(down, int):  # every row moves alike: plain slices
+    moved, down, up = plan_move(state, l)
+    psi, out = state.psi, moved.psi
+    src_l, src_r = psi[..., LEFT, :], psi[..., RIGHT, :]
+    if isinstance(down, int):  # one length and parity: plain slices, l apart
         width = psi.shape[-1]
-        (to_l, from_l), (to_r, from_r) = (image(move, down, width),
-                                          image(move, up, width))
-        left, right = out[..., LEFT, to_l], out[..., RIGHT, to_r]
-        src_l, src_r = psi[..., LEFT, from_l], psi[..., RIGHT, from_r]
+        left, right = out[..., LEFT, :width], out[..., RIGHT, up:]
         if coin is None:
             left[...], right[...] = src_l, src_r
         else:
             # a·L + c·R and b·L + d·R with no temporary: each cross term
             # is written first, then each source scaled in place and added
-            np.multiply(psi[..., RIGHT, from_l], coin.c, out=left)
-            np.multiply(psi[..., LEFT, from_r], coin.b, out=right)
+            np.multiply(src_r, coin.c, out=left)
+            np.multiply(src_l, coin.b, out=right)
             np.add(left, np.multiply(src_l, coin.a, out=src_l), out=left)
             np.add(right, np.multiply(src_r, coin.d, out=src_r), out=right)
-        for channel, image_to in ((LEFT, to_l), (RIGHT, to_r)):
-            if image_to.start > lo:
-                out[..., channel, lo:image_to.start] = 0
-            if image_to.stop < hi:
-                out[..., channel, image_to.stop:hi] = 0
+        out[..., LEFT, width:] = out[..., RIGHT, :up] = 0
         return moved
     if coin is not None:  # in place: the input window is spent
-        left, right = psi[:, LEFT], psi[:, RIGHT]
-        cross_l, cross_r = coin.c * right, coin.b * left
-        np.add(np.multiply(left, coin.a, out=left), cross_l, out=left)
-        np.add(np.multiply(right, coin.d, out=right), cross_r, out=right)
-    span = out[..., start:stop]
-    span[...] = 0
-    place_rows(span, psi, base - start + np.stack([down, up], axis=1))
+        cross_l, cross_r = coin.c * src_r, coin.b * src_l
+        np.add(np.multiply(src_l, coin.a, out=src_l), cross_l, out=src_l)
+        np.add(np.multiply(src_r, coin.d, out=src_r), cross_r, out=src_r)
+    out[...] = 0
+    place_rows(out, psi, np.stack([down, up], axis=1))
     return moved
 
 
@@ -175,14 +165,10 @@ def apply_shift(state: QuantumState, l=1) -> QuantumState:
     return _evolve(state, None, l)
 
 
-def step(state: QuantumState, coin: CoinOperator, l=1,
-         within: Optional[tuple[int, int]] = None) -> QuantumState:
-    """One full evolution step (coin then shift); advances the step counter.
-
-    The new window is cut to the sites `within` (lo, hi) when given. The
-    step overwrites the input state's window.
-    """
-    moved = _evolve(state, coin, l, within)
+def step(state: QuantumState, coin: CoinOperator, l=1) -> QuantumState:
+    """One full evolution step (coin then shift); advances the step counter
+    and overwrites the input state's window."""
+    moved = _evolve(state, coin, l)
     moved.time += 1
     return moved
 
@@ -259,13 +245,13 @@ def frame_span(start: int, farthest: int, longest: int,
     """(origin, columns) of the frame a walk's two buffers share.
 
     It holds every site within `farthest` of `start`, and for several rows
-    `longest` + 1 more on each side: rows that move by different amounts
-    are placed whole before the window is cut to their reach, and a window
-    column may hold a site one past the reach for the rows of the other
-    parity. Past an absorber it holds only the `longest` sites a step can
-    carry mass beyond it. The origin takes the absorber's parity (or the
-    one after it, for a left absorber), so that the cut falls between two
-    columns for either row parity.
+    `longest` + 1 more on each side: rows are placed whole before the
+    window is cut to their reach, and a window column may hold a site one
+    past the reach for the rows of the other parity. Past an absorber it
+    holds only the `longest` sites a step can carry mass beyond it. The
+    origin takes the absorber's parity (or the one after it, for a left
+    absorber), so that the cut falls between two columns for either row
+    parity.
     """
     pad = longest + 1 if rows > 1 else 0
     lo, hi = start - farthest - pad, start + farthest + pad
@@ -323,8 +309,8 @@ def iterate_walk(config: WalkConfig) -> Iterator[tuple[WalkerState, float]]:
         start = initial_quantum_state(n0, config.initial_amp_left,
                                       config.initial_amp_right)
 
-        def advance(current, l, within):
-            return step(current, config.coin, l, within)
+        def advance(current, l):
+            return step(current, config.coin, l)
 
         absorb = apply_absorber
     else:
@@ -334,16 +320,18 @@ def iterate_walk(config: WalkConfig) -> Iterator[tuple[WalkerState, float]]:
     state = point_in_frame(
         start, *frame_span(n0, farthest, longest, config.absorber, count), rows)
     if lengths is None:
-        schedule = zip(itertools.repeat(1, config.steps), itertools.repeat(None))
+        schedule = itertools.repeat(1, config.steps)
     elif lengths.ndim == 1:
-        schedule = zip(lengths.tolist(), itertools.repeat(None))
+        schedule = lengths.tolist()
     else:
+        schedule = lengths.T
         # a step widens the window by its longest row length; cut it back to
         # the farthest any row has moved (no row has mass beyond that)
-        reach = np.cumsum(lengths, axis=-1).max(axis=0).tolist()
-        schedule = ((l, (n0 - r, n0 + r)) for l, r in zip(lengths.T, reach))
-    for l, within in schedule:
-        state = advance(state, l, within)
+        reach = iter(np.cumsum(lengths, axis=-1).max(axis=0).tolist())
+    for l in schedule:
+        state = advance(state, l)
+        if rows:
+            state = clamped(state, n0, next(reach))
         if config.absorber is None:
             yield state, 0.0
             continue

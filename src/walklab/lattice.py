@@ -17,6 +17,8 @@ The window is a view into one of two buffers in a fixed `Frame`. A step
 writes the next window into the spare buffer and hands the old one over as
 the next spare, so a walk allocates its buffers once; in exchange a step
 consumes its input, and a state is valid only until the next step.
+`plan_move` places the next window; a block of rows is placed whole, and
+`clamped` cuts its window back to the reach, a view like `cut_window`.
 """
 from __future__ import annotations
 
@@ -142,42 +144,22 @@ class ClassicalState(_Window):
         return row_sum(values, 1)
 
 
-class Move(NamedTuple):
-    """Where one step puts a window: the buffer it writes, the columns
-    [start, stop) it writes, the columns [lo, hi) of its new window, the
-    column `base` where the old window starts, and the column offsets of
-    the two images of a column, each one int when every row moves alike,
-    else one per row."""
-
-    out: np.ndarray
-    start: int
-    stop: int
-    lo: int
-    hi: int
-    base: int
-    down: Union[int, np.ndarray]
-    up: Union[int, np.ndarray]
+def _parity_range(parity) -> tuple[int, int]:
+    """(lowest, highest) parity of the rows."""
+    if isinstance(parity, np.ndarray):
+        return int(parity.min()), int(parity.max())
+    return parity, parity
 
 
-def image(move: Move, offset: int, width: int) -> tuple[slice, slice]:
-    """(target, source) columns of the image of a `width`-column window
-    moved by `offset` columns, cut to the new window."""
-    start = move.base + offset
-    lo, hi = max(start, move.lo), min(start + width, move.hi)
-    if hi < lo:
-        hi = lo
-    return slice(lo, hi), slice(lo - start, hi - start)
-
-
-def plan_move(state, l, within: Optional[tuple[int, int]]) -> tuple[Move, object]:
+def plan_move(state, l):
     """Plan one step of length `l` (one, or one per row) of `state`.
 
     A row of parity p moves to parity p' = (p + l) mod 2, and its column k
-    to k + (p + l − p')/2 (up) and that less l (down). The new window
-    spans both images, cut to the sites `within` (lo, hi) when given. When
-    the rows move alike, a step writes only that window; otherwise it
-    writes each row's whole images first. Returns the move and the state of
-    the new window, whose values are not yet written.
+    to k + (p + l − p')/2 (up) and that less l (down). The new window spans
+    both images of every row. Returns the state of the new window, whose
+    values are not yet written, and the columns of that window where the
+    down and up images start: 0 and l for one length and parity, else one
+    of each per row.
     """
     values, parity, width = state.values, state.parity, state.values.shape[-1]
     if not (isinstance(l, int) and l >= 0):
@@ -185,37 +167,36 @@ def plan_move(state, l, within: Optional[tuple[int, int]]) -> tuple[Move, object
     moved_to = parity + l
     new_parity, up = moved_to & 1, moved_to >> 1
     down = up - l
-    first = last = new_parity
     if isinstance(down, np.ndarray):
-        if isinstance(new_parity, np.ndarray):
-            first, last = int(new_parity.min()), int(new_parity.max())
-            if first == last:
-                new_parity = first
-        low, high = int(down.min()), int(up.max())
-        if low == int(down.max()) and high == int(up.min()):
-            down, up = low, high
+        first, last = _parity_range(new_parity)
+        if first == last:
+            new_parity = first
+        low = int(down.min())
+        down, up = down - low, up - low
+        grown = int(up.max())
     else:
-        low, high = down, up
+        low, down, up, grown = down, 0, l, l
     origin, live, spare = state.frame or (state.n_min, values, None)
-    base = (state.n_min - origin) >> 1
-    lo, hi = base + low, base + width + high
-    start, stop = lo, hi  # the columns the step writes
-    if within is not None:
-        lo = max(lo, (within[0] - origin - last + 1) >> 1)
-        hi = max(min(hi, ((within[1] - origin - first) >> 1) + 1), lo)
-        if isinstance(down, int):  # the images are cut as they are written
-            start, stop = lo, hi
-        else:
-            start, stop = min(lo, start), max(hi, stop)
-    if (spare is None or start < 0 or stop > spare.shape[-1]
+    lo = ((state.n_min - origin) >> 1) + low
+    hi = lo + width + grown
+    if (spare is None or lo < 0 or hi > spare.shape[-1]
             or spare.shape[:-1] != values.shape[:-1]):
-        shift = max(-start, 0)
-        origin -= 2 * shift
-        base, lo, hi, start, stop = (x + shift for x in (base, lo, hi, start, stop))
-        spare = np.empty(values.shape[:-1] + (stop,), values.dtype)
-    moved = state.with_window(state.time, origin + 2 * lo, spare[..., lo:hi],
-                              new_parity, Frame(origin, spare, live))
-    return Move(spare, start, stop, lo, hi, base, down, up), moved
+        shift = max(-lo, 0)
+        origin, lo, hi = origin - 2 * shift, lo + shift, hi + shift
+        spare = np.empty(values.shape[:-1] + (hi,), values.dtype)
+    return state.with_window(state.time, origin + 2 * lo, spare[..., lo:hi],
+                             new_parity, Frame(origin, spare, live)), down, up
+
+
+def clamped(state, center: int, reach: int):
+    """A view of the window cut to the columns that hold, for some row, a
+    site within `reach` of `center`."""
+    pmin, pmax = _parity_range(state.parity)
+    offset = center - state.n_min
+    start = max((offset - reach - pmax + 1) >> 1, 0)
+    stop = max(min(((offset + reach - pmin) >> 1) + 1, state.width), start)
+    return state.with_window(state.time, state.n_min + 2 * start,
+                             state.values[..., start:stop], state.parity, state.frame)
 
 
 def cut_window(state, position: int):
@@ -230,8 +211,7 @@ def cut_window(state, position: int):
     """
     values, parity = state.values, state.parity
     width = values.shape[-1]
-    pmin, pmax = (int(parity.min()), int(parity.max())) \
-        if isinstance(parity, np.ndarray) else (parity, parity)
+    pmin, pmax = _parity_range(parity)
     offset = position - state.n_min
     if position > 0:  # first cut column for parity p: ceil((offset − p)/2)
         edge, end = (offset - pmax + 1) >> 1, (offset - pmin + 1) >> 1

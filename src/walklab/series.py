@@ -297,8 +297,11 @@ def absorption_summary(
 
 
 # Raabe limits within RAABE_BAND of 1 are inconclusive; E_n is sampled at
-# RAABE_POINTS_PER_OCTAVE geometric grid points per octave of n.
+# RAABE_POINTS_PER_OCTAVE geometric grid points per octave of n. Past
+# RAABE_MAX_N float64 no longer resolves u_n/u_{n+1} − 1 ≈ E/n (at 1e10 the
+# limits are still within 6e-7 of 2 and 1/2).
 RAABE_BAND = 0.05
+RAABE_MAX_N = 10 ** 10
 RAABE_POINTS_PER_OCTAVE = 8
 
 
@@ -319,11 +322,13 @@ def raabe_estimate(ratio: Callable, n_max: int = 10 ** 6) -> RaabeReport:
 
     E > 1 means Σu_n converges, E < 1 diverges; |E − 1| < RAABE_BAND is
     reported inconclusive. E_n is evaluated on a geometric grid up to n_max
-    and extrapolated by a least-squares fit of E_n = E + c/n over the top
-    two octaves, which cancels the leading finite-n bias.
+    (16..RAABE_MAX_N) and extrapolated by a least-squares fit of
+    E_n = E + c/n over the top two octaves, which cancels the leading
+    finite-n bias.
     """
-    if n_max < 16:
-        raise ConfigurationError(f"n_max must be >= 16, got {n_max}")
+    if not 16 <= n_max <= RAABE_MAX_N:
+        raise ConfigurationError(
+            f"n_max must be in 16..{RAABE_MAX_N}, got {n_max}")
     octaves = int(math.floor(math.log2(n_max / 4)))
     scales = 2.0 ** (np.arange(octaves * RAABE_POINTS_PER_OCTAVE + 1)
                      / RAABE_POINTS_PER_OCTAVE)

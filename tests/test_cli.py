@@ -20,7 +20,7 @@ from walklab import (
     finite_horizon_avg_time,
 )
 from walklab.cli import main, parse_disorder
-from walklab.series import MAX_ARRAY_BYTES, MAX_ORDER
+from walklab.series import MAX_ARRAY_BYTES, MAX_ORDER, RAABE_MAX_N
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -370,6 +370,19 @@ def test_series_raabe_quantum_converges(capsys):
     assert float(meta["limit"]) == pytest.approx(2.0, abs=0.02)
 
 
+@pytest.mark.parametrize("n_max", [RAABE_MAX_N * 10, 10 ** 20])
+def test_series_raabe_n_max_past_float64_resolution_exits_2(n_max, capsys):
+    # float64 cannot resolve u_n/u_{n+1} − 1 ≈ 2/n there: the limit read 0.0
+    # and "diverges" at 1e18, and the int64 grid overflowed past 2^63
+    rc, out, err = run_cli(
+        ["series", "--raabe", "quantum", "--n-max", str(n_max), "--seed", "1"],
+        capsys,
+    )
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: n_max must be in 16..{RAABE_MAX_N}, got {n_max}\n"
+
+
 def test_exponent_classical_free_is_exactly_half(capsys):
     rc, out, _ = run_cli(
         ["exponent", "--engine", "classical", "--steps", "60",
@@ -556,6 +569,20 @@ def test_explicit_seed_overrides_env(capsys, monkeypatch):
     assert meta["seed"] == "3"
 
 
+@pytest.mark.parametrize("argv, env", [
+    (["walk", "--engine", "quantum", "--steps", "5",
+      "--disorder", "poisson:lambda=1", "--seed", "-1"], None),
+    (["sweep"], "-1"),
+], ids=["walk-flag", "sweep-env"])
+def test_negative_seed_with_disorder_exits_2(argv, env, capsys, monkeypatch):
+    if env is not None:
+        monkeypatch.setenv("WALKLAB_SEED", env)
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: seed must be >= 0, got -1\n"
+
+
 def test_invalid_env_seed_rejected(capsys, monkeypatch):
     monkeypatch.setenv("WALKLAB_SEED", "abc")
     rc, _, err = run_cli(
@@ -588,6 +615,20 @@ def test_output_file(tmp_path, capsys):
     meta, header, rows = parse_csv(target.read_text())
     assert header == ["time", "position", "probability"]
     assert len(rows) == 3
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+def test_unwritable_output_exits_2(where, tmp_path, capsys):
+    target = tmp_path / "missing" / "out.csv" if where == "missing-dir" else tmp_path
+    rc, out, err = run_cli(
+        ["walk", "--engine", "classical", "--steps", "2", "--seed", "1",
+         "--output", str(target)],
+        capsys,
+    )
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert err.count("\n") == 1
 
 
 def test_json_payload_shape(capsys):

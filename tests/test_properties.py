@@ -301,6 +301,9 @@ def batched_walks(draw):
 # before the absorber at 2 counted it
 @example(WalkConfig(steps=2, absorber=AbsorberConfig(2),
                     step_lengths=np.array([[5, 0], [0, 3]])))
+# rows that move alike take the per-row placement, as any rows do
+@example(WalkConfig(steps=3, absorber=AbsorberConfig(2),
+                    step_lengths=np.array([[1, 2, 0], [1, 2, 0]])))
 def test_batched_walk_equals_single_row_walks(config):
     batch = run_walk(config)
     atol = mass_tol(batch.final_state.width)
