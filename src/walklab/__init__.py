@@ -53,9 +53,6 @@ from .series import (
     quantum_absorption_prob,
     quantum_avg_time_ratio,
     raabe_estimate,
-    series_f,
-    series_g,
-    sqrt_one_plus_z4,
 )
 from .disorder import (
     TABLE2_PRESETS,
@@ -101,6 +98,5 @@ __all__ = [
     "negative_binomial", "point_mass", "poisson", "probability_distribution",
     "quantum_absorption_prob", "quantum_avg_time_ratio", "raabe_estimate",
     "renormalize", "run_ensemble", "run_walk", "sample_realization",
-    "series_f", "series_g", "snapshot_distribution", "sqrt_one_plus_z4",
-    "std_dev", "step", "total_mass",
+    "snapshot_distribution", "std_dev", "step", "total_mass",
 ]

@@ -8,9 +8,9 @@ comparison table).
 Every command accepts --seed/--format/--output; identical invocations
 produce byte-identical output. The environment variable WALKLAB_SEED
 overrides the built-in seed; an explicit flag overrides both. --workers
-(or WALKLAB_WORKERS) is accepted and checked to be >= 1, and changes
-nothing: walklab runs in one process. Exit codes: 0 success, 2 invalid
-configuration, 3 numerical failure.
+is accepted and checked to be >= 1, and changes nothing: walklab runs in
+one process. Exit codes: 0 success, 2 invalid configuration, 3 numerical
+failure.
 
 Disorder specs on the command line are either a preset name
 (tableII-binomial, tableII-hypergeometric, tableII-negbinomial,
@@ -32,6 +32,7 @@ from . import __version__
 from .classical import classical_avg_time_ratio
 from .disorder import TABLE2_PRESETS, DisorderSpec, child_seed, parse_disorder, sample_realization
 from .engine import (
+    MAX_ARRAY_BYTES,
     AbsorberConfig,
     WalkConfig,
     coin_by_name,
@@ -49,21 +50,10 @@ from .ensemble import (
 from .errors import ConfigurationError, NumericalError
 from .series import (
     DEFAULT_ORDER,
-    MAX_ARRAY_BYTES,
     absorption_summaries,
     quantum_avg_time_ratio,
     raabe_estimate,
 )
-
-
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigurationError(f"{name} must be an integer, got {raw!r}") from None
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -224,6 +214,8 @@ def cmd_absorb(args) -> str:
     if spec is None:
         if args.realizations is not None:
             raise ConfigurationError("--realizations requires --disorder")
+        if args.horizons is not None:
+            raise ConfigurationError("--horizons requires --disorder")
         per_step = np.array(
             [absorbed for _, absorbed in iterate_walk(_walk_config(args, absorber))]
         )
@@ -382,7 +374,7 @@ def cmd_sweep(args) -> str:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None,
                         help="master seed (default: WALKLAB_SEED or 1)")
-    parser.add_argument("--workers", type=int, default=None,
+    parser.add_argument("--workers", type=int, default=1,
                         help="accepted for compatibility (>= 1); walklab runs "
                              "in one process")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -471,9 +463,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.seed is None:
-            args.seed = _env_int("WALKLAB_SEED", 1)
-        if args.workers is None:
-            args.workers = _env_int("WALKLAB_WORKERS", 1)
+            raw = os.environ.get("WALKLAB_SEED", "")
+            try:
+                args.seed = int(raw) if raw else 1
+            except ValueError:
+                raise ConfigurationError(
+                    f"WALKLAB_SEED must be an integer, got {raw!r}") from None
         if args.workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {args.workers}")
         text = args.func(args)

@@ -6,6 +6,7 @@ all its steps. Sampling is inverse-CDF over a precomputed cumulative table
 (truncated where the remaining tail mass is below 1e-12), so identical
 (spec, seed, n) triples always reproduce identical lengths. Each family is
 declared once, in `_FAMILIES`; `parse_disorder` is its only text grammar.
+The pmf tables take log-gamma from `math.lgamma`, so sampling loads no scipy.
 """
 from __future__ import annotations
 
@@ -47,12 +48,8 @@ def _xlog(x: np.ndarray, log_y: float) -> np.ndarray:
     return np.multiply(x, log_y, out=np.zeros_like(x), where=x > 0)
 
 
-def _gammaln(x):
-    """scipy.special.gammaln, imported on use: scipy would dominate the
-    CLI's start-up, and only disordered runs tabulate a pmf."""
-    from scipy.special import gammaln
-
-    return gammaln(x)
+# log Γ elementwise: a table holds at most _MAX_SUPPORT + 1 lengths
+_gammaln = np.vectorize(math.lgamma, otypes=[np.float64])
 
 
 def _log_comb(a, b):
@@ -160,9 +157,6 @@ class DisorderSpec:
     @property
     def values(self) -> tuple:
         return tuple(v for _, v in self.params)
-
-    def param(self, key: str) -> float:
-        return dict(self.params)[key]
 
     def to_text(self) -> str:
         parts = [f"family={self.family}"]
@@ -307,9 +301,8 @@ def _support_table(spec: DisorderSpec) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class Realization:
-    """One frozen sequence of step lengths plus the seed that produced it."""
+    """One frozen sequence of step lengths."""
 
-    seed: int
     lengths: np.ndarray
 
 
@@ -331,4 +324,4 @@ def sample_realization(spec: DisorderSpec, n_steps: int, seed: int) -> Realizati
     u = rng.random(n_steps)
     idx = np.searchsorted(cum, u, side="right")
     idx = np.minimum(idx, ls.size - 1)
-    return Realization(seed=int(seed), lengths=ls[idx].astype(np.int64))
+    return Realization(lengths=ls[idx].astype(np.int64))

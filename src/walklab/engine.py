@@ -46,7 +46,6 @@ from .lattice import (
     row_sum,
     std_dev,
 )
-from .series import MAX_ARRAY_BYTES
 
 WalkerState = Union[QuantumState, ClassicalState]
 
@@ -196,6 +195,12 @@ class AbsorptionRecord:
 # bytes per site of each engine's window: complex L and R amplitudes, or one
 # probability
 SITE_BYTES = {"quantum": 2 * 16, "classical": 8}
+# Largest array a walk may ask for: its widest window (all rows, both
+# parities) or an ensemble's (realizations × steps) matrix. A walk's two
+# preallocated buffers hold one parity each, about one window in all; an
+# ensemble peaks at 2.56 matrices (the absorbing-time reduction) or 1.35 (the
+# σ average), so a run stays below about 180 MB.
+MAX_ARRAY_BYTES = 2 ** 26
 
 
 @dataclass

@@ -17,6 +17,7 @@ import numpy as np
 
 from .disorder import DisorderSpec, child_seed, sample_realization
 from .engine import (
+    MAX_ARRAY_BYTES,
     SITE_BYTES,
     AbsorptionRecord,
     WalkConfig,
@@ -24,7 +25,6 @@ from .engine import (
     record_walk,
 )
 from .errors import ConfigurationError, NoAbsorptionError, NumericalError
-from .series import MAX_ARRAY_BYTES
 
 # A row of a block holds its step lengths (8 bytes a step), its share of the
 # block's two walk buffers (C · itemsize bytes a column for C channels) and
@@ -64,7 +64,6 @@ class AveragedCurve:
     stderr: np.ndarray
     realization_count: int
     included: np.ndarray  # realizations contributing per point
-    label: str = ""
 
     @property
     def excluded(self) -> np.ndarray:
@@ -179,26 +178,38 @@ def _horizon_ratios(absorbed: np.ndarray, horizons: np.ndarray) -> np.ndarray:
 
 
 def _nan_average(matrix: np.ndarray, abscissa: np.ndarray, realizations: int,
-                 label: str, error: type, empty_message: str) -> AveragedCurve:
+                 error: type, empty_message: str) -> AveragedCurve:
     """Columnwise mean/stderr/count ignoring NaN entries, as a curve over
-    `abscissa`; raises `error` if some column has no entry at all.
+    `abscissa`; a column with no entry averages to NaN (mean and stderr),
+    and `error` is raised if no column has any.
 
     Overwrites `matrix`: the matrix may be large.
     """
     missing = np.isnan(matrix)
     included = matrix.shape[0] - missing.sum(axis=0)
-    if np.any(included == 0):
-        raise error(f"{empty_message} {abscissa[included == 0].tolist()}")
+    if not included.any():
+        raise error(f"{empty_message} {abscissa.tolist()}")
+    # an empty column: x / NaN gives NaN, with no 0/0 warning
+    counts = np.where(included > 0, included, np.nan)
     matrix[missing] = 0.0
-    means = matrix.sum(axis=0) / included
+    means = matrix.sum(axis=0) / counts
     matrix -= means
     matrix *= matrix
     matrix[missing] = 0.0
     spread = np.sqrt(matrix.sum(axis=0) / np.maximum(included - 1, 1))
-    stderr = np.where(included > 1, spread, 0.0) / np.sqrt(included)
+    stderr = np.where(included > 1, spread, 0.0) / np.sqrt(counts)
     return AveragedCurve(abscissa=abscissa, values=means, stderr=stderr,
-                         realization_count=realizations, included=included,
-                         label=label)
+                         realization_count=realizations, included=included)
+
+
+def _upto(config: EnsembleConfig, last: int) -> EnsembleConfig:
+    """`config` with its walk stopped after step `last`, the last one an
+    average reads: each realization draws the same first `last` lengths."""
+    lengths = config.walk.step_lengths
+    if lengths is not None:
+        lengths = np.asarray(lengths)[..., :last]
+    return replace(config, walk=replace(config.walk, steps=last,
+                                        step_lengths=lengths))
 
 
 def disorder_avg_absorb_time(
@@ -207,8 +218,9 @@ def disorder_avg_absorb_time(
     """⟨t_a^(n)⟩ across realizations at each horizon n.
 
     Realizations with zero absorption by a horizon are excluded from that
-    horizon's average; the per-point inclusion count is reported. Every
-    horizon must keep at least one realization.
+    horizon's average; the per-point inclusion count is reported, and a
+    horizon with none included averages to NaN. Some horizon must keep at
+    least one realization. The walks stop at the last horizon.
     """
     steps = config.walk.steps
     if config.walk.absorber is None:
@@ -220,9 +232,9 @@ def disorder_avg_absorb_time(
         raise ConfigurationError(
             f"horizons must lie in 1..{steps}, got {hs[0]}..{hs[-1]}"
         )
-    ratios = _horizon_ratios(run_ensemble(config, sigma_times=())[0], hs)
-    return _nan_average(ratios, hs, config.realizations,
-                        "avg_absorb_time", NoAbsorptionError,
+    absorbed, _ = run_ensemble(_upto(config, int(hs[-1])), sigma_times=())
+    return _nan_average(_horizon_ratios(absorbed, hs), hs, config.realizations,
+                        NoAbsorptionError,
                         "no realization absorbed anything by horizon(s)")
 
 
@@ -231,16 +243,18 @@ def disorder_avg_sigma(
 ) -> AveragedCurve:
     """⟨σ(t)⟩ across realizations at each t of `t_grid` (default: every
     step); σ is the surviving-mass (renormalized) spread whenever an
-    absorber is present, and is computed only at those t."""
+    absorber is present, and is computed only at those t; the walks stop at
+    the last one."""
     steps = config.walk.steps
     if t_grid is None:
         t_grid = range(1, steps + 1)
     ts = np.asarray(sorted(set(int(t) for t in t_grid)), dtype=np.int64)
     if ts.size == 0 or ts[0] < 1 or ts[-1] > steps:
         raise ConfigurationError(f"t grid must lie within 1..{steps}")
-    _, sigma = run_ensemble(config, sigma_times=ts.tolist(), absorbed=False)
-    return _nan_average(sigma, ts, config.realizations, "avg_sigma",
-                        NumericalError, "no surviving mass at t =")
+    _, sigma = run_ensemble(_upto(config, int(ts[-1])), sigma_times=ts.tolist(),
+                            absorbed=False)
+    return _nan_average(sigma, ts, config.realizations, NumericalError,
+                        "no surviving mass at t =")
 
 
 def check_fit_range(t_lo: int, t_hi: int, points: int) -> None:

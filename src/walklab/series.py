@@ -13,6 +13,8 @@ their exact term ratios.
 
 All series have real coefficients and are truncated at a fixed order; a
 truncated product keeps every retained coefficient to within FFT round-off.
+The functions work on numpy arrays; only `generating_function` wraps its
+row in a `PowerSeries`.
 """
 from __future__ import annotations
 
@@ -31,12 +33,6 @@ DEFAULT_ORDER = 2 ** 14
 # matrices: about 95 bytes per unit of order at its peak (a ten-row table at
 # 2^20 peaked 96 MB above the interpreter), so about 400 MB at 2^22.
 MAX_ORDER = 2 ** 22
-# Largest array a walk may ask for: one step's window (all rows) or an
-# ensemble's (realizations × steps) matrix. A step holds up to three windows
-# (the state, the coined state and the shifted one; 2.3 windows measured), an
-# ensemble about six matrices (the lengths, p_t and σ, each also as per-step
-# lists; 6.0 measured), so the peak stays near 400 MB as for MAX_ORDER.
-MAX_ARRAY_BYTES = 2 ** 26
 
 
 @dataclass(frozen=True)
@@ -112,23 +108,6 @@ def _product(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:n]
 
 
-def sqrt_one_plus_z4(order: int) -> PowerSeries:
-    """Binomial series of √(1+z⁴): Σ_k C(1/2, k) z^{4k}."""
-    coeffs = np.zeros(order + 1)
-    coeffs[::4] = _sqrt_binomial(order // 4 + 1)
-    return PowerSeries(coeffs)
-
-
-def series_f(order: int) -> PowerSeries:
-    """f(z) = (1 + z² − √(1+z⁴)) / (√2·z)."""
-    return PowerSeries(_in_z(_w_series((order + 1) // 2)[1], 1, order))
-
-
-def series_g(order: int) -> PowerSeries:
-    """g(z) = (1 − z² − √(1+z⁴)) / (√2·z)."""
-    return PowerSeries(_in_z(_w_series((order + 1) // 2)[0], 1, order))
-
-
 def _amplitude_rows(
     m1s: Sequence[int], initial: str, order: int
 ) -> Iterator[tuple[int, np.ndarray]]:
@@ -186,7 +165,7 @@ def absorption_probabilities(
     m1: int, initial: str = "L", order: int = DEFAULT_ORDER
 ) -> np.ndarray:
     """p_t for t = 1..order: squared generating-function coefficients."""
-    amps = generating_function(m1, initial, order).coeffs
+    ((_, amps),) = _amplitude_rows([m1], initial, order)
     return (amps * amps)[1:]
 
 

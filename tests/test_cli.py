@@ -20,7 +20,8 @@ from walklab import (
     finite_horizon_avg_time,
 )
 from walklab.cli import main, parse_disorder
-from walklab.series import MAX_ARRAY_BYTES, MAX_ORDER, RAABE_MAX_N
+from walklab.engine import MAX_ARRAY_BYTES
+from walklab.series import MAX_ORDER, RAABE_MAX_N
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -28,7 +29,6 @@ GOLDEN = Path(__file__).parent / "golden"
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
     monkeypatch.delenv("WALKLAB_SEED", raising=False)
-    monkeypatch.delenv("WALKLAB_WORKERS", raising=False)
 
 
 def run_cli(argv, capsys):
@@ -178,6 +178,17 @@ def test_absorb_rejects_realizations_without_disorder(capsys):
     )
     assert rc == 2
     assert "--realizations requires --disorder" in err
+
+
+def test_absorb_rejects_horizons_without_disorder(capsys):
+    rc, out, err = run_cli(
+        ["absorb", "--engine", "quantum", "--absorber", "2", "--steps", "10",
+         "--horizons", "abc", "--seed", "1"],
+        capsys,
+    )
+    assert rc == 2
+    assert out == ""
+    assert "--horizons requires --disorder" in err
 
 
 def test_absorb_rejects_absorber_at_origin(capsys):
@@ -331,7 +342,8 @@ def test_ensemble_above_budget_exits_2_before_sampling(capsys):
          "--horizons", "10", "--seed", "1"], capsys)
     assert rc == 2
     assert out == ""
-    assert (f"1000000 realizations × 100000 steps need 800000000000 bytes per "
+    # the walks stop at the last horizon, so the matrix is 10 steps wide
+    assert (f"1000000 realizations × 10 steps need 80000000 bytes per "
             f"matrix, above the budget of {MAX_ARRAY_BYTES}") in err
     assert peak < 2 ** 20
 
@@ -537,6 +549,39 @@ def test_exit_code_no_absorption(capsys):
     assert "numerical error" in err
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["absorb", "--engine", "quantum", "--absorber", "-3", "--steps", "200",
+      "--disorder", "tableII-binomial", "--realizations", "50", "--seed", "7"],
+     ["1,,,0,50",
+      "100,14.602458404291113,0.550678105723335,50,0",
+      "200,22.490343810612185,1.0216254355922056,50,0"]),
+    (["absorb", "--engine", "classical", "--absorber", "4", "--steps", "300",
+      "--disorder", "tableII-hypergeometric", "--realizations", "40", "--seed", "2"],
+     ["1,,,0,40",
+      "4,3.5459770114942533,0.12181816594047844,29,11",
+      "100,23.721832195840854,0.4576499652970642,40,0"]),
+], ids=["quantum", "classical"])
+def test_disordered_absorb_leaves_unreached_horizons_empty(argv, expected, capsys):
+    # no realization reaches the absorber in step 1: that horizon's cells are
+    # empty, and the reached horizons print what `--horizons` limited to them
+    # printed when the command still exited 3
+    rc, out, err = run_cli(argv, capsys)
+    assert rc == 0, err
+    rows = {row[0]: ",".join(row) for row in parse_csv(out)[2]}
+    for line in expected:
+        assert rows[line.partition(",")[0]] == line
+
+
+def test_exponent_walks_only_to_the_fit_range(capsys):
+    # the fit reads t <= 80, so 10^7 steps run as 80 (and fit the budget)
+    argv = ["exponent", "--engine", "quantum", "--seed", "1", "--steps"]
+    rc, short, _ = run_cli(argv + ["80"], capsys)
+    assert rc == 0
+    rc, long, err = run_cli(argv + ["10000000"], capsys)
+    assert rc == 0, err
+    assert parse_csv(long)[2] == parse_csv(short)[2]
+
+
 def test_reruns_are_byte_identical(capsys):
     argv = ["exponent", "--engine", "classical", "--steps", "40",
             "--disorder", "poisson:lambda=1", "--realizations", "10",
@@ -592,13 +637,12 @@ def test_invalid_env_seed_rejected(capsys, monkeypatch):
     assert "WALKLAB_SEED" in err
 
 
-def test_worker_env_does_not_change_output(capsys, monkeypatch):
+def test_workers_flag_does_not_change_output(capsys):
     argv = ["absorb", "--engine", "quantum", "--absorber", "2", "--steps", "20",
             "--disorder", "poisson:lambda=1", "--realizations", "6",
             "--horizons", "20", "--seed", "2"]
     rc1, out1, _ = run_cli(argv + ["--workers", "1"], capsys)
-    monkeypatch.setenv("WALKLAB_WORKERS", "2")
-    rc2, out2, _ = run_cli(argv, capsys)
+    rc2, out2, _ = run_cli(argv + ["--workers", "2"], capsys)
     assert rc1 == rc2 == 0
     assert out1 == out2
 
@@ -649,7 +693,7 @@ def test_parse_disorder_grammar():
     assert parse_disorder("tableII-binomial").family == "binomial"
     spec = parse_disorder("point_mass:length=2")
     assert spec.family == "point_mass"
-    assert spec.param("length") == 2
+    assert spec.params == (("length", 2),)
     with pytest.raises(ConfigurationError):
         parse_disorder("tableII-unknown")
     with pytest.raises(ConfigurationError):
@@ -785,8 +829,35 @@ def test_cli_import_leaves_out_scipy_stats():
 ], ids=["series", "absorb-quantum", "absorb-classical", "walk-quantum",
         "walk-classical", "raabe-quantum", "raabe-classical"])
 def test_commands_without_disorder_or_fits_run_without_scipy(argv):
-    # only pmf tables and the fit's t quantile need scipy.special; the
-    # closed-form series step exact term ratios
+    # only the fit's t quantile needs scipy.special; the closed-form series
+    # step exact term ratios
+    _assert_runs_without_scipy(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["walk", "--engine", "quantum", "--steps", "30", "--absorber", "-2",
+     "--disorder", "poisson:lambda=1"],
+    ["absorb", "--engine", "classical", "--steps", "30", "--absorber", "2",
+     "--disorder", "binomial:n=3,p=0.3", "--horizons", "10,30"],
+    ["walk", "--engine", "classical", "--steps", "30", "--absorber", "3",
+     "--disorder", "hypergeometric:N=10,K=5,n=2"],
+    ["absorb", "--engine", "quantum", "--steps", "30", "--absorber", "-3",
+     "--disorder", "negative_binomial:r=2.5,k=0.3", "--horizons", "30"],
+    ["walk", "--engine", "quantum", "--steps", "30", "--absorber", "4",
+     "--disorder", "geometric:k=0.5"],
+    ["absorb", "--engine", "classical", "--steps", "30", "--absorber", "-2",
+     "--disorder", "geometric_shifted:k=0.5"],
+    ["walk", "--engine", "classical", "--steps", "30",
+     "--disorder", "point_mass:length=2"],
+], ids=["walk-poisson", "absorb-binomial", "walk-hypergeometric",
+        "absorb-negative-binomial", "walk-geometric", "absorb-geometric-shifted",
+        "walk-point-mass"])
+def test_disordered_walk_and_absorb_run_without_scipy(argv):
+    # pmf tables take log-gamma from math.lgamma
+    _assert_runs_without_scipy(argv)
+
+
+def _assert_runs_without_scipy(argv):
     code = (f"import sys; from walklab.cli import main; rc = main({argv!r}); "
             f"print(rc, {SCIPY_MODULES}, file=sys.stderr)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,

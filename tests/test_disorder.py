@@ -152,10 +152,10 @@ def test_build_spec_validation():
     with pytest.raises(ConfigurationError, match="needs an integer n"):
         binomial(2.5, 0.5)
     spec = build_spec("poisson", {"lambda": "1"})
-    assert spec.param("lambda") == 1.0
+    assert spec.params == (("lambda", 1.0),)
     spec = build_spec("binomial", {"p": "0.5", "n": "2.0"})  # any key order
     assert spec == binomial(2, 0.5)
-    assert type(spec.param("n")) is int
+    assert type(spec.values[0]) is int
 
 
 # The library sums log-gamma terms of up to ~1e4 in magnitude, a relative

@@ -1,6 +1,8 @@
 """Tests for disorder ensembles: averaging, exclusions, and exponent fits."""
 import math
+import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +29,13 @@ from walklab import (
     sample_realization,
 )
 from walklab import ensemble
+
+# numpy's __array_interface__ (which lattice.place_rows reaches through
+# as_strided) interns the key "typestr" anew on each call unless something
+# holds that string, and the interpreter then reallocates its interned-string
+# table (1-2 MB) every 10^4 or so steps. Holding it keeps that reallocation
+# out of the traced peaks below.
+_TYPESTR = sys.intern("typestr")
 
 
 def _pad(result, steps):
@@ -91,7 +100,7 @@ def test_ensemble_without_sigma_stores_none():
         disorder=poisson(1.0),
     )
     matrix = count * steps * 8
-    cfg.disorder.support_table()  # cached, and scipy loaded, before tracing
+    sample_realization(cfg.disorder, 1, 0)  # table and numpy.random loaded first
     tracemalloc.start()
     try:
         absorbed, sigma = run_ensemble(cfg, sigma_times=())
@@ -120,7 +129,7 @@ def test_sigma_average_holds_only_its_columns():
         disorder=poisson(1.0),
     )
     matrix = count * len(ts) * 8
-    cfg.disorder.support_table()  # cached, and scipy loaded, before tracing
+    sample_realization(cfg.disorder, 1, 0)  # table and numpy.random loaded first
     tracemalloc.start()
     try:
         curve = disorder_avg_sigma(cfg, ts)
@@ -128,7 +137,9 @@ def test_sigma_average_holds_only_its_columns():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * matrix
-    _, sigma = run_ensemble(cfg, sigma_times=ts, absorbed=False)
+    # the average walks only to its last t, 80
+    stopped = replace(cfg, walk=replace(cfg.walk, steps=80))
+    _, sigma = run_ensemble(stopped, sigma_times=ts, absorbed=False)
     np.testing.assert_array_equal(curve.values, np.nanmean(sigma, axis=0))
 
 
@@ -243,6 +254,20 @@ def test_avg_absorb_time_all_empty_raises():
     )
     with pytest.raises(NoAbsorptionError):
         disorder_avg_absorb_time(cfg, horizons=[3])
+
+
+def test_avg_absorb_time_empty_horizon_is_nan():
+    # one step cannot reach the absorber at 2; the second step absorbs 1/4
+    cfg = EnsembleConfig(
+        walk=WalkConfig(steps=3, engine="classical", absorber=AbsorberConfig(position=2)),
+        realizations=2,
+        disorder=point_mass(1),
+    )
+    curve = disorder_avg_absorb_time(cfg, horizons=[1, 3])
+    assert curve.included.tolist() == [0, 2]
+    assert np.isnan(curve.values[0]) and np.isnan(curve.stderr[0])
+    assert curve.values[1] == 2.0
+    assert curve.stderr[1] == 0.0
 
 
 def test_avg_absorb_time_validation():

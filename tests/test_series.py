@@ -26,9 +26,6 @@ from walklab import (
     quantum_avg_time_ratio,
     raabe_estimate,
     run_walk,
-    series_f,
-    series_g,
-    sqrt_one_plus_z4,
 )
 
 
@@ -48,47 +45,52 @@ def test_monomial_and_coefficient():
         s.coefficient(9)
 
 
+def _f_and_g(order):
+    """f(z) = (1 + z² − √(1+z⁴)) / (√2·z) and g(z) = (1 − z² − √(1+z⁴)) /
+    (√2·z) to degree `order`, from G and F in w = z²."""
+    g, f = series._w_series((order + 1) // 2)
+    return series._in_z(f, 1, order), series._in_z(g, 1, order)
+
+
 def test_sqrt_series_matches_binomial_oracle():
-    order = 512
-    series = sqrt_one_plus_z4(order)
-    exact = binomial_half_coeffs(order // 4 + 1)
-    for k, c in enumerate(exact):
-        assert series.coefficient(4 * k) == pytest.approx(float(c), rel=1e-14)
-    # all other degrees vanish
-    mask = np.ones(order + 1, dtype=bool)
-    mask[::4] = False
-    assert np.all(series.coeffs[mask] == 0.0)
+    n_terms = 512 // 4 + 1
+    coeffs = series._sqrt_binomial(n_terms)
+    exact = binomial_half_coeffs(n_terms)
+    assert coeffs.size == n_terms
+    for c, e in zip(coeffs, exact):
+        assert c == pytest.approx(float(e), rel=1e-14)
 
 
 def test_fg_product_identity():
     # f*g = (1 - sqrt(1 + z^4)) / z^2 with coefficients -C(1/2, k) at 4k - 2
     order = 256
-    product = series_f(order) * series_g(order)
+    product = np.convolve(*_f_and_g(order))[: order + 1]
     exact = binomial_half_coeffs(order // 4 + 1)
     for k in range(1, len(exact)):
         deg = 4 * k - 2
         if deg > order:
             break
-        assert product.coefficient(deg) == pytest.approx(
-            -float(exact[k]), rel=1e-13, abs=1e-16
-        )
-    np.testing.assert_allclose(product.coefficient(2), -0.5, atol=1e-15)
-    np.testing.assert_allclose(product.coefficient(6), 0.125, atol=1e-15)
-    np.testing.assert_allclose(product.coefficient(10), -0.0625, atol=1e-15)
+        assert product[deg] == pytest.approx(-float(exact[k]), rel=1e-13, abs=1e-16)
+    np.testing.assert_allclose(product[2], -0.5, atol=1e-15)
+    np.testing.assert_allclose(product[6], 0.125, atol=1e-15)
+    np.testing.assert_allclose(product[10], -0.0625, atol=1e-15)
+    # all other degrees vanish, up to round-off
+    others = np.ones(order + 1, dtype=bool)
+    others[2::4] = False
+    np.testing.assert_allclose(product[others], 0.0, atol=1e-16)
 
 
 def test_first_coefficients_of_f_and_g():
-    f = series_f(16)
-    g = series_g(16)
+    f, g = _f_and_g(16)
     inv_rt2 = 1 / math.sqrt(2)
-    assert f.coefficient(1) == pytest.approx(inv_rt2, abs=1e-15)
-    assert f.coefficient(3) == pytest.approx(-0.5 * inv_rt2, abs=1e-15)
-    assert g.coefficient(1) == pytest.approx(-inv_rt2, abs=1e-15)
-    assert g.coefficient(3) == pytest.approx(-0.5 * inv_rt2, abs=1e-15)
+    assert f[1] == pytest.approx(inv_rt2, abs=1e-15)
+    assert f[3] == pytest.approx(-0.5 * inv_rt2, abs=1e-15)
+    assert g[1] == pytest.approx(-inv_rt2, abs=1e-15)
+    assert g[3] == pytest.approx(-0.5 * inv_rt2, abs=1e-15)
     # even coefficients vanish for both
     for deg in range(0, 17, 2):
-        assert f.coefficient(deg) == 0.0
-        assert g.coefficient(deg) == 0.0
+        assert f[deg] == 0.0
+        assert g[deg] == 0.0
 
 
 @pytest.mark.parametrize("initial", ["L", "R"])
