@@ -12,6 +12,12 @@ engines share the config, the iterator, the runner and the snapshots.
 Step lengths shaped (R, steps) run R independent walks (rows) at once on
 one shared window; every kernel works row by row.
 
+A quantum walk whose four coin entries and two start amplitudes are all
+real keeps every amplitude real, so it stores float64 amplitudes; any other
+(say the complex kempe coin, or a complex start) stores complex128. On real
+inputs complex arithmetic adds only ±0 imaginary parts, so p_t and σ are the
+same, bit for bit, at half the bytes a step.
+
 States store one parity sublattice per row (see `lattice`). A walk
 allocates its two buffers once, over a frame that holds every site it can
 reach; a step writes the coin's output straight into its shifted place in
@@ -22,7 +28,7 @@ length per step, else by one indexed copy of all rows, whose window
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -192,8 +198,8 @@ class AbsorptionRecord:
         return row_sum(self.per_step, 1)
 
 
-# bytes per site of each engine's window: complex L and R amplitudes, or one
-# probability
+# bytes per site of each engine's window, as the budget counts them: complex
+# L and R amplitudes, or one probability (a real quantum walk stores half)
 SITE_BYTES = {"quantum": 2 * 16, "classical": 8}
 # Largest array a walk may ask for: its widest window (all rows, both
 # parities) or an ensemble's (realizations × steps) matrix. A walk's two
@@ -245,6 +251,15 @@ class WalkConfig:
         return () if self.step_lengths is None else np.shape(self.step_lengths)[:-1]
 
 
+def real_amplitudes(config: WalkConfig) -> bool:
+    """True for a quantum walk whose coin entries and start amplitudes all
+    have zero imaginary part: its amplitudes stay real."""
+    c = config.coin
+    return config.engine == "quantum" and not any(
+        complex(v).imag for v in (c.a, c.b, c.c, c.d, config.initial_amp_left,
+                                  config.initial_amp_right))
+
+
 def frame_span(start: int, farthest: int, longest: int,
                absorber: Optional[AbsorberConfig], rows: int) -> tuple[int, int]:
     """(origin, columns) of the frame a walk's two buffers share.
@@ -292,8 +307,9 @@ def iterate_walk(config: WalkConfig) -> Iterator[tuple[WalkerState, float]]:
     early after a step that leaves every row without surviving mass: nothing
     evolves past that point. Rows share one window: the columns within the
     farthest any row has moved from the start, up to the absorber. The walk
-    allocates its two buffers before the first step; a walk whose window
-    could pass MAX_ARRAY_BYTES is refused before that.
+    allocates its two buffers before the first step, float64 for real
+    amplitudes (see `real_amplitudes`) and complex128 otherwise; a walk whose
+    window could pass MAX_ARRAY_BYTES at SITE_BYTES is refused before that.
     """
     lengths = config.step_lengths
     if lengths is None:
@@ -311,11 +327,15 @@ def iterate_walk(config: WalkConfig) -> Iterator[tuple[WalkerState, float]]:
         )
     n0 = config.initial_position
     if config.engine == "quantum":
-        start = initial_quantum_state(n0, config.initial_amp_left,
-                                      config.initial_amp_right)
+        coin, amps = config.coin, (config.initial_amp_left, config.initial_amp_right)
+        dtype = np.complex128
+        if real_amplitudes(config):
+            coin = replace(coin, **{k: complex(getattr(coin, k)).real for k in "abcd"})
+            amps, dtype = [complex(v).real for v in amps], np.float64
+        start = initial_quantum_state(n0, *amps, dtype=dtype)
 
         def advance(current, l):
-            return step(current, config.coin, l)
+            return step(current, coin, l)
 
         absorb = apply_absorber
     else:

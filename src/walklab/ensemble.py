@@ -5,7 +5,9 @@ seed child_seed(master_seed, i), so results are reproducible. All
 realizations run as the rows of one batched walk, split into blocks only
 to bound memory; averages are reduced in fixed realization-index order.
 Each block's lengths are drawn just before it runs, and its results are
-written straight into the ensemble's matrices.
+written straight into the ensemble's matrices. Blocks are sized by the bytes
+their rows store, so a real-amplitude quantum walk runs fewer, larger
+blocks. Fits take their t quantile from finite sums, so no scipy is loaded.
 """
 from __future__ import annotations
 
@@ -22,15 +24,16 @@ from .engine import (
     AbsorptionRecord,
     WalkConfig,
     frame_span,
+    real_amplitudes,
     record_walk,
 )
 from .errors import ConfigurationError, NoAbsorptionError, NumericalError
 
 # A row of a block holds its step lengths (8 bytes a step), its share of the
-# block's two walk buffers (C · itemsize bytes a column for C channels) and
-# of the three float arrays a σ holds (8 bytes a column each). Blocks take
-# realizations in index order while their rows stay under BLOCK_BYTES (a
-# single row may exceed it).
+# block's two walk buffers (SITE_BYTES a column, half that for the float64
+# amplitudes of a real quantum walk) and of the three float arrays a σ holds
+# (8 bytes a column each). Blocks take realizations in index order while
+# their rows stay under BLOCK_BYTES (a single row may exceed it).
 BLOCK_BYTES = 2 ** 18
 
 
@@ -87,7 +90,8 @@ def _row_bytes(walk: WalkConfig, farthest: int, longest: int) -> int:
     `farthest` in all and `longest` in one step."""
     _, columns = frame_span(walk.initial_position, farthest, longest,
                             walk.absorber, rows=2)
-    return 8 * walk.steps + (2 * SITE_BYTES[walk.engine] + 3 * 8) * columns
+    site = SITE_BYTES[walk.engine] // (2 if real_amplitudes(walk) else 1)
+    return 8 * walk.steps + (2 * site + 3 * 8) * columns
 
 
 def run_ensemble(
@@ -269,6 +273,39 @@ def check_fit_range(t_lo: int, t_hi: int, points: int) -> None:
         )
 
 
+def _t_quantile(nu: int, q: float) -> float:
+    """The q quantile, for q in [1/2, 1), of Student's t with `nu` ≥ 1
+    (integer) degrees of freedom.
+
+    With θ = atan(t/√ν), A(θ) = P(|T| ≤ t) is a finite sum in θ
+    (Abramowitz & Stegun 26.7.3 for odd ν, 26.7.4 for even ν), concave and
+    increasing on [0, π/2), so Newton steps from θ = 0 rise to the root of
+    A(θ) = 2q − 1 without overshooting.
+    """
+    odd = nu & 1
+    slope = 2.0 * math.exp(math.lgamma((nu + 1) / 2) - math.lgamma(nu / 2)) \
+        / math.sqrt(math.pi)  # dA/dθ = slope · cos^(ν−1) θ
+    ratios = [(2 * k - 1 + odd) / (2 * k + odd) for k in range(1, nu // 2)]
+    theta = 0.0
+    for _ in range(100):
+        sin, cos = math.sin(theta), math.cos(theta)
+        cos2 = cos * cos
+        term, total = 1.0, 1.0 if nu > 1 else 0.0  # ν = 1 has no sum
+        for ratio in ratios:
+            term *= ratio * cos2
+            total += term
+        if odd:
+            area = 2.0 / math.pi * (theta + sin * cos * total)
+        else:
+            area = sin * total
+        delta = (2.0 * q - 1.0 - area) / (slope * cos ** (nu - 1))
+        theta += delta
+        # quadratic convergence: the error left is far below rounding
+        if abs(delta) <= 1e-12 * theta:
+            break
+    return math.sqrt(nu) * math.tan(theta)
+
+
 def fit_exponent(curve: AveragedCurve, t_lo: int = 20, t_hi: int = 80) -> FitResult:
     """OLS fit of ln(value) against ln(t) over integer t in [t_lo, t_hi]."""
     mask = (curve.abscissa >= t_lo) & (curve.abscissa <= t_hi)
@@ -292,11 +329,8 @@ def fit_exponent(curve: AveragedCurve, t_lo: int = 20, t_hi: int = 80) -> FitRes
     rss = float(np.sum(resid ** 2))
     residual_rms = math.sqrt(rss / n)
     if n > 2:
-        # imported on use: scipy would dominate the CLI's start-up
-        from scipy.special import stdtrit
-
         slope_se = math.sqrt(rss / (n - 2) / sxx)
-        ci95 = float(stdtrit(n - 2, 0.975)) * slope_se
+        ci95 = _t_quantile(n - 2, 0.975) * slope_se
     else:
         ci95 = float("inf")
     return FitResult(

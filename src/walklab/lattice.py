@@ -3,9 +3,10 @@
 A step of length l moves a walker's mass from site n to n ± l, so after
 every step all of one walk's mass sits on sites of one parity. A state
 stores only that sublattice: column j of a row of parity p is site
-n_min + p + 2j. A quantum state stores two complex amplitude arrays
-(left-mover and right-mover components) over a window of such columns; a
-classical state stores one probability array over the same kind of window.
+n_min + p + 2j. A quantum state stores two amplitude arrays (left-mover
+and right-mover components, float64 or complex128) over a window of such
+columns; a classical state stores one probability array over the same kind
+of window.
 A walk's window holds the columns within reach of its start, cut at the
 absorber: no site outside it carries surviving mass, so propagation is
 exact. Every array may carry a leading row axis: R independent walks (rows)
@@ -112,7 +113,9 @@ class QuantumState(_Window):
 
     time: int
     n_min: int
-    psi: np.ndarray  # complex128, shape ([rows,] 2, width); L = 0, R = 1
+    # shape ([rows,] 2, width), L = 0, R = 1: float64 when the walk's coin
+    # and start are real (its amplitudes stay real), else complex128
+    psi: np.ndarray
     parity: Union[int, np.ndarray] = 0  # per row when the rows differ
     frame: Optional[Frame] = None
 
@@ -258,8 +261,10 @@ def initial_quantum_state(
     position: int = 0,
     amp_left: complex = 1.0,
     amp_right: complex = 0.0,
+    dtype=np.complex128,
 ) -> QuantumState:
-    """Walker localized at one site with the given coin amplitudes.
+    """Walker localized at one site with the given coin amplitudes, stored
+    as `dtype` (float64 takes real amplitudes only).
 
     The coin vector must be normalized: |amp_left|² + |amp_right|² = 1.
     """
@@ -268,7 +273,7 @@ def initial_quantum_state(
         raise ConfigurationError(
             f"initial coin amplitudes must be normalized, got |.|^2 = {norm}"
         )
-    psi = np.zeros((2, 1), dtype=np.complex128)
+    psi = np.zeros((2, 1), dtype=dtype)
     psi[LEFT, 0] = amp_left
     psi[RIGHT, 0] = amp_right
     return QuantumState(time=0, n_min=int(position), psi=psi)

@@ -829,8 +829,7 @@ def test_cli_import_leaves_out_scipy_stats():
 ], ids=["series", "absorb-quantum", "absorb-classical", "walk-quantum",
         "walk-classical", "raabe-quantum", "raabe-classical"])
 def test_commands_without_disorder_or_fits_run_without_scipy(argv):
-    # only the fit's t quantile needs scipy.special; the closed-form series
-    # step exact term ratios
+    # the closed-form series step exact term ratios
     _assert_runs_without_scipy(argv)
 
 
@@ -854,6 +853,18 @@ def test_commands_without_disorder_or_fits_run_without_scipy(argv):
         "walk-point-mass"])
 def test_disordered_walk_and_absorb_run_without_scipy(argv):
     # pmf tables take log-gamma from math.lgamma
+    _assert_runs_without_scipy(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--presets", "tableII-binomial", "--realizations", "5",
+     "--steps", "30", "--t-range", "10:30"],
+    ["exponent", "--engine", "quantum", "--steps", "30", "--t-range", "10:30"],
+    ["exponent", "--engine", "classical", "--steps", "30", "--t-range", "10:30",
+     "--disorder", "poisson:lambda=1", "--realizations", "5"],
+], ids=["sweep", "exponent-quantum", "exponent-classical"])
+def test_fits_run_without_scipy(argv):
+    # the fit's t quantile comes from finite sums
     _assert_runs_without_scipy(argv)
 
 

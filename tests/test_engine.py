@@ -13,6 +13,7 @@ from walklab import (
     coin_by_name,
     hadamard_coin,
     initial_quantum_state,
+    iterate_walk,
     kempe_coin,
     mirrored_hadamard_coin,
     probability_distribution,
@@ -47,6 +48,34 @@ def test_coin_matrices_unitary():
 def test_non_unitary_coin_rejected():
     with pytest.raises(ConfigurationError):
         CoinOperator(1.0, 0.0, 0.0, 0.5)
+
+
+_H = 1 / np.sqrt(2)
+# the Hadamard coin with its real entries held as complex numbers
+COMPLEX_TYPED_HADAMARD = CoinOperator(_H + 0j, _H + 0j, _H + 0j, -_H + 0j)
+
+
+@pytest.mark.parametrize("coin, amps, dtype", [
+    (hadamard_coin(), (1.0, 0.0), np.float64),
+    (mirrored_hadamard_coin(), (0.0, 1.0), np.float64),
+    (COMPLEX_TYPED_HADAMARD, (1 + 0j, 0j), np.float64),
+    (kempe_coin(), (1.0, 0.0), np.complex128),
+    (hadamard_coin(), (_H, 1j * _H), np.complex128),
+], ids=["hadamard", "mirrored", "complex-typed-real", "kempe", "complex-start"])
+def test_walk_amplitude_dtype(coin, amps, dtype):
+    config = WalkConfig(steps=6, coin=coin, initial_amp_left=amps[0],
+                        initial_amp_right=amps[1], absorber=AbsorberConfig(2))
+    for state, _ in iterate_walk(config):
+        assert state.psi.dtype == dtype
+
+
+def test_complex_typed_real_coin_walks_like_hadamard():
+    config = WalkConfig(steps=20, coin=COMPLEX_TYPED_HADAMARD, initial_amp_left=1 + 0j,
+                        initial_amp_right=0j, absorber=AbsorberConfig(2))
+    want = run_walk(WalkConfig(steps=20, absorber=AbsorberConfig(2)))
+    got = run_walk(config)
+    assert np.array_equal(got.record.per_step, want.record.per_step)
+    assert np.array_equal(got.sigma, want.sigma)
 
 
 def test_coin_by_name():

@@ -375,3 +375,34 @@ def test_absorbing_time_growth_reverses_under_disorder():
     disordered = gamma(disorder_avg_absorb_time(
         EnsembleConfig(walk, 40, master_seed=1, disorder=poisson(1.0)), hs))
     assert disordered.alpha - disordered.ci95_halfwidth > 0.5
+
+
+def test_t_quantile_matches_scipy_stdtrit():
+    # scipy is an oracle here only; the library takes the quantile from
+    # finite sums
+    from scipy.special import stdtrit
+
+    nus = np.arange(1, 2001)
+    want = stdtrit(nus, 0.975)
+    got = np.array([ensemble._t_quantile(int(nu), 0.975) for nu in nus])
+    np.testing.assert_allclose(got, want, rtol=2e-13, atol=0)
+
+
+@pytest.mark.parametrize("q", [0.5, 0.6, 0.75, 0.9, 0.95, 0.975])
+def test_t_quantile_matches_closed_forms(q):
+    cauchy = math.tan(math.pi * (q - 0.5))
+    assert ensemble._t_quantile(1, q) == pytest.approx(cauchy, rel=1e-15, abs=1e-15)
+    two = (2 * q - 1) / math.sqrt(2 * q * (1 - q))
+    assert ensemble._t_quantile(2, q) == pytest.approx(two, rel=1e-15, abs=1e-15)
+
+
+def test_fit_ci95_is_t_quantile_times_slope_stderr():
+    ts = np.arange(20, 81)
+    values = ts ** 0.6 * (1.0 + 0.01 * np.sin(ts))
+    fit = fit_exponent(_curve(ts, values), t_lo=20, t_hi=80)
+    # the slope's standard error from numpy's least-squares covariance
+    _, cov = np.polyfit(np.log(ts), np.log(values), 1, cov=True)
+    slope_se = math.sqrt(cov[0, 0])
+    assert fit.n_points == 61
+    assert fit.ci95_halfwidth == pytest.approx(
+        ensemble._t_quantile(59, 0.975) * slope_se, rel=1e-12)

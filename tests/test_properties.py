@@ -10,6 +10,7 @@ or odd start, and an absorber on either side of it.
 """
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from walklab import (
     absorption_summary,
     child_seed,
     coin_by_name,
+    engine,
     ensemble,
     first_passage_series,
     generating_function,
@@ -281,6 +283,40 @@ def test_parity_windows_match_oracles_every_step(config):
             got = dict(zip(*own))
             for site in set(got) | set(want):
                 assert abs(got.get(site, 0.0) - want.get(site, 0.0)) <= TOL
+
+
+@st.composite
+def real_walks(draw):
+    """A quantum walk with a real coin and start: 1–4 rows of step lengths,
+    and an absorber on either side of the origin or none."""
+    steps, rows = draw(st.integers(1, 24)), draw(st.integers(1, 4))
+    lengths = draw(st.lists(
+        st.lists(st.integers(0, 3), min_size=steps, max_size=steps),
+        min_size=rows, max_size=rows))
+    position = draw(st.one_of(st.none(), st.integers(-6, 6).filter(bool)))
+    initial = draw(st.sampled_from(((1.0, 0.0), (0.0, 1.0))))
+    return WalkConfig(
+        steps=steps,
+        coin=coin_by_name(draw(st.sampled_from(("hadamard", "hadamard-mirrored")))),
+        initial_amp_left=initial[0],
+        initial_amp_right=initial[1],
+        absorber=None if position is None else AbsorberConfig(position),
+        step_lengths=np.array(lengths if rows > 1 else lengths[0], dtype=np.int64),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(real_walks())
+def test_real_amplitudes_equal_complex_walk_bit_for_bit(config):
+    """The float64 fast path against the same walk stepped on complex128."""
+    fast = run_walk(config)
+    with mock.patch.object(engine, "real_amplitudes", return_value=False):
+        slow = run_walk(config)
+    assert fast.final_state.psi.dtype == np.float64
+    assert slow.final_state.psi.dtype == np.complex128
+    assert fast.record.horizon == slow.record.horizon
+    assert np.array_equal(fast.record.per_step, slow.record.per_step)
+    assert np.array_equal(fast.sigma, slow.sigma, equal_nan=True)
 
 
 @st.composite
