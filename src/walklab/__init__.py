@@ -13,11 +13,8 @@ from .lattice import (
     PositionDistribution,
     initial_classical_state,
     initial_quantum_state,
-    mean_position,
     probability_distribution,
-    renormalize,
     std_dev,
-    total_mass,
 )
 from .engine import (
     AbsorberConfig,
@@ -25,8 +22,6 @@ from .engine import (
     CoinOperator,
     WalkConfig,
     apply_absorber,
-    apply_coin,
-    apply_shift,
     coin_by_name,
     hadamard_coin,
     iterate_walk,
@@ -87,16 +82,16 @@ __all__ = [
     "NoAbsorptionError", "NumericalError", "PositionDistribution",
     "PowerSeries", "TABLE2_PRESETS", "WalkConfig", "WalklabError",
     "absorption_probabilities", "absorption_summaries", "absorption_summary",
-    "apply_absorber", "apply_coin", "apply_shift", "binomial", "build_spec",
-    "child_seed", "classical_avg_time_partial", "classical_avg_time_ratio",
+    "apply_absorber", "binomial", "build_spec", "child_seed",
+    "classical_avg_time_partial", "classical_avg_time_ratio",
     "classical_first_passage", "classical_total_absorption", "coin_by_name",
     "crw_step", "disorder_avg_absorb_time", "disorder_avg_sigma",
     "finite_horizon_avg_time", "first_passage_series", "fit_exponent",
     "generating_function", "geometric", "geometric_shifted", "hadamard_coin",
     "hypergeometric", "initial_classical_state", "initial_quantum_state",
-    "iterate_walk", "kempe_coin", "mean_position", "mirrored_hadamard_coin",
+    "iterate_walk", "kempe_coin", "mirrored_hadamard_coin",
     "negative_binomial", "point_mass", "poisson", "probability_distribution",
     "quantum_absorption_prob", "quantum_avg_time_ratio", "raabe_estimate",
-    "renormalize", "run_ensemble", "run_walk", "sample_realization",
-    "snapshot_distribution", "std_dev", "step", "total_mass",
+    "run_ensemble", "run_walk", "sample_realization", "snapshot_distribution",
+    "std_dev", "step",
 ]

@@ -382,6 +382,17 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="output path, or - for stdout")
 
 
+def _add_walk_flags(parser: argparse.ArgumentParser, steps: Optional[int] = None,
+                    absorber_required: bool = False) -> None:
+    """The flags of one walk; --steps is required unless given a default."""
+    parser.add_argument("--engine", choices=("quantum", "classical"), required=True)
+    parser.add_argument("--coin", default="hadamard")
+    parser.add_argument("--initial", choices=("L", "R"), default="L")
+    parser.add_argument("--steps", type=int, default=steps, required=steps is None)
+    parser.add_argument("--absorber", type=int, default=None, required=absorber_required)
+    parser.add_argument("--disorder", default=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="walklab",
@@ -392,24 +403,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("walk", help="position distributions at snapshot times")
-    p.add_argument("--engine", choices=("quantum", "classical"), required=True)
-    p.add_argument("--coin", default="hadamard")
-    p.add_argument("--initial", choices=("L", "R"), default="L")
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--absorber", type=int, default=None)
-    p.add_argument("--disorder", default=None)
+    _add_walk_flags(p)
     p.add_argument("--snapshot", type=int, action="append",
                    help="snapshot time (repeatable; default: final step)")
     _add_common(p)
     p.set_defaults(func=cmd_walk)
 
     p = sub.add_parser("absorb", help="absorption record or averaged absorbing time")
-    p.add_argument("--engine", choices=("quantum", "classical"), required=True)
-    p.add_argument("--coin", default="hadamard")
-    p.add_argument("--initial", choices=("L", "R"), default="L")
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--absorber", type=int, required=True)
-    p.add_argument("--disorder", default=None)
+    _add_walk_flags(p, absorber_required=True)
     p.add_argument("--realizations", type=int, default=None,
                    help="ensemble size (requires --disorder; default 40)")
     p.add_argument("--horizons", default=None,
@@ -432,12 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("exponent", help="fit the spreading exponent")
-    p.add_argument("--engine", choices=("quantum", "classical"), required=True)
-    p.add_argument("--coin", default="hadamard")
-    p.add_argument("--initial", choices=("L", "R"), default="L")
-    p.add_argument("--steps", type=int, default=80)
-    p.add_argument("--absorber", type=int, default=None)
-    p.add_argument("--disorder", default=None)
+    _add_walk_flags(p, steps=80)
     p.add_argument("--realizations", type=int, default=None,
                    help="default: 200 with disorder, 1 without")
     p.add_argument("--t-range", dest="t_range", default="20:80")

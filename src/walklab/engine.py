@@ -128,52 +128,30 @@ class AbsorberConfig:
             raise ConfigurationError("absorber position must be nonzero")
 
 
-def _evolve(state: QuantumState, coin: Optional[CoinOperator], l) -> QuantumState:
-    """Apply `coin` (None: none) and move the components l sites apart,
-    writing into the spare buffer; overwrites the input window."""
+def step(state: QuantumState, coin: CoinOperator, l=1) -> QuantumState:
+    """One full evolution step: apply `coin` and move the L component l
+    sites down and the R component l sites up (`l` is one length, or one per
+    row), writing into the spare buffer; advances the step counter and
+    overwrites the input state's window."""
     moved, down, up = plan_move(state, l)
     psi, out = state.psi, moved.psi
     src_l, src_r = psi[..., LEFT, :], psi[..., RIGHT, :]
     if isinstance(down, int):  # one length and parity: plain slices, l apart
         width = psi.shape[-1]
         left, right = out[..., LEFT, :width], out[..., RIGHT, up:]
-        if coin is None:
-            left[...], right[...] = src_l, src_r
-        else:
-            # a·L + c·R and b·L + d·R with no temporary: each cross term
-            # is written first, then each source scaled in place and added
-            np.multiply(src_r, coin.c, out=left)
-            np.multiply(src_l, coin.b, out=right)
-            np.add(left, np.multiply(src_l, coin.a, out=src_l), out=left)
-            np.add(right, np.multiply(src_r, coin.d, out=src_r), out=right)
+        # a·L + c·R and b·L + d·R with no temporary: each cross term
+        # is written first, then each source scaled in place and added
+        np.multiply(src_r, coin.c, out=left)
+        np.multiply(src_l, coin.b, out=right)
+        np.add(left, np.multiply(src_l, coin.a, out=src_l), out=left)
+        np.add(right, np.multiply(src_r, coin.d, out=src_r), out=right)
         out[..., LEFT, width:] = out[..., RIGHT, :up] = 0
-        return moved
-    if coin is not None:  # in place: the input window is spent
+    else:  # coin in place (the input window is spent), then place the rows
         cross_l, cross_r = coin.c * src_r, coin.b * src_l
         np.add(np.multiply(src_l, coin.a, out=src_l), cross_l, out=src_l)
         np.add(np.multiply(src_r, coin.d, out=src_r), cross_r, out=src_r)
-    out[...] = 0
-    place_rows(out, psi, np.stack([down, up], axis=1))
-    return moved
-
-
-def apply_coin(state: QuantumState, coin: CoinOperator) -> QuantumState:
-    """Apply the coin at every site; overwrites the input state's window."""
-    return _evolve(state, coin, 0)
-
-
-def apply_shift(state: QuantumState, l=1) -> QuantumState:
-    """Move the L component l sites down and the R component l sites up.
-
-    `l` is one length, or one per row; the window grows by the longest.
-    """
-    return _evolve(state, None, l)
-
-
-def step(state: QuantumState, coin: CoinOperator, l=1) -> QuantumState:
-    """One full evolution step (coin then shift); advances the step counter
-    and overwrites the input state's window."""
-    moved = _evolve(state, coin, l)
+        out[...] = 0
+        place_rows(out, psi, np.stack([down, up], axis=1))
     moved.time += 1
     return moved
 
@@ -191,7 +169,10 @@ class AbsorptionRecord:
     """Per-step absorbed probabilities p_t for t = 1..horizon (per row)."""
 
     per_step: np.ndarray  # shape ([rows,] horizon)
-    horizon: int
+
+    @property
+    def horizon(self) -> int:
+        return self.per_step.shape[-1]
 
     @property
     def cumulative_total(self):
@@ -397,7 +378,7 @@ def run_walk(config: WalkConfig,
     state, horizon = record_walk(config, per_step, sigma,
                                  {t: t - 1 for t in times})
     return WalkResult(
-        record=AbsorptionRecord(per_step=per_step[..., :horizon], horizon=horizon),
+        record=AbsorptionRecord(per_step=per_step[..., :horizon]),
         sigma=None if sigma is None else sigma[..., :horizon],
         final_state=state,
     )

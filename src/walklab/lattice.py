@@ -23,6 +23,7 @@ consumes its input, and a state is valid only until the next step.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
@@ -55,6 +56,12 @@ def step_lengths(l):
     if shortest < 0:
         raise ConfigurationError(f"step length must be nonnegative, got {shortest}")
     return l
+
+
+# as_strided reads __array_interface__, whose "typestr" key numpy interns
+# anew per call unless something holds it; holding it spares the interpreter
+# reallocating its interned-string table (1-2 MB) every 10^4 or so steps
+_TYPESTR = sys.intern("typestr")
 
 
 def place_rows(out: np.ndarray, values: np.ndarray, starts: np.ndarray) -> None:
@@ -284,11 +291,6 @@ def initial_classical_state(position: int = 0) -> ClassicalState:
     return ClassicalState(time=0, n_min=int(position), prob=np.array([1.0]))
 
 
-def total_mass(state):
-    """Unabsorbed probability mass of a quantum or classical state (per row)."""
-    return state.mass()
-
-
 def probability_distribution(state) -> PositionDistribution:
     """Site-by-site probabilities of a quantum or classical state (per row)."""
     if isinstance(state, QuantumState):
@@ -300,23 +302,6 @@ def probability_distribution(state) -> PositionDistribution:
         raise ConfigurationError(f"not a walker state: {type(state).__name__}")
     return PositionDistribution(time=state.time, positions=state.positions,
                                 probs=probs)
-
-
-def renormalize(dist: PositionDistribution) -> PositionDistribution:
-    """Rescale to unit mass (conditioning on survival)."""
-    m = dist.mass()
-    if m <= 0.0:
-        raise EmptyStateError("cannot renormalize a zero-mass distribution")
-    return PositionDistribution(
-        time=dist.time, positions=dist.positions.copy(), probs=dist.probs / m
-    )
-
-
-def mean_position(dist: PositionDistribution) -> float:
-    m = dist.mass()
-    if m <= 0.0:
-        raise EmptyStateError("zero-mass distribution has no mean position")
-    return float(np.sum(dist.positions * dist.probs) / m)
 
 
 def std_dev(dist: PositionDistribution):

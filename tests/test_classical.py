@@ -20,7 +20,6 @@ from walklab import (
     probability_distribution,
     run_walk,
     snapshot_distribution,
-    total_mass,
 )
 from walklab.classical import crw_apply_absorber
 from walklab.lattice import ClassicalState
@@ -168,7 +167,7 @@ def test_avg_time_term_values():
 
 def test_mass_accounting():
     result = run_walk(WalkConfig(steps=60, engine="classical", absorber=AbsorberConfig(3)))
-    assert total_mass(result.final_state) + result.record.cumulative_total \
+    assert result.final_state.mass() + result.record.cumulative_total \
         == pytest.approx(1.0, abs=1e-12)
 
 
@@ -206,7 +205,7 @@ def test_absorber_inside_a_column_cuts_only_the_rows_it_reaches():
     state = crw_step(state, l=np.array([1, 2]))
     kept, absorbed = crw_apply_absorber(state, AbsorberConfig(1))
     np.testing.assert_array_equal(absorbed, [0.5, 0.5])
-    np.testing.assert_array_equal(total_mass(kept), [0.5, 0.5])
+    np.testing.assert_array_equal(kept.mass(), [0.5, 0.5])
     dist = probability_distribution(kept)
     for sites, probs, want in zip(dist.positions, dist.probs, ({-1: 0.5}, {-2: 0.5})):
         assert {n: p for n, p in zip(sites.tolist(), probs.tolist()) if p} == want

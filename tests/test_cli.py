@@ -19,7 +19,7 @@ from walklab import (
     ensemble,
     finite_horizon_avg_time,
 )
-from walklab.cli import main, parse_disorder
+from walklab.cli import build_parser, main, parse_disorder
 from walklab.engine import MAX_ARRAY_BYTES
 from walklab.series import MAX_ORDER, RAABE_MAX_N
 
@@ -144,7 +144,7 @@ def test_absorb_avg_time_matches_per_horizon_reference(engine, steps, capsys):
     assert rc == 0
     _, _, rows = parse_csv(out)
     p = np.array([float(r[1]) for r in rows])
-    record = AbsorptionRecord(per_step=p, horizon=p.size)
+    record = AbsorptionRecord(per_step=p)
     for t, row in enumerate(rows, start=1):
         if row[3] == "":
             assert not np.any(p[:t])
@@ -525,6 +525,26 @@ def test_exit_code_bad_workers(capsys):
     )
     assert rc == 2
     assert "workers" in err
+
+
+@pytest.mark.parametrize("command, required, defaults", [
+    ("walk", ["--engine", "--steps"], {"absorber": None}),
+    ("absorb", ["--engine", "--steps", "--absorber"], {}),
+    ("exponent", ["--engine"], {"steps": 80, "absorber": None}),
+])
+def test_walk_flags_required_and_defaults(command, required, defaults, capsys):
+    given = {"--engine": "quantum", "--steps": "5", "--absorber": "2"}
+    args = build_parser().parse_args(
+        [command] + [x for flag in required for x in (flag, given[flag])])
+    expected = {"coin": "hadamard", "initial": "L", "disorder": None, **defaults}
+    assert {key: getattr(args, key) for key in expected} == expected
+    for missing in required:
+        argv = [x for flag in required if flag != missing for x in (flag, given[flag])]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *argv])
+        assert exc.value.code == 2
+        assert f"the following arguments are required: {missing}" \
+            in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

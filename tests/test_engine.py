@@ -8,18 +8,18 @@ from walklab import (
     CoinOperator,
     WalkConfig,
     apply_absorber,
-    apply_coin,
-    apply_shift,
     coin_by_name,
+    crw_step,
     hadamard_coin,
+    initial_classical_state,
     initial_quantum_state,
     iterate_walk,
     kempe_coin,
     mirrored_hadamard_coin,
     probability_distribution,
     run_walk,
+    std_dev,
     step,
-    total_mass,
 )
 from walklab.engine import snapshot_distribution
 
@@ -125,7 +125,7 @@ def test_mass_conservation_no_absorber():
     state = initial_quantum_state()
     for _ in range(300):
         state = step(state, hadamard_coin())
-        assert abs(total_mass(state) - 1.0) < 1e-12
+        assert abs(state.mass() - 1.0) < 1e-12
 
 
 def test_absorber_empties_far_side():
@@ -134,7 +134,7 @@ def test_absorber_empties_far_side():
     d = probability_distribution(result.final_state)
     assert np.all(d.probs[d.positions >= 2] == 0.0)
     # mass accounting closes
-    assert total_mass(result.final_state) + result.record.cumulative_total \
+    assert result.final_state.mass() + result.record.cumulative_total \
         == pytest.approx(1.0, abs=1e-12)
 
 
@@ -156,10 +156,10 @@ def test_apply_absorber_returns_removed_mass():
     state = initial_quantum_state()
     for _ in range(3):
         state = step(state, hadamard_coin())
-    before = total_mass(state)
+    before = state.mass()
     state, absorbed = apply_absorber(state, AbsorberConfig(2))
     assert absorbed > 0.0
-    assert total_mass(state) == pytest.approx(before - absorbed, abs=1e-12)
+    assert state.mass() == pytest.approx(before - absorbed, abs=1e-12)
 
 
 def test_coin_variants_same_probabilities():
@@ -198,8 +198,7 @@ def test_global_phase_invariance():
 
 
 def test_shift_lengths():
-    state = apply_coin(initial_quantum_state(), hadamard_coin())
-    moved = apply_shift(state, 3)
+    moved = step(initial_quantum_state(), hadamard_coin(), l=3)
     d = probability_distribution(moved)
     support = {int(n) for n, p in zip(d.positions, d.probs) if p != 0.0}
     assert support == {-3, 3}
@@ -221,7 +220,9 @@ def test_zero_length_applies_coin_only():
 
 def test_negative_length_rejected():
     with pytest.raises(ConfigurationError):
-        apply_shift(initial_quantum_state(), -1)
+        step(initial_quantum_state(), hadamard_coin(), -1)
+    with pytest.raises(ConfigurationError):
+        crw_step(initial_classical_state(), -1)
 
 
 def test_config_validates_lengths():
@@ -267,18 +268,18 @@ def test_batched_walk_runs_until_every_row_is_empty():
     np.testing.assert_allclose(result.record.per_step[0], [0, 1, 0, 0], atol=1e-15)
     assert np.isnan(result.sigma[0, 1:]).all()
     assert np.isfinite(result.sigma[1]).all()
-    assert total_mass(result.final_state)[0] == 0.0
+    assert result.final_state.mass()[0] == 0.0
 
 
 def test_sigma_is_renormalized_spread():
     config = WalkConfig(steps=30, absorber=AbsorberConfig(2))
     result = run_walk(config)
-    from walklab import renormalize, std_dev
-
     state = initial_quantum_state()
     expected = []
     for _ in range(30):
         state = step(state, hadamard_coin())
         state, _ = apply_absorber(state, AbsorberConfig(2))
-        expected.append(std_dev(renormalize(probability_distribution(state))))
+        dist = probability_distribution(state)
+        dist.probs /= dist.mass()
+        expected.append(std_dev(dist))
     np.testing.assert_allclose(result.sigma, expected, atol=1e-12)

@@ -1,6 +1,5 @@
 """Tests for disorder ensembles: averaging, exclusions, and exponent fits."""
 import math
-import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -29,14 +28,6 @@ from walklab import (
     sample_realization,
 )
 from walklab import ensemble
-
-# numpy's __array_interface__ (which lattice.place_rows reaches through
-# as_strided) interns the key "typestr" anew on each call unless something
-# holds that string, and the interpreter then reallocates its interned-string
-# table (1-2 MB) every 10^4 or so steps. Holding it keeps that reallocation
-# out of the traced peaks below.
-_TYPESTR = sys.intern("typestr")
-
 
 def _pad(result, steps):
     p = np.zeros(steps)
@@ -185,14 +176,14 @@ def test_avg_sigma_stderr_shrinks_with_ensemble_size():
 
 
 def test_finite_horizon_avg_time_hand_values():
-    record = AbsorptionRecord(per_step=np.array([0.5, 0.25]), horizon=2)
+    record = AbsorptionRecord(per_step=np.array([0.5, 0.25]))
     assert finite_horizon_avg_time(record, 1) == pytest.approx(1.0, abs=1e-15)
     assert finite_horizon_avg_time(record, 2) == pytest.approx(4.0 / 3.0, abs=1e-15)
     # horizons beyond the recorded range clamp to what was recorded
     assert finite_horizon_avg_time(record, 10) == pytest.approx(4.0 / 3.0, abs=1e-15)
     with pytest.raises(ConfigurationError):
         finite_horizon_avg_time(record, 0)
-    empty = AbsorptionRecord(per_step=np.zeros(4), horizon=4)
+    empty = AbsorptionRecord(per_step=np.zeros(4))
     with pytest.raises(NoAbsorptionError):
         finite_horizon_avg_time(empty, 4)
 

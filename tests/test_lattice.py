@@ -7,11 +7,8 @@ from walklab import (
     PositionDistribution,
     initial_classical_state,
     initial_quantum_state,
-    mean_position,
     probability_distribution,
-    renormalize,
     std_dev,
-    total_mass,
 )
 
 
@@ -24,7 +21,7 @@ def dist(pairs, time=0):
 def test_initial_quantum_state_point_mass():
     state = initial_quantum_state()
     assert state.time == 0
-    assert total_mass(state) == pytest.approx(1.0, abs=1e-15)
+    assert state.mass() == pytest.approx(1.0, abs=1e-15)
     d = probability_distribution(state)
     assert d.positions.tolist() == [0]
     assert d.probs.tolist() == [1.0]
@@ -39,7 +36,7 @@ def test_initial_quantum_state_normalization_check():
 
 def test_initial_classical_state():
     state = initial_classical_state(position=3)
-    assert total_mass(state) == pytest.approx(1.0, abs=1e-15)
+    assert state.mass() == pytest.approx(1.0, abs=1e-15)
     d = probability_distribution(state)
     assert d.positions.tolist() == [3]
 
@@ -60,26 +57,7 @@ def test_std_dev_renormalizes_internally():
     assert std_dev(half) == pytest.approx(std_dev(full), abs=1e-12)
 
 
-def test_mean_position():
-    assert mean_position(dist([(2, 0.5), (4, 0.5)])) == pytest.approx(3.0)
-
-
-def test_renormalize_examples():
-    out = renormalize(dist([(0, 0.5)]))
-    assert out.probs.tolist() == [1.0]
-    out = renormalize(dist([(-1, 0.25), (1, 0.25)]))
-    np.testing.assert_allclose(out.probs, [0.5, 0.5], atol=1e-15)
-    # already normalized input comes back unchanged
-    out = renormalize(dist([(-1, 0.5), (1, 0.5)]))
-    np.testing.assert_allclose(out.probs, [0.5, 0.5], atol=1e-15)
-    assert out.mass() == pytest.approx(1.0, abs=1e-12)
-
-
 def test_empty_distribution_errors():
     empty = dist([(0, 0.0), (2, 0.0)])
     with pytest.raises(EmptyStateError):
-        renormalize(empty)
-    with pytest.raises(EmptyStateError):
         std_dev(empty)
-    with pytest.raises(EmptyStateError):
-        mean_position(empty)

@@ -45,7 +45,6 @@ from walklab import (
     run_walk,
     sample_realization,
     series,
-    total_mass,
 )
 
 TOL = 1e-12
@@ -164,9 +163,9 @@ def test_absorbed_plus_surviving_mass_is_one(config):
     absorbed_so_far = 0.0
     for state, absorbed in iterate_walk(config):
         absorbed_so_far += absorbed
-        assert abs(absorbed_so_far + total_mass(state) - 1.0) <= TOL
+        assert abs(absorbed_so_far + state.mass() - 1.0) <= TOL
     result = run_walk(config)
-    total = result.record.cumulative_total + total_mass(result.final_state)
+    total = result.record.cumulative_total + result.final_state.mass()
     assert abs(total - 1.0) <= TOL
 
 
@@ -216,7 +215,7 @@ def test_random_unitary_coin_matches_oracle(absorbing, coin, chi, psi, lengths,
     absorbed_so_far = 0.0
     for state, step_absorbed in iterate_walk(config):
         absorbed_so_far += step_absorbed
-        assert abs(absorbed_so_far + total_mass(state) - 1.0) <= TOL
+        assert abs(absorbed_so_far + state.mass() - 1.0) <= TOL
     if not absorbing:
         assert not np.any(result.record.per_step)
 
@@ -270,7 +269,7 @@ def test_parity_windows_match_oracles_every_step(config):
         t = state.time
         assert_live_window(config, state)
         absorbed_so_far += absorbed
-        np.testing.assert_allclose(absorbed_so_far + total_mass(state), 1.0,
+        np.testing.assert_allclose(absorbed_so_far + state.mass(), 1.0,
                                    rtol=0, atol=TOL)
         dist = probability_distribution(state)
         probs = np.atleast_2d(dist.probs)
