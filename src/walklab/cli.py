@@ -56,63 +56,24 @@ from .series import (
 )
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    """Parse LO:HI into a pair of integers."""
-    lo, sep, hi = text.partition(":")
-    if not sep:
-        raise ConfigurationError(f"range {text!r} must look like LO:HI")
-    try:
-        return int(lo), int(hi)
-    except ValueError:
-        raise ConfigurationError(f"range bounds must be integers, got {text!r}") from None
+def _ints(text: str, sep: str, flag: str, pair: bool = False) -> list[int]:
+    """The integer grammar of every flag: `text` split on `sep`, each item
+    an integer; a pair (LO:HI, A..B) has exactly two."""
+    items = text.split(sep)
+    if not pair or len(items) == 2:
+        try:
+            return [int(item) for item in items]
+        except ValueError:
+            pass
+    shape = f"LO{sep}HI, two integers" if pair else f"integers separated by {sep!r}"
+    raise ConfigurationError(f"{flag} must be {shape}, got {text!r}")
 
 
-def _parse_m1_range(text: str) -> range:
-    lo, sep, hi = text.partition("..")
-    if not sep:
-        raise ConfigurationError(f"m1 range {text!r} must look like A..B")
-    try:
-        a, b = int(lo), int(hi)
-    except ValueError:
-        raise ConfigurationError(f"m1 range bounds must be integers, got {text!r}") from None
-    if a > b:
-        raise ConfigurationError(f"empty m1 range {text!r}")
-    # lazy: the table checks the order and each position before storing any
-    return range(a, b + 1)
-
-
-def _parse_int_list(text: str, flag: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError:
-        raise ConfigurationError(f"{flag} must be a comma-separated integer list") from None
-
-
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (float, np.floating)):
-        if math.isnan(value):
-            return ""
-        return repr(float(value))
-    if isinstance(value, np.integer):
-        return str(int(value))
-    return str(value)
-
-
-def _json_safe(value):
-    if isinstance(value, float) and math.isnan(value):
-        return None
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return _json_safe(float(value))
-    if isinstance(value, np.ndarray):
-        return [_json_safe(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
+def _value(value):
+    """The one cell rule: None and NaN are missing (empty in CSV, null in JSON);
+    a numpy float64 prints as its Python float (numpy 2's repr: np.float64(x))."""
+    if isinstance(value, float):  # np.float64 included
+        return None if math.isnan(value) else float(value)
     return value
 
 
@@ -123,13 +84,12 @@ def _render(args, meta: dict, columns: list[str], rows: list[tuple],
         lines = [f"# {k}={meta[k]}" for k in sorted(meta)]
         lines.append(",".join(columns))
         for row in rows:
-            lines.append(",".join(_cell(v) for v in row))
+            cells = ("" if v is None else str(v) for v in map(_value, row))
+            lines.append(",".join(cells))
         return "\n".join(lines) + "\n"
     payload = {
-        "meta": _json_safe(meta),
-        json_key: [
-            {col: _json_safe(v) for col, v in zip(columns, row)} for row in rows
-        ],
+        "meta": {k: _value(v) for k, v in meta.items()},
+        json_key: [dict(zip(columns, map(_value, row))) for row in rows],
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
@@ -176,15 +136,6 @@ def _walk_meta(args, spec: Optional[DisorderSpec]) -> dict:
     }
 
 
-def _ensemble_config(args, spec, absorber, realizations) -> EnsembleConfig:
-    return EnsembleConfig(
-        walk=_walk_config(args, absorber),
-        realizations=realizations,
-        master_seed=args.seed,
-        disorder=spec,
-    )
-
-
 def cmd_walk(args) -> str:
     spec = parse_disorder(args.disorder) if args.disorder else None
     absorber = AbsorberConfig(args.absorber) if args.absorber is not None else None
@@ -229,18 +180,15 @@ def cmd_absorb(args) -> str:
         )
     realizations = args.realizations if args.realizations is not None else 40
     horizons = (
-        _parse_int_list(args.horizons, "--horizons")
+        _ints(args.horizons, ",", "--horizons")
         if args.horizons
         else list(range(1, args.steps + 1))
     )
-    config = _ensemble_config(args, spec, absorber, realizations)
+    config = EnsembleConfig(_walk_config(args, absorber), realizations, args.seed, spec)
     curve = disorder_avg_absorb_time(config, horizons)
-    rows = [
-        (int(n), float(v), float(se), int(inc), int(config.realizations - inc))
-        for n, v, se, inc in zip(
-            curve.abscissa, curve.values, curve.stderr, curve.included
-        )
-    ]
+    rows = list(zip(curve.abscissa.tolist(), curve.values.tolist(),
+                    curve.stderr.tolist(), curve.included.tolist(),
+                    curve.excluded.tolist()))
     meta = {**_walk_meta(args, spec), "realizations": realizations,
             "total_excluded": int(np.sum(curve.excluded))}
     return _render(
@@ -270,14 +218,17 @@ def cmd_series(args) -> str:
             "verdict": report.verdict,
             "seed": args.seed,
         }
-        rows = [(int(n), float(e)) for n, e in report.samples]
-        return _render(args, meta, ["n", "ratio_estimate"], rows, "samples")
+        return _render(args, meta, ["n", "ratio_estimate"], report.samples, "samples")
     if args.m1 is not None and args.m1_range:
         raise ConfigurationError("use either --m1 or --m1-range, not both")
     if args.m1 is not None:
         positions = [args.m1]
     elif args.m1_range:
-        positions = _parse_m1_range(args.m1_range)
+        a, b = _ints(args.m1_range, "..", "--m1-range", pair=True)
+        if a > b:
+            raise ConfigurationError(f"empty m1 range {args.m1_range!r}")
+        # lazy: the table checks the order and each position before storing any
+        positions = range(a, b + 1)
     else:
         positions = list(range(1, 11))
     summaries = absorption_summaries(positions, args.initial, args.T, args.tail)
@@ -307,8 +258,9 @@ def cmd_exponent(args) -> str:
     realizations = args.realizations
     if realizations is None:
         realizations = 200 if spec is not None else 1
-    t_lo, t_hi = _parse_range(args.t_range)
-    fit = _fit_sigma(_ensemble_config(args, spec, absorber, realizations), t_lo, t_hi)
+    t_lo, t_hi = _ints(args.t_range, ":", "--t-range", pair=True)
+    config = EnsembleConfig(_walk_config(args, absorber), realizations, args.seed, spec)
+    fit = _fit_sigma(config, t_lo, t_hi)
     meta = {**_walk_meta(args, spec), "realizations": realizations,
             "t_range": args.t_range}
     rows = [(fit.alpha, fit.ci95_halfwidth, fit.intercept, fit.residual_rms,
@@ -330,7 +282,7 @@ def cmd_sweep(args) -> str:
         if name not in TABLE2_PRESETS:
             known = ", ".join(TABLE2_PRESETS)
             raise ConfigurationError(f"unknown preset {name!r} (known: {known})")
-    t_lo, t_hi = _parse_range(args.t_range)
+    t_lo, t_hi = _ints(args.t_range, ":", "--t-range", pair=True)
     absorber = AbsorberConfig(args.absorber)
     rows = []
     for name in names:
@@ -338,7 +290,8 @@ def cmd_sweep(args) -> str:
         mean, var = spec.moments()
         fits = {}
         for label, absorber_cfg in (("with", absorber), ("without", None)):
-            config = _ensemble_config(args, spec, absorber_cfg, args.realizations)
+            config = EnsembleConfig(_walk_config(args, absorber_cfg),
+                                    args.realizations, args.seed, spec)
             fits[label] = _fit_sigma(config, t_lo, t_hi)
         rows.append(
             (

@@ -6,7 +6,8 @@ all its steps. Sampling is inverse-CDF over a precomputed cumulative table
 (truncated where the remaining tail mass is below 1e-12), so identical
 (spec, seed, n) triples always reproduce identical lengths. Each family is
 declared once, in `_FAMILIES`; `parse_disorder` is its only text grammar.
-The pmf tables take log-gamma from `math.lgamma`, so sampling loads no scipy.
+The pmf tables take log-gamma from `math.lgamma`, or step the exact term
+ratio where log-gammas would cancel (large N or r): sampling loads no scipy.
 """
 from __future__ import annotations
 
@@ -52,8 +53,21 @@ def _xlog(x: np.ndarray, log_y: float) -> np.ndarray:
 _gammaln = np.vectorize(math.lgamma, otypes=[np.float64])
 
 
-def _log_comb(a, b):
-    return _gammaln(a + 1.0) - _gammaln(b + 1.0) - _gammaln(a - b + 1.0)
+def _from_ratios(l: np.ndarray, lowest: int, top: int, ratio: Callable,
+                 log_first=None) -> np.ndarray:
+    """p at the lengths l (in lowest..top) from the exact term ratio p(j+1)/p(j),
+    summed in logs; without log p(lowest), normalized over lowest..top, which
+    is then the whole (bounded) support."""
+    if top - lowest > _MAX_SUPPORT:
+        raise ConfigurationError(f"pmf table beyond the support cap of {_MAX_SUPPORT}")
+    j = np.arange(lowest, top, dtype=np.float64)
+    log_p = np.concatenate(([0.0], np.cumsum(np.log(ratio(j)))))
+    if log_first is None:
+        p = np.exp(log_p - log_p.max())
+        p /= np.sum(p)
+    else:
+        p = np.exp(log_first + log_p)
+    return p[l.astype(np.int64) - lowest]
 
 
 def _geometric(lowest: int) -> _Family:
@@ -88,9 +102,10 @@ _FAMILIES = {
         lambda N, K, n: N >= 1 and 0 <= K <= N and 0 <= n <= N,
         "N >= 1 and K, n in [0, N]",
         lambda N, K, n: (max(0, n - (N - K)), min(n, K)),
-        lambda l, N, K, n: np.exp(_log_comb(float(K), l)
-                                  + _log_comb(float(N - K), n - l)
-                                  - _log_comb(float(N), float(n))),
+        # N - K - n + 1 is summed as exact integers before j joins it
+        lambda l, N, K, n: _from_ratios(
+            l, max(0, n - (N - K)), min(n, K),
+            lambda j: (K - j) * (n - j) / ((j + 1) * (N - K - n + 1 + j))),
         lambda N, K, n: (n * K / N, n * (K / N) * (1 - K / N) * (N - n) / (N - 1)
                          if N > 1 else 0.0),
     ),
@@ -99,8 +114,8 @@ _FAMILIES = {
         ("r", "k"), (), lambda r, k: r > 0 and 0.0 < k < 1.0,
         "r > 0 and k in (0, 1)",
         lambda r, k: (0, None),
-        lambda l, r, k: np.exp(_gammaln(l + r) - _gammaln(r) - _gammaln(l + 1.0)
-                               + r * math.log(1 - k) + l * math.log(k)),
+        lambda l, r, k: _from_ratios(l, 0, int(l.max(initial=0)),
+                                     lambda j: (j + r) * k / (j + 1), r * math.log1p(-k)),
         lambda r, k: (r * k / (1 - k), r * k / (1 - k) ** 2),
     ),
     "geometric": _geometric(1),
@@ -144,9 +159,9 @@ class DisorderSpec:
                 raise ConfigurationError(
                     f"disorder parameter {key} must be finite, got {value!r}"
                 )
-            if key in fam.integers and not float(value).is_integer():
+            if key in fam.integers and value != int(value):  # exact, also for Fraction
                 raise ConfigurationError(
-                    f"{self.family} needs an integer {key}, got {value!r}"
+                    f"{self.family} needs an integer {key}, got {float(value)!r}"
                 )
         params = tuple((k, int(v) if k in fam.integers else float(v))
                        for k, v in self.params)
@@ -184,10 +199,10 @@ class DisorderSpec:
         return "sub_poissonian" if var < mean else "super_poissonian"
 
 
-def _fmt_num(v: float) -> str:
-    if float(v).is_integer():
-        return str(int(v))
-    return repr(float(v))
+def _fmt_num(v) -> str:
+    if isinstance(v, float) and v.is_integer():
+        v = int(v)
+    return repr(v)
 
 
 def _spec(family: str, *values) -> DisorderSpec:
@@ -223,16 +238,25 @@ def point_mass(length: int = 1) -> DisorderSpec:
     return _spec("point_mass", length)
 
 
+def _number(value, integer: bool):
+    """A float, or an integer key's value exactly as written (bar inf, nan)."""
+    number = float(value)
+    if not integer or not math.isfinite(number):
+        return number
+    from fractions import Fraction  # it loads decimal: imported only when needed
+    return Fraction(str(value))
+
+
 def build_spec(family: str, fields: dict) -> DisorderSpec:
     """Construct a spec from string-or-number parameter values, in any key
     order; the spec checks them."""
-    keys = _family(family).keys
-    if set(fields) != set(keys):
+    fam = _family(family)
+    if set(fields) != set(fam.keys):
         raise ConfigurationError(
-            f"family {family!r} needs parameters {keys}, got {tuple(sorted(fields))}"
+            f"family {family!r} needs parameters {fam.keys}, got {tuple(sorted(fields))}"
         )
     try:
-        return _spec(family, *(float(fields[k]) for k in keys))
+        return _spec(family, *(_number(fields[k], k in fam.integers) for k in fam.keys))
     except ValueError as exc:
         raise ConfigurationError(f"non-numeric disorder parameter: {exc}") from None
 
@@ -264,8 +288,10 @@ def parse_disorder(text: str) -> DisorderSpec:
             raise ConfigurationError(
                 f"malformed disorder parameter {item!r} (expected key=value)"
             )
-        key, _, value = item.partition("=")
-        fields[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in item.partition("="))
+        if key in fields:
+            raise ConfigurationError(f"disorder parameter {key!r} is given twice")
+        fields[key] = value
     return build_spec(family.strip(), fields)
 
 

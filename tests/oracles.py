@@ -169,6 +169,17 @@ def exact_absorption_fractions(m1, initial, order):
     return [c * c * scale for c in acc[1:]]
 
 
+def negative_binomial_product_pmf(r, k, l):
+    """P(step length = l) of the negative binomial as the product
+    (1 − k)^r · Π_{j<l} (r + j)k/(j + 1): the product in exact rationals of
+    the float parameters, (1 − k)^r as exp(r·log1p(−k)), rounded once each."""
+    r_exact, k_exact = Fraction(r), Fraction(k)
+    product = Fraction(1)
+    for j in range(l):
+        product *= (r_exact + j) * k_exact / (j + 1)
+    return float(product) * math.exp(r * math.log1p(-k))
+
+
 def pmf_oracle(family, params, l):
     """P(step length = l) from each family's closed form, one length at a
     time: exact rationals (`math.comb`, `Fraction`) for the binomial and

@@ -1,4 +1,5 @@
 """CLI behavior: output schemas, determinism, anchors, exit codes, goldens."""
+import argparse
 import ast
 import importlib
 import inspect
@@ -19,7 +20,7 @@ from walklab import (
     ensemble,
     finite_horizon_avg_time,
 )
-from walklab.cli import build_parser, main, parse_disorder
+from walklab.cli import _render, build_parser, main, parse_disorder
 from walklab.engine import MAX_ARRAY_BYTES
 from walklab.series import MAX_ORDER, RAABE_MAX_N
 
@@ -501,6 +502,8 @@ def test_exit_code_bad_disorder(capsys):
     ("binomial:n=2.5,p=0.5", "n"),
     ("point_mass:length=1.5", "length"),
     ("hypergeometric:N=10.7,K=5,n=2", "N"),
+    # a float would round N to the integer 9007199254740994
+    ("hypergeometric:N=9007199254740993.5,K=5,n=2", "N"),
 ])
 def test_non_integer_disorder_parameter_exits_2(spec, key, capsys):
     rc, out, err = run_cli(
@@ -509,6 +512,40 @@ def test_non_integer_disorder_parameter_exits_2(spec, key, capsys):
     assert rc == 2
     assert out == ""
     assert f"needs an integer {key}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["exponent", "--engine", "quantum", "--t-range", "5"],
+    ["exponent", "--engine", "quantum", "--t-range", "a:b"],
+    ["series", "--m1-range", "1-3"],
+    ["series", "--m1-range", "1..2..3"],
+    ["absorb", "--engine", "classical", "--absorber", "2", "--steps", "10",
+     "--disorder", "poisson:lambda=1", "--horizons", "5,x"],
+], ids=["t-range-one-item", "t-range-not-integers", "m1-range-wrong-separator",
+        "m1-range-three-items", "horizons-not-integers"])
+def test_malformed_integer_flag_exits_2(argv, capsys):
+    rc, out, err = run_cli(argv + ["--seed", "1"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and argv[-2] in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_render_one_cell_rule(fmt):
+    # a numpy float64 renders as the Python float it holds; NaN and None are
+    # both missing: empty cells in CSV, null in JSON
+    columns = ["a", "b", "c", "d", "e"]
+    args = argparse.Namespace(format=fmt)
+    numpy_row = (np.float64(0.1), np.float64("nan"), None, 3, "x")
+    python_row = (0.1, float("nan"), None, 3, "x")
+    text = _render(args, {"k": 1}, columns, [numpy_row])
+    assert text == _render(args, {"k": 1}, columns, [python_row])
+    if fmt == "csv":
+        assert text.splitlines()[-1] == "0.1,,,3,x"
+    else:
+        row = json.loads(text)["rows"][0]
+        assert row == {"a": 0.1, "b": None, "c": None, "d": 3, "e": "x"}
+        assert '"a": 0.1,' in text and '"b": null,' in text
 
 
 def test_exit_code_unknown_preset(capsys):
@@ -718,6 +755,18 @@ def test_parse_disorder_grammar():
         parse_disorder("tableII-unknown")
     with pytest.raises(ConfigurationError):
         parse_disorder("poisson:lambda=1,bogus=2")
+    # each key once, whatever its value
+    for text in ("binomial:n=2,n=3,p=0.5", "binomial:n=2,p=0.5,n=2",
+                 "poisson: lambda=1,lambda =1"):
+        with pytest.raises(ConfigurationError, match="parameter '(n|lambda)' is given twice"):
+            parse_disorder(text)
+    # integer keys are read exactly, also past 2^53; 2.0 is still 2
+    spec = parse_disorder("hypergeometric:N=9007199254740993,K=5,n=2")
+    assert spec.params == (("N", 9007199254740993), ("K", 5), ("n", 2))
+    assert spec.to_text() == "family=hypergeometric N=9007199254740993 K=5 n=2"
+    assert parse_disorder("binomial:n=2.0,p=0.5").params == (("n", 2), ("p", 0.5))
+    with pytest.raises(ConfigurationError, match="needs an integer n"):
+        parse_disorder("binomial:n=2.5,p=0.5")
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import pmf_oracle
+from oracles import negative_binomial_product_pmf, pmf_oracle
 from walklab import disorder
 from walklab import (
     ConfigurationError,
@@ -33,6 +33,11 @@ ALL_SPECS = [
     negative_binomial(2.0, 0.3),
     geometric(0.5),
     geometric_shifted(0.5),
+    # large N and r: near binomial(2, 1/2) and Poisson(0.1)
+    hypergeometric(10 ** 16, 5 * 10 ** 15, 2),
+    hypergeometric(10 ** 18, 10 ** 18 - 3, 5),
+    negative_binomial(1e10, 1e-11),
+    negative_binomial(1e13, 1e-14),
 ]
 
 
@@ -88,6 +93,9 @@ def test_pmf_values():
     assert geometric(0.5).pmf(0) == 0.0
     assert geometric(0.5).pmf(1) == pytest.approx(0.5, abs=1e-15)
     assert geometric_shifted(0.5).pmf(0) == pytest.approx(0.5, abs=1e-15)
+    # a pmf from term ratios spans its support: one past the cap is refused
+    with pytest.raises(ConfigurationError, match="beyond the support cap"):
+        hypergeometric(10 ** 12, 10 ** 11, 10 ** 11).pmf(5)
 
 
 def test_negbinomial_equals_shifted_geometric():
@@ -146,6 +154,8 @@ def test_build_spec_validation():
         ("point_mass", {"length": "1.5"}),
         ("hypergeometric", {"N": "10.7", "K": "5", "n": "2"}),
         ("hypergeometric", {"N": "10", "K": "5", "n": "2.000001"}),
+        # a float would round this one to the integer 9007199254740994
+        ("hypergeometric", {"N": "9007199254740993.5", "K": "5", "n": "2"}),
     ]:
         with pytest.raises(ConfigurationError, match="needs an integer"):
             build_spec(family, fields)
@@ -156,19 +166,30 @@ def test_build_spec_validation():
     spec = build_spec("binomial", {"p": "0.5", "n": "2.0"})  # any key order
     assert spec == binomial(2, 0.5)
     assert type(spec.values[0]) is int
+    # integer keys are read exactly, past float64's 2^53 as well
+    for text in ("9007199254740993", "9.007199254740993e15", "9007199254740993.0"):
+        spec = build_spec("hypergeometric", {"N": text, "K": "5", "n": "2"})
+        assert spec.values == (9007199254740993, 5, 2)
+        assert "N=9007199254740993 " in spec.to_text()
 
 
-# The library sums log-gamma terms of up to ~1e4 in magnitude, a relative
-# error of ~1e-11 at most; values near underflow carry no relative precision.
+# The library sums log-gamma terms of up to ~1e4 in magnitude, or the logs
+# of up to a few hundred term ratios (hypergeometric, negative binomial), a
+# relative error of ~1e-11 at most; values near underflow carry no relative
+# precision.
 PMF_RTOL, PMF_ATOL = 1e-9, 1e-300
 
 PMF_PARAMS = {
     "poisson": st.fixed_dictionaries({"lambda": st.floats(0.01, 100.0)}),
     "binomial": st.fixed_dictionaries(
         {"n": st.integers(1, 300), "p": st.floats(0.0, 1.0)}),
-    "hypergeometric": st.integers(1, 300).flatmap(
+    # N up to 10^18, where differences of log-gammas cancel; K anywhere or
+    # within 400 of N (a support that starts above 0); n up to 300
+    "hypergeometric": st.integers(1, 10 ** 18).flatmap(
         lambda big_n: st.fixed_dictionaries({
-            "N": st.just(big_n), "K": st.integers(0, big_n), "n": st.integers(0, big_n),
+            "N": st.just(big_n),
+            "K": st.one_of(st.integers(0, big_n), st.integers(max(0, big_n - 400), big_n)),
+            "n": st.integers(0, min(big_n, 300)),
         })),
     "negative_binomial": st.fixed_dictionaries(
         {"r": st.floats(0.05, 20.0), "k": st.floats(0.01, 0.95)}),
@@ -191,6 +212,21 @@ def test_pmf_matches_oracle(family, data):
     for l in (int(ls[-1]) + 1, int(ls[-1]) + 2):  # past the table
         assert math.isclose(spec.pmf(l), pmf_oracle(family, params, l),
                             rel_tol=PMF_RTOL, abs_tol=PMF_ATOL), (spec.to_text(), l)
+
+
+@pytest.mark.parametrize("r, k", [
+    (1e6, 2e-6), (1e10, 1e-11), (1e10, 3e-10), (1e13, 1e-14), (1e13, 2.5e-13),
+    (3.7e12, 1e-12),
+])
+def test_negative_binomial_large_r_matches_product_oracle(r, k):
+    # log Γ(l + r) − log Γ(r) cancels at large r (and math.lgamma with it), so
+    # the oracle multiplies the exact term ratios instead
+    spec = negative_binomial(r, k)
+    ls, ps = spec.support_table()
+    assert 1.0 - float(np.sum(ps)) < 1e-12
+    for l, p in zip(ls.tolist(), ps.tolist()):
+        assert math.isclose(p, negative_binomial_product_pmf(r, k, l),
+                            rel_tol=1e-12, abs_tol=PMF_ATOL), (spec.to_text(), l)
 
 
 def test_sampler_determinism():
