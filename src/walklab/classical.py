@@ -7,7 +7,9 @@ absorber cuts the window at its position and returns the mass beyond it,
 exactly as in the quantum engine. `engine.run_walk` drives these kernels
 for configs with engine "classical". Exact vector propagation replaces
 Monte Carlo everywhere; trajectory sampling exists only in the test suite
-as a cross-check oracle.
+as a cross-check oracle. The first-passage law has one implementation,
+`first_passage_series`, which steps its exact term ratio;
+`classical_first_passage` reads one term of it.
 """
 from __future__ import annotations
 
@@ -62,14 +64,14 @@ def classical_first_passage(t: int, m1: int) -> float:
     """Probability the unit-step walk first reaches ±|m1| at step t.
 
     p_t = (|m1| / (t·2^t)) · t! / (((t+|m1|)/2)! ((t−|m1|)/2)!), nonzero only
-    for t ≥ |m1| with t ≡ m1 (mod 2). Symmetric in the sign of m1. Exact
-    integers, rounded once.
+    for t ≥ |m1| with t ≡ m1 (mod 2). Symmetric in the sign of m1. The last
+    term of `first_passage_series` up to t.
     """
     m = _distance(m1)
     t = int(t)
     if t < m or (t - m) % 2 != 0:
         return 0.0
-    return m * math.comb(t, (t + m) // 2) / (t * 2 ** t)
+    return float(first_passage_series(m, t)[1][-1])
 
 
 def _distance(m1: int) -> int:

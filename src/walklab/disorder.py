@@ -6,15 +6,16 @@ all its steps. Sampling is inverse-CDF over a precomputed cumulative table
 (truncated where the remaining tail mass is below 1e-12), so identical
 (spec, seed, n) triples always reproduce identical lengths. Each family is
 declared once, in `_FAMILIES`; `parse_disorder` is its only text grammar.
-The pmf tables take log-gamma from `math.lgamma`, or step the exact term
-ratio where log-gammas would cancel (large N or r): sampling loads no scipy.
+Every pmf table steps its family's exact term ratio p(j+1)/p(j), summing
+the logs of the ratio's factors, so no ratio underflows and no log-gammas
+cancel (large N or r): sampling loads no scipy.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -28,46 +29,39 @@ _MAX_SUPPORT = 100_000
 
 class _Family(NamedTuple):
     """One pmf family. Every callable takes the parameter values in `keys`
-    order; `pmf` also takes the lengths (as floats) first, all within the
-    support."""
+    order; `log_ratio` also takes the lengths j (as floats) first."""
 
     keys: tuple  # canonical parameter order, as in serialized text
     integers: tuple  # the keys whose values must be integers
     check: Callable[..., bool]  # are the values admissible?
     requires: str  # what `check` asks for
     support: Callable[..., tuple]  # (lowest length, highest length or None)
-    pmf: Callable[..., np.ndarray]
+    # log p(j+1)/p(j) at lengths j within the support, as the sum of the
+    # logs of the ratio's factors: no factor underflows, a zero one gives −inf
+    log_ratio: Callable[..., np.ndarray]
+    # log p(lowest); None for a bounded support, over which p is normalized
+    log_first: Callable[..., Optional[float]]
     moments: Callable[..., tuple]  # closed-form (mean, variance)
 
 
-def _log(x: float) -> float:
-    return math.log(x) if x > 0 else -math.inf
-
-
-def _xlog(x: np.ndarray, log_y: float) -> np.ndarray:
-    """x·log_y, taken as 0 where x = 0 (so 0·log 0 is 0, not NaN)."""
-    return np.multiply(x, log_y, out=np.zeros_like(x), where=x > 0)
-
-
-# log Γ elementwise: a table holds at most _MAX_SUPPORT + 1 lengths
-_gammaln = np.vectorize(math.lgamma, otypes=[np.float64])
-
-
-def _from_ratios(l: np.ndarray, lowest: int, top: int, ratio: Callable,
-                 log_first=None) -> np.ndarray:
-    """p at the lengths l (in lowest..top) from the exact term ratio p(j+1)/p(j),
-    summed in logs; without log p(lowest), normalized over lowest..top, which
-    is then the whole (bounded) support."""
+def _from_ratios(fam: _Family, values: tuple, lowest: int, top: int) -> np.ndarray:
+    """p at the lengths lowest..top from the family's term ratio, summed in
+    logs. A bounded support (no log p(lowest)) is summed outward from its
+    mode, the length the ratios ≥ 1 climb to (its pmf is log-concave), and
+    normalized: so an infinite ratio never meets an infinite sum, and a
+    degenerate binomial keeps its zero-probability lengths."""
     if top - lowest > _MAX_SUPPORT:
         raise ConfigurationError(f"pmf table beyond the support cap of {_MAX_SUPPORT}")
     j = np.arange(lowest, top, dtype=np.float64)
-    log_p = np.concatenate(([0.0], np.cumsum(np.log(ratio(j)))))
-    if log_first is None:
-        p = np.exp(log_p - log_p.max())
-        p /= np.sum(p)
-    else:
-        p = np.exp(log_first + log_p)
-    return p[l.astype(np.int64) - lowest]
+    with np.errstate(divide="ignore"):  # log 0 = −inf: a zero probability
+        steps = np.broadcast_to(fam.log_ratio(j, *values), j.shape)
+        log_first = fam.log_first(*values)
+    if log_first is not None:
+        return np.exp(log_first + np.concatenate(([0.0], np.cumsum(steps))))
+    mode = np.count_nonzero(steps >= 0.0)
+    below = np.cumsum(steps[:mode][::-1])[::-1]
+    p = np.exp(np.concatenate((-below, [0.0], np.cumsum(steps[mode:]))))
+    return p / np.sum(p)
 
 
 def _geometric(lowest: int) -> _Family:
@@ -75,8 +69,8 @@ def _geometric(lowest: int) -> _Family:
     return _Family(
         ("k",), (), lambda k: 0.0 < k <= 1.0, "k in (0, 1]",
         lambda k: (lowest, None),
-        lambda l, k: (np.where(l == lowest, 1.0, 0.0) if k == 1.0
-                      else np.exp((l - lowest) * math.log(1 - k)) * k),
+        lambda j, k: np.log1p(-k),
+        lambda k: math.log(k),
         lambda k: (1 / k if lowest else (1 - k) / k, (1 - k) / k ** 2),
     )
 
@@ -85,16 +79,16 @@ _FAMILIES = {
     "poisson": _Family(
         ("lambda",), (), lambda lam: lam > 0, "lambda > 0",
         lambda lam: (0, None),
-        lambda l, lam: np.exp(l * math.log(lam) - lam - _gammaln(l + 1.0)),
+        lambda j, lam: math.log(lam) - np.log(j + 1),
+        lambda lam: -lam,
         lambda lam: (lam, lam),
     ),
     "binomial": _Family(
         ("n", "p"), ("n",), lambda n, p: n >= 1 and 0.0 <= p <= 1.0,
         "n >= 1 and p in [0, 1]",
         lambda n, p: (0, n),
-        lambda l, n, p: np.exp(_gammaln(n + 1.0) - _gammaln(l + 1.0)
-                               - _gammaln(n - l + 1.0) + _xlog(l, _log(p))
-                               + _xlog(n - l, _log(1 - p))),
+        lambda j, n, p: np.log(n - j) - np.log(j + 1) + np.log(p) - np.log1p(-p),
+        lambda n, p: None,
         lambda n, p: (n * p, n * p * (1 - p)),
     ),
     "hypergeometric": _Family(
@@ -103,9 +97,9 @@ _FAMILIES = {
         "N >= 1 and K, n in [0, N]",
         lambda N, K, n: (max(0, n - (N - K)), min(n, K)),
         # N - K - n + 1 is summed as exact integers before j joins it
-        lambda l, N, K, n: _from_ratios(
-            l, max(0, n - (N - K)), min(n, K),
-            lambda j: (K - j) * (n - j) / ((j + 1) * (N - K - n + 1 + j))),
+        lambda j, N, K, n: (np.log(K - j) + np.log(n - j) - np.log(j + 1)
+                            - np.log(N - K - n + 1 + j)),
+        lambda N, K, n: None,
         lambda N, K, n: (n * K / N, n * (K / N) * (1 - K / N) * (N - n) / (N - 1)
                          if N > 1 else 0.0),
     ),
@@ -114,8 +108,8 @@ _FAMILIES = {
         ("r", "k"), (), lambda r, k: r > 0 and 0.0 < k < 1.0,
         "r > 0 and k in (0, 1)",
         lambda r, k: (0, None),
-        lambda l, r, k: _from_ratios(l, 0, int(l.max(initial=0)),
-                                     lambda j: (j + r) * k / (j + 1), r * math.log1p(-k)),
+        lambda j, r, k: np.log(j + r) + math.log(k) - np.log(j + 1),
+        lambda r, k: r * math.log1p(-k),
         lambda r, k: (r * k / (1 - k), r * k / (1 - k) ** 2),
     ),
     "geometric": _geometric(1),
@@ -123,7 +117,8 @@ _FAMILIES = {
     "point_mass": _Family(
         ("length",), ("length",), lambda length: length >= 0, "length >= 0",
         lambda length: (length, length),
-        lambda l, length: np.ones_like(l),
+        lambda j, length: 0.0,  # never taken: the support is one length
+        lambda length: None,
         lambda length: (float(length), 0.0),
     ),
 }
@@ -301,7 +296,8 @@ def _pmf_array(spec: DisorderSpec, ls: np.ndarray) -> np.ndarray:
     ls = np.asarray(ls, dtype=np.int64)
     ok = (ls >= lo) if hi is None else (ls >= lo) & (ls <= hi)
     out = np.zeros(ls.shape, dtype=np.float64)
-    out[ok] = fam.pmf(ls[ok].astype(np.float64), *values)
+    top = int(ls.max(initial=lo)) if hi is None else hi
+    out[ok] = _from_ratios(fam, values, lo, top)[ls[ok] - lo]
     return out
 
 

@@ -194,15 +194,15 @@ MAX_ARRAY_BYTES = 2 ** 26
 class WalkConfig:
     """Full specification of one walk run, quantum or classical.
 
-    The classical engine starts from a point mass and ignores the coin and
-    the initial coin amplitudes. Step lengths shaped (R, steps) run R walks
-    at once, one per row.
+    Every walk starts at site 0 (a start elsewhere is the same walk with the
+    absorber moved). The classical engine starts from a point mass and
+    ignores the coin and the initial coin amplitudes. Step lengths shaped
+    (R, steps) run R walks at once, one per row.
     """
 
     steps: int
     engine: str = "quantum"
     coin: CoinOperator = field(default_factory=hadamard_coin)
-    initial_position: int = 0
     initial_amp_left: complex = 1.0
     initial_amp_right: complex = 0.0
     absorber: Optional[AbsorberConfig] = None
@@ -241,28 +241,28 @@ def real_amplitudes(config: WalkConfig) -> bool:
                                   config.initial_amp_right))
 
 
-def frame_span(start: int, farthest: int, longest: int,
-               absorber: Optional[AbsorberConfig], rows: int) -> tuple[int, int]:
+def frame_span(farthest: int, longest: int, absorber: Optional[AbsorberConfig],
+               rows: int) -> tuple[int, int]:
     """(origin, columns) of the frame a walk's two buffers share.
 
-    It holds every site within `farthest` of `start`, and for several rows
-    `longest` + 1 more on each side: rows are placed whole before the
-    window is cut to their reach, and a window column may hold a site one
-    past the reach for the rows of the other parity. Past an absorber it
-    holds only the `longest` sites a step can carry mass beyond it. The
-    origin takes the absorber's parity (or the one after it, for a left
-    absorber), so that the cut falls between two columns for either row
-    parity.
+    It holds every site within `farthest` of the start, site 0, and for
+    several rows `longest` + 1 more on each side: rows are placed whole
+    before the window is cut to their reach, and a window column may hold a
+    site one past the reach for the rows of the other parity. Past an
+    absorber it holds only the `longest` sites a step can carry mass beyond
+    it. The origin takes the absorber's parity (or the one after it, for a
+    left absorber), so that the cut falls between two columns for either
+    row parity.
     """
     pad = longest + 1 if rows > 1 else 0
-    lo, hi = start - farthest - pad, start + farthest + pad
+    lo, hi = -farthest - pad, farthest + pad
     parity = lo
     if absorber is not None:
         a = absorber.position
         if a > 0:
-            hi, parity = min(hi, max(a - 1, start) + longest), a
+            hi, parity = min(hi, a - 1 + longest), a
         else:
-            lo, parity = max(lo, min(a + 1, start) - longest), a + 1
+            lo, parity = max(lo, a + 1 - longest), a + 1
     origin = lo - ((lo - parity) & 1)
     return origin, (hi - origin) // 2 + 1
 
@@ -306,25 +306,24 @@ def iterate_walk(config: WalkConfig) -> Iterator[tuple[WalkerState, float]]:
             f"a walk window of {count} row(s) × {sites} sites needs {nbytes} "
             f"bytes, above the budget of {MAX_ARRAY_BYTES}"
         )
-    n0 = config.initial_position
     if config.engine == "quantum":
         coin, amps = config.coin, (config.initial_amp_left, config.initial_amp_right)
         dtype = np.complex128
         if real_amplitudes(config):
             coin = replace(coin, **{k: complex(getattr(coin, k)).real for k in "abcd"})
             amps, dtype = [complex(v).real for v in amps], np.float64
-        start = initial_quantum_state(n0, *amps, dtype=dtype)
+        start = initial_quantum_state(*amps, dtype=dtype)
 
         def advance(current, l):
             return step(current, coin, l)
 
         absorb = apply_absorber
     else:
-        start = initial_classical_state(n0)
+        start = initial_classical_state()
         advance, absorb = crw_step, crw_apply_absorber
     rows = config.rows
     state = point_in_frame(
-        start, *frame_span(n0, farthest, longest, config.absorber, count), rows)
+        start, *frame_span(farthest, longest, config.absorber, count), rows)
     if lengths is None:
         schedule = itertools.repeat(1, config.steps)
     elif lengths.ndim == 1:
@@ -337,7 +336,7 @@ def iterate_walk(config: WalkConfig) -> Iterator[tuple[WalkerState, float]]:
     for l in schedule:
         state = advance(state, l)
         if rows:
-            state = clamped(state, n0, next(reach))
+            state = clamped(state, next(reach))
         if config.absorber is None:
             yield state, 0.0
             continue

@@ -88,8 +88,7 @@ class FitResult:
 def _row_bytes(walk: WalkConfig, farthest: int, longest: int) -> int:
     """What one row of a block of `walk`s holds, for rows that move at most
     `farthest` in all and `longest` in one step."""
-    _, columns = frame_span(walk.initial_position, farthest, longest,
-                            walk.absorber, rows=2)
+    _, columns = frame_span(farthest, longest, walk.absorber, rows=2)
     site = SITE_BYTES[walk.engine] // (2 if real_amplitudes(walk) else 1)
     return 8 * walk.steps + (2 * site + 3 * 8) * columns
 
@@ -150,16 +149,14 @@ def run_ensemble(
 
 
 def finite_horizon_avg_time(record: AbsorptionRecord, n: int) -> float:
-    """Weighted average absorbing time Σ_{t≤n} t·p_t / Σ_{t≤n} p_t."""
+    """Weighted average absorbing time Σ_{t≤n} t·p_t / Σ_{t≤n} p_t: the
+    `_horizon_ratios` of one row."""
     if n < 1:
         raise ConfigurationError(f"horizon must be >= 1, got {n}")
-    upto = min(n, record.horizon)
-    p = record.per_step[:upto]
-    den = float(np.sum(p))
-    if den <= 0.0:
+    p = record.per_step[np.newaxis, :n].copy()
+    if not p.any():
         raise NoAbsorptionError(f"no absorption within horizon {n}")
-    ts = np.arange(1, upto + 1, dtype=np.float64)
-    return float(np.sum(ts * p)) / den
+    return float(_horizon_ratios(p, np.array([p.shape[1]]))[0, -1])
 
 
 def _horizon_ratios(absorbed: np.ndarray, horizons: np.ndarray) -> np.ndarray:

@@ -198,11 +198,11 @@ def plan_move(state, l):
                              new_parity, Frame(origin, spare, live)), down, up
 
 
-def clamped(state, center: int, reach: int):
+def clamped(state, reach: int):
     """A view of the window cut to the columns that hold, for some row, a
-    site within `reach` of `center`."""
+    site within `reach` of the start, site 0."""
     pmin, pmax = _parity_range(state.parity)
-    offset = center - state.n_min
+    offset = -state.n_min
     start = max((offset - reach - pmax + 1) >> 1, 0)
     stop = max(min(((offset + reach - pmin) >> 1) + 1, state.width), start)
     return state.with_window(state.time, state.n_min + 2 * start,
@@ -265,12 +265,11 @@ class PositionDistribution:
 
 
 def initial_quantum_state(
-    position: int = 0,
     amp_left: complex = 1.0,
     amp_right: complex = 0.0,
     dtype=np.complex128,
 ) -> QuantumState:
-    """Walker localized at one site with the given coin amplitudes, stored
+    """Walker localized at site 0 with the given coin amplitudes, stored
     as `dtype` (float64 takes real amplitudes only).
 
     The coin vector must be normalized: |amp_left|² + |amp_right|² = 1.
@@ -283,12 +282,12 @@ def initial_quantum_state(
     psi = np.zeros((2, 1), dtype=dtype)
     psi[LEFT, 0] = amp_left
     psi[RIGHT, 0] = amp_right
-    return QuantumState(time=0, n_min=int(position), psi=psi)
+    return QuantumState(time=0, n_min=0, psi=psi)
 
 
-def initial_classical_state(position: int = 0) -> ClassicalState:
-    """Point mass at one lattice site."""
-    return ClassicalState(time=0, n_min=int(position), prob=np.array([1.0]))
+def initial_classical_state() -> ClassicalState:
+    """Point mass at site 0."""
+    return ClassicalState(time=0, n_min=0, prob=np.array([1.0]))
 
 
 def probability_distribution(state) -> PositionDistribution:

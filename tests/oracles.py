@@ -182,11 +182,18 @@ def negative_binomial_product_pmf(r, k, l):
 
 def pmf_oracle(family, params, l):
     """P(step length = l) from each family's closed form, one length at a
-    time: exact rationals (`math.comb`, `Fraction`) for the binomial and
-    hypergeometric, `math.lgamma` for the Poisson and negative binomial."""
+    time: 50-digit `mpmath` for the binomial, exact rationals (`math.comb`,
+    `Fraction`) for the hypergeometric, `math.lgamma` for the Poisson and
+    negative binomial."""
     if family == "binomial":
-        n, p = params["n"], Fraction(params["p"])
-        return float(math.comb(n, l) * p ** l * (1 - p) ** (n - l)) if l <= n else 0.0
+        import mpmath  # perfbench loads this module for its walks, not for this
+
+        n = params["n"]
+        if l > n:
+            return 0.0
+        with mpmath.workdps(50):
+            p = mpmath.mpf(params["p"])
+            return float(mpmath.binomial(n, l) * p ** l * (1 - p) ** (n - l))
     if family == "hypergeometric":
         big_n, k, n = params["N"], params["K"], params["n"]
         if l > n:

@@ -13,13 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from walklab import (
-    AbsorptionRecord,
-    ConfigurationError,
-    PowerSeries,
-    ensemble,
-    finite_horizon_avg_time,
-)
+from walklab import ConfigurationError, PowerSeries, ensemble
 from walklab.cli import _render, build_parser, main, parse_disorder
 from walklab.engine import MAX_ARRAY_BYTES
 from walklab.series import MAX_ORDER, RAABE_MAX_N
@@ -134,9 +128,9 @@ def test_absorb_classical_near_certain_absorption(capsys):
 
 @pytest.mark.parametrize("engine, steps", [("classical", 4000), ("quantum", 1000)])
 def test_absorb_avg_time_matches_per_horizon_reference(engine, steps, capsys):
-    # the column comes from running sums, the reference sums each horizon
-    # afresh; both add at most `steps` positive terms, so they agree to
-    # steps * eps <= 8.9e-13 relative
+    # the column comes from running sums of at most `steps` positive terms,
+    # within steps * eps <= 8.9e-13 relative of the correctly rounded sums
+    # that math.fsum takes afresh at each horizon
     rc, out, _ = run_cli(
         ["absorb", "--engine", engine, "--absorber", "2", "--steps", str(steps),
          "--seed", "1"],
@@ -144,13 +138,13 @@ def test_absorb_avg_time_matches_per_horizon_reference(engine, steps, capsys):
     )
     assert rc == 0
     _, _, rows = parse_csv(out)
-    p = np.array([float(r[1]) for r in rows])
-    record = AbsorptionRecord(per_step=p)
+    p = [float(r[1]) for r in rows]
+    tp = [t * pt for t, pt in enumerate(p, start=1)]
     for t, row in enumerate(rows, start=1):
         if row[3] == "":
-            assert not np.any(p[:t])
+            assert not any(p[:t])
         else:
-            want = finite_horizon_avg_time(record, t)
+            want = math.fsum(tp[:t]) / math.fsum(p[:t])
             assert float(row[3]) == pytest.approx(want, rel=1e-12, abs=0)
 
 
@@ -833,6 +827,16 @@ def test_degenerate_binomial_walks_without_warning(p, positions):
     assert proc.stderr == ""
     _, _, rows = parse_csv(proc.stdout)
     assert {int(row[1]) for row in rows} <= positions
+
+
+def test_subnormal_disorder_parameter_walks_without_warning():
+    # the term ratio (j + r)·k/(j + 1) underflows to 0 at k = 5e-324, the
+    # logs of its factors do not; every step has length 0
+    proc = walk_with_disorder("negative_binomial:r=0.5,k=5e-324")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    _, _, rows = parse_csv(proc.stdout)
+    assert [row[:2] for row in rows] == [["3", "0"]]
 
 
 def walk_with_disorder(spec):

@@ -173,10 +173,9 @@ def test_build_spec_validation():
         assert "N=9007199254740993 " in spec.to_text()
 
 
-# The library sums log-gamma terms of up to ~1e4 in magnitude, or the logs
-# of up to a few hundred term ratios (hypergeometric, negative binomial), a
-# relative error of ~1e-11 at most; values near underflow carry no relative
-# precision.
+# The library sums the logs of up to a few thousand term ratios (the
+# geometric at k = 0.01), a relative error of ~1e-10 at most; values near
+# underflow carry no relative precision.
 PMF_RTOL, PMF_ATOL = 1e-9, 1e-300
 
 PMF_PARAMS = {
@@ -203,7 +202,24 @@ PMF_PARAMS = {
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_pmf_matches_oracle(family, data):
-    spec = build_spec(family, data.draw(PMF_PARAMS[family]))
+    assert_table_matches_oracle(build_spec(family, data.draw(PMF_PARAMS[family])))
+
+
+@pytest.mark.parametrize("spec", [
+    poisson(5e-324),
+    binomial(300, 0.0),
+    binomial(300, 1.0),
+    binomial(300, 5e-324),
+    geometric(1.0),
+    negative_binomial(0.5, 5e-324),
+], ids=lambda s: s.to_text())
+def test_extreme_pmf_tables_match_oracle(spec):
+    # a zero probability (log 0 = −inf) or a ratio that would underflow
+    assert_table_matches_oracle(spec)
+
+
+def assert_table_matches_oracle(spec):
+    family = spec.family
     ls, ps = spec.support_table()
     params = dict(spec.params)
     for l, p in zip(ls.tolist(), ps.tolist()):
@@ -267,6 +283,18 @@ def test_sampler_matches_pmf(spec):
         assert counts[int(l)] / n == pytest.approx(p, abs=4 * se + 1e-9), (
             f"bucket {l} off for {spec.to_text()}"
         )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", list(TABLE2_PRESETS))
+def test_sampler_is_inverse_cdf_of_oracle_table(name, seed):
+    spec = TABLE2_PRESETS[name]
+    ls, _ = spec.support_table()
+    params = dict(spec.params)
+    cum = np.cumsum([pmf_oracle(spec.family, params, l) for l in ls.tolist()])
+    u = np.random.default_rng(seed).random(2000)
+    want = ls[np.minimum(np.searchsorted(cum, u, side="right"), ls.size - 1)]
+    np.testing.assert_array_equal(sample_realization(spec, 2000, seed).lengths, want)
 
 
 def test_point_mass_lengths():

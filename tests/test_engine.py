@@ -243,15 +243,16 @@ def test_snapshot_matches_stepping():
     assert snap.time == 20
 
 
-@pytest.mark.parametrize("engine", ["quantum", "classical"])
-def test_walk_stops_once_fully_absorbed(engine):
-    # from site 4 the first step lands every path at 3 or 5, past the absorber
-    config = WalkConfig(steps=5, engine=engine, initial_position=4,
-                        absorber=AbsorberConfig(3))
+def test_walk_stops_once_fully_absorbed():
+    # from R, Hadamard steps of length 0 then 1 carry every path to site 1,
+    # the absorber, at step 2
+    config = WalkConfig(steps=5, initial_amp_left=0.0, initial_amp_right=1.0,
+                        absorber=AbsorberConfig(1),
+                        step_lengths=np.array([0, 1, 1, 1, 1]))
     result = run_walk(config)
-    assert result.record.horizon == 1
-    assert result.record.per_step[0] == pytest.approx(1.0, abs=1e-15)
-    assert np.isnan(result.sigma).all()
+    assert result.record.horizon == 2
+    np.testing.assert_allclose(result.record.per_step, [0.0, 1.0], atol=1e-15)
+    assert result.sigma[0] == 0.0 and np.isnan(result.sigma[1])
     late = snapshot_distribution(config, 4)
     assert late.time == 4
     assert late.mass() == 0.0

@@ -35,10 +35,10 @@ def test_initial_quantum_state_normalization_check():
 
 
 def test_initial_classical_state():
-    state = initial_classical_state(position=3)
+    state = initial_classical_state()
     assert state.mass() == pytest.approx(1.0, abs=1e-15)
     d = probability_distribution(state)
-    assert d.positions.tolist() == [3]
+    assert d.positions.tolist() == [0]
 
 
 def test_std_dev_two_point():

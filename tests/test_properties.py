@@ -5,8 +5,8 @@ of the absorption series against the exact Fraction oracle.
 Hypothesis draws the engine, the coin (a named one, or any 2×2 unitary) and
 initial coin state, a step-length sequence that may contain zero-length
 steps, and an absorber on either side of the origin (or none). The parity
-windows are drawn wider still: up to four rows that part in parity, an even
-or odd start, and an absorber on either side of it.
+windows are drawn wider still: up to four rows that part in parity, and an
+absorber at an even or odd site on either side of the origin.
 """
 import math
 from dataclasses import replace
@@ -83,11 +83,8 @@ def walks(draw):
 
 def oracle(config, t, lengths=None):
     """({site: probability}, per-step absorbed) after t steps of `config`,
-    or of its row with step lengths `lengths`. The dict walks start at 0, so
-    they run with the absorber moved by −start, which keeps it on the same
-    side, and their sites are moved back."""
-    start = config.initial_position
-    absorber = config.absorber.position - start if config.absorber else None
+    or of its row with step lengths `lengths`."""
+    absorber = config.absorber.position if config.absorber else None
     lengths = (config.step_lengths if lengths is None else lengths)[:t]
     if config.engine == "classical":
         dist, absorbed = dict_classical_walk(t, absorber=absorber, lengths=lengths)
@@ -98,7 +95,7 @@ def oracle(config, t, lengths=None):
             config.initial_amp_right, absorber=absorber, lengths=lengths,
         )
         dist = {n: abs(l) ** 2 + abs(r) ** 2 for n, (l, r) in psi.items()}
-    return {n + start: p for n, p in dist.items()}, absorbed
+    return dist, absorbed
 
 
 def oracle_sigma(dist):
@@ -114,23 +111,22 @@ def oracle_sigma(dist):
 def assert_live_window(config, state):
     """The window is exactly the columns that hold, for some row, a site of
     that row's parity within the farthest any row has moved from the start,
-    cut at the absorber: no row holds a site at or beyond it."""
+    site 0, cut at the absorber: no row holds a site at or beyond it."""
     moved = np.atleast_2d(config.step_lengths)[:, :state.time].sum(axis=1)
-    n0 = config.initial_position
-    lo, hi = n0 - int(moved.max()), n0 + int(moved.max())
+    lo, hi = -int(moved.max()), int(moved.max())
     if config.absorber is not None:
         a = config.absorber.position
         lo, hi = (lo, min(hi, a - 1)) if a > 0 else (max(lo, a + 1), hi)
     sites = np.broadcast_to(state.positions, (moved.size, state.width))
     # each row holds the sites of its own parity, two apart
-    assert np.all(sites % 2 == ((n0 + moved) % 2)[:, np.newaxis])
+    assert np.all(sites % 2 == (moved % 2)[:, np.newaxis])
     assert np.all(np.diff(sites, axis=1) == 2)
     inside = (sites >= lo) & (sites <= hi)
     if config.absorber is not None:
         assert not np.any(sites >= a if a > 0 else sites <= a)
     # every column holds a site in the window, and no row lacks one
     assert np.all(inside.any(axis=0))
-    for row, parity in zip(sites, (n0 + moved) % 2):
+    for row, parity in zip(sites, moved % 2):
         first = lo + (lo - parity) % 2
         want = np.arange(first, hi + 1, 2)
         assert set(want.tolist()) <= set(row.tolist())
@@ -222,28 +218,25 @@ def test_random_unitary_coin_matches_oracle(absorbing, coin, chi, psi, lengths,
 
 @st.composite
 def parity_walks(draw):
-    """1..4 rows of step lengths, which may be zero, so rows part in parity;
-    an even or odd start; and an absorber on either side of it, or none."""
+    """1..4 rows of step lengths, which may be zero, so rows part in parity,
+    and an absorber at an even or odd site on either side of the origin, or
+    none."""
     steps, rows = draw(st.integers(1, 16)), draw(st.integers(1, 4))
     lengths = draw(st.lists(
         st.lists(st.integers(0, 3), min_size=steps, max_size=steps),
         min_size=rows, max_size=rows))
-    start = draw(st.integers(-5, 5))
     side = draw(st.sampled_from((None, "right", "left")))
     absorber = None
     if side == "right":
-        nearest = max(start + 1, 1)
-        absorber = AbsorberConfig(draw(st.integers(nearest, nearest + 7)))
+        absorber = AbsorberConfig(draw(st.integers(1, 8)))
     elif side == "left":
-        nearest = min(start - 1, -1)
-        absorber = AbsorberConfig(draw(st.integers(nearest - 7, nearest)))
+        absorber = AbsorberConfig(draw(st.integers(-8, -1)))
     initial = draw(st.sampled_from(((1.0, 0.0), (0.0, 1.0))))
     return WalkConfig(
         steps=steps,
         engine=draw(st.sampled_from(("quantum", "classical"))),
         coin=coin_by_name(draw(st.sampled_from(
             ("hadamard", "hadamard-mirrored", "kempe")))),
-        initial_position=start,
         initial_amp_left=initial[0],
         initial_amp_right=initial[1],
         absorber=absorber,
@@ -253,12 +246,11 @@ def parity_walks(draw):
 
 @settings(max_examples=120, deadline=None)
 @given(parity_walks())
-# rows of both parities, the right absorber at an odd site
-@example(WalkConfig(steps=3, initial_position=-1, absorber=AbsorberConfig(1),
+# rows of both parities, the right absorber at an even site
+@example(WalkConfig(steps=3, absorber=AbsorberConfig(2),
                     step_lengths=np.array([[1, 0, 2], [0, 1, 1], [3, 0, 0]])))
-# an odd start, the left absorber, a zero-length first step
-@example(WalkConfig(steps=4, engine="classical", initial_position=3,
-                    absorber=AbsorberConfig(-2),
+# the left absorber at an odd site, a zero-length first step
+@example(WalkConfig(steps=4, engine="classical", absorber=AbsorberConfig(-5),
                     step_lengths=np.array([[0, 2, 1, 3], [1, 1, 1, 1]])))
 def test_parity_windows_match_oracles_every_step(config):
     """Every row of every step against the dict walk of its own lengths: its
