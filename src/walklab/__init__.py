@@ -11,8 +11,6 @@ from .errors import (
 )
 from .lattice import (
     PositionDistribution,
-    initial_classical_state,
-    initial_quantum_state,
     probability_distribution,
     std_dev,
 )
@@ -21,7 +19,6 @@ from .engine import (
     AbsorptionRecord,
     CoinOperator,
     WalkConfig,
-    apply_absorber,
     coin_by_name,
     hadamard_coin,
     iterate_walk,
@@ -29,14 +26,11 @@ from .engine import (
     mirrored_hadamard_coin,
     run_walk,
     snapshot_distribution,
-    step,
 )
 from .classical import (
-    classical_avg_time_partial,
     classical_avg_time_ratio,
     classical_first_passage,
     classical_total_absorption,
-    crw_step,
     first_passage_series,
 )
 from .series import (
@@ -82,16 +76,14 @@ __all__ = [
     "NoAbsorptionError", "NumericalError", "PositionDistribution",
     "PowerSeries", "TABLE2_PRESETS", "WalkConfig", "WalklabError",
     "absorption_probabilities", "absorption_summaries", "absorption_summary",
-    "apply_absorber", "binomial", "build_spec", "child_seed",
-    "classical_avg_time_partial", "classical_avg_time_ratio",
+    "binomial", "build_spec", "child_seed", "classical_avg_time_ratio",
     "classical_first_passage", "classical_total_absorption", "coin_by_name",
-    "crw_step", "disorder_avg_absorb_time", "disorder_avg_sigma",
+    "disorder_avg_absorb_time", "disorder_avg_sigma",
     "finite_horizon_avg_time", "first_passage_series", "fit_exponent",
     "generating_function", "geometric", "geometric_shifted", "hadamard_coin",
-    "hypergeometric", "initial_classical_state", "initial_quantum_state",
-    "iterate_walk", "kempe_coin", "mirrored_hadamard_coin",
+    "hypergeometric", "iterate_walk", "kempe_coin", "mirrored_hadamard_coin",
     "negative_binomial", "point_mass", "poisson", "probability_distribution",
     "quantum_absorption_prob", "quantum_avg_time_ratio", "raabe_estimate",
     "run_ensemble", "run_walk", "sample_realization", "snapshot_distribution",
-    "std_dev", "step",
+    "std_dev",
 ]

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigurationError, NoAbsorptionError
+from .errors import ConfigurationError
 from .lattice import ClassicalState, cut_window, place_rows, plan_move
 
 if TYPE_CHECKING:  # engine imports this module for its kernels
@@ -26,7 +26,8 @@ if TYPE_CHECKING:  # engine imports this module for its kernels
 
 
 def crw_step(state: ClassicalState, l=1) -> ClassicalState:
-    """One fair step of length l: p'(n) = ½ p(n+l) + ½ p(n−l).
+    """One fair step of length l of a state of `engine.iterate_walk`:
+    p'(n) = ½ p(n+l) + ½ p(n−l).
 
     `l` is one length, or one per row; the window grows by the longest. The
     step overwrites the input state's window.
@@ -100,21 +101,6 @@ def classical_total_absorption(m1: int, horizon: int) -> float:
     """Partial sum Σ_{t≤horizon} p_t; approaches 1 as the horizon grows."""
     _, ps = first_passage_series(m1, horizon)
     return float(np.sum(ps))
-
-
-def classical_avg_time_partial(m1: int, horizon: int) -> float:
-    """Finite-horizon average absorbing time Σ t·p_t / Σ p_t for t ≤ horizon.
-
-    Diverges like √horizon as the horizon grows: the numerator series fails
-    the ratio test (limit 1/2 < 1) while the denominator sums to 1.
-    """
-    ts, ps = first_passage_series(m1, horizon)
-    den = float(np.sum(ps))
-    if den <= 0.0:
-        raise NoAbsorptionError(
-            f"no absorption possible by step {horizon} with absorber at {m1}"
-        )
-    return float(np.sum(ts * ps)) / den
 
 
 def classical_avg_time_ratio(m1: int):

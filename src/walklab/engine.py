@@ -43,8 +43,6 @@ from .lattice import (
     QuantumState,
     clamped,
     cut_window,
-    initial_classical_state,
-    initial_quantum_state,
     place_rows,
     plan_move,
     point_in_frame,
@@ -113,6 +111,18 @@ def coin_by_name(name: str) -> CoinOperator:
         raise ConfigurationError(f"unknown coin {name!r} (known: {known})") from None
 
 
+def _exact_int(name: str, value) -> int:
+    """`value` as an int when it is exactly one; a NaN, an infinity, a
+    fraction or a non-number is a ConfigurationError."""
+    try:
+        as_int = int(value)
+    except (TypeError, ValueError, OverflowError):
+        as_int = None
+    if as_int is None or as_int != value:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    return as_int
+
+
 @dataclass(frozen=True)
 class AbsorberConfig:
     """One absorbing boundary at a nonzero lattice position.
@@ -124,15 +134,17 @@ class AbsorberConfig:
     position: int
 
     def __post_init__(self) -> None:
-        if int(self.position) != self.position or self.position == 0:
+        position = _exact_int("absorber position", self.position)
+        if position == 0:
             raise ConfigurationError("absorber position must be nonzero")
+        object.__setattr__(self, "position", position)
 
 
 def step(state: QuantumState, coin: CoinOperator, l=1) -> QuantumState:
-    """One full evolution step: apply `coin` and move the L component l
-    sites down and the R component l sites up (`l` is one length, or one per
-    row), writing into the spare buffer; advances the step counter and
-    overwrites the input state's window."""
+    """One full evolution step of a state of `iterate_walk`: apply `coin`
+    and move the L component l sites down and the R component l sites up
+    (`l` is one length, or one per row), writing into the spare buffer;
+    advances the step counter and overwrites the input state's window."""
     moved, down, up = plan_move(state, l)
     psi, out = state.psi, moved.psi
     src_l, src_r = psi[..., LEFT, :], psi[..., RIGHT, :]
@@ -213,8 +225,15 @@ class WalkConfig:
             raise ConfigurationError(
                 f"engine must be one of {tuple(SITE_BYTES)}, got {self.engine!r}"
             )
+        self.steps = _exact_int("steps", self.steps)
         if self.steps < 1:
             raise ConfigurationError(f"steps must be >= 1, got {self.steps}")
+        if self.engine == "quantum":  # the classical engine ignores the amplitudes
+            norm = abs(self.initial_amp_left) ** 2 + abs(self.initial_amp_right) ** 2
+            if abs(norm - 1.0) > 1e-12:
+                raise ConfigurationError(
+                    f"initial coin amplitudes must be normalized, got |.|^2 = {norm}"
+                )
         if self.step_lengths is not None:
             lengths = np.asarray(self.step_lengths)
             if lengths.ndim not in (1, 2) or lengths.shape[-1] != self.steps \
@@ -308,22 +327,21 @@ def iterate_walk(config: WalkConfig) -> Iterator[tuple[WalkerState, float]]:
         )
     if config.engine == "quantum":
         coin, amps = config.coin, (config.initial_amp_left, config.initial_amp_right)
-        dtype = np.complex128
+        kind, site = QuantumState, np.array(amps, np.complex128)
         if real_amplitudes(config):
             coin = replace(coin, **{k: complex(getattr(coin, k)).real for k in "abcd"})
-            amps, dtype = [complex(v).real for v in amps], np.float64
-        start = initial_quantum_state(*amps, dtype=dtype)
+            site = site.real
 
         def advance(current, l):
             return step(current, coin, l)
 
         absorb = apply_absorber
     else:
-        start = initial_classical_state()
+        kind, site = ClassicalState, np.array(1.0)
         advance, absorb = crw_step, crw_apply_absorber
     rows = config.rows
     state = point_in_frame(
-        start, *frame_span(farthest, longest, config.absorber, count), rows)
+        kind, site, *frame_span(farthest, longest, config.absorber, count), rows)
     if lengths is None:
         schedule = itertools.repeat(1, config.steps)
     elif lengths.ndim == 1:

@@ -14,18 +14,19 @@ on one shared window of columns, whose masses, distributions and spreads
 are taken per row. Rows may differ in parity, so `positions` is then per
 row.
 
-The window is a view into one of two buffers in a fixed `Frame`. A step
-writes the next window into the spare buffer and hands the old one over as
-the next spare, so a walk allocates its buffers once; in exchange a step
-consumes its input, and a state is valid only until the next step.
-`plan_move` places the next window; a block of rows is placed whole, and
-`clamped` cuts its window back to the reach, a view like `cut_window`.
+The window is a view into one of two buffers in a fixed `Frame`, which
+only `engine.iterate_walk` allocates (`point_in_frame`), over every site
+the walk can reach. A step writes the next window into the spare buffer
+and hands the old one over as the next spare; in exchange a step consumes
+its input, and a state is valid only until the next step. `plan_move`
+places the next window; a block of rows is placed whole, and `clamped`
+cuts its window back to the reach, a view like `cut_window`.
 """
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -43,19 +44,6 @@ def row_sum(values: np.ndarray, walk_ndim: int):
     if values.ndim == walk_ndim:
         return float(values.sum())
     return values.reshape(values.shape[0], -1).sum(axis=1)
-
-
-def step_lengths(l):
-    """`l` as one int, or as one length per row; every length must be
-    nonnegative."""
-    if isinstance(l, (int, np.integer)) or np.ndim(l) == 0:
-        l = shortest = int(l)
-    else:
-        l = np.asarray(l)
-        shortest = int(l.min())
-    if shortest < 0:
-        raise ConfigurationError(f"step length must be nonnegative, got {shortest}")
-    return l
 
 
 # as_strided reads __array_interface__, whose "typestr" key numpy interns
@@ -78,11 +66,11 @@ def place_rows(out: np.ndarray, values: np.ndarray, starts: np.ndarray) -> None:
 class Frame(NamedTuple):
     """Two buffers over one column frame: column k holds site
     origin + p + 2k in a row of parity p. `live` holds the window, `spare`
-    is what the next step writes (None: that step allocates it)."""
+    is what the next step writes."""
 
     origin: int
     live: np.ndarray
-    spare: Optional[np.ndarray]
+    spare: np.ndarray
 
 
 class _Window:
@@ -110,7 +98,7 @@ class _Window:
         return self.mass_of(self.values)
 
     def with_window(self, time: int, n_min: int, values: np.ndarray,
-                    parity, frame: Optional[Frame]):
+                    parity, frame: Frame):
         return type(self)(time, n_min, values, parity, frame)
 
 
@@ -123,8 +111,8 @@ class QuantumState(_Window):
     # shape ([rows,] 2, width), L = 0, R = 1: float64 when the walk's coin
     # and start are real (its amplitudes stay real), else complex128
     psi: np.ndarray
-    parity: Union[int, np.ndarray] = 0  # per row when the rows differ
-    frame: Optional[Frame] = None
+    parity: Union[int, np.ndarray]  # per row when the rows differ
+    frame: Frame
 
     @property
     def values(self) -> np.ndarray:
@@ -142,8 +130,8 @@ class ClassicalState(_Window):
     time: int
     n_min: int
     prob: np.ndarray  # float64, shape ([rows,] width)
-    parity: Union[int, np.ndarray] = 0  # per row when the rows differ
-    frame: Optional[Frame] = None
+    parity: Union[int, np.ndarray]  # per row when the rows differ
+    frame: Frame
 
     @property
     def values(self) -> np.ndarray:
@@ -171,9 +159,7 @@ def plan_move(state, l):
     down and up images start: 0 and l for one length and parity, else one
     of each per row.
     """
-    values, parity, width = state.values, state.parity, state.values.shape[-1]
-    if not (isinstance(l, int) and l >= 0):
-        l = step_lengths(l)
+    parity, width = state.parity, state.values.shape[-1]
     moved_to = parity + l
     new_parity, up = moved_to & 1, moved_to >> 1
     down = up - l
@@ -186,14 +172,9 @@ def plan_move(state, l):
         grown = int(up.max())
     else:
         low, down, up, grown = down, 0, l, l
-    origin, live, spare = state.frame or (state.n_min, values, None)
+    origin, live, spare = state.frame
     lo = ((state.n_min - origin) >> 1) + low
     hi = lo + width + grown
-    if (spare is None or lo < 0 or hi > spare.shape[-1]
-            or spare.shape[:-1] != values.shape[:-1]):
-        shift = max(-lo, 0)
-        origin, lo, hi = origin - 2 * shift, lo + shift, hi + shift
-        spare = np.empty(values.shape[:-1] + (hi,), values.dtype)
     return state.with_window(state.time, origin + 2 * lo, spare[..., lo:hi],
                              new_parity, Frame(origin, spare, live)), down, up
 
@@ -215,41 +196,32 @@ def cut_window(state, position: int):
     state with rows.
 
     For position > 0 the sites n ≥ position are cut, for position < 0 the
-    sites n ≤ position. When rows differ in parity the cut may fall inside a
-    column: that column's sites at or beyond the absorber are absorbed and
-    zeroed, and the column stays for the rows it still holds a site of.
+    sites n ≤ position. The frame's origin has the absorber's parity (or
+    the one after it, for position < 0; see `engine.frame_span`), so the
+    cut falls between two columns for rows of either parity: column
+    (position − n_min + 1) >> 1 is the first cut one for position > 0 and
+    the first kept one for position < 0.
     """
-    values, parity = state.values, state.parity
+    values = state.values
     width = values.shape[-1]
-    pmin, pmax = _parity_range(parity)
-    offset = position - state.n_min
-    if position > 0:  # first cut column for parity p: ceil((offset − p)/2)
-        edge, end = (offset - pmax + 1) >> 1, (offset - pmin + 1) >> 1
-    else:  # first kept column for parity p: floor((offset − p)/2) + 1
-        edge, end = ((offset - pmax) >> 1) + 1, ((offset - pmin) >> 1) + 1
-    edge, end = min(max(edge, 0), width), min(max(end, 0), width)
-    kept, cut = (slice(0, end), slice(end, width)) if position > 0 \
+    edge = min(max((position - state.n_min + 1) >> 1, 0), width)
+    kept, cut = (slice(0, edge), slice(edge, width)) if position > 0 \
         else (slice(edge, width), slice(0, edge))
     absorbed = state.mass_of(values[..., cut])
-    if edge != end:  # the rows whose parity reaches it lose column `edge`
-        hit = parity == (pmax if position > 0 else pmin)
-        absorbed[hit] += state.mass_of(values[hit, ..., edge:edge + 1])
-        values[hit, ..., edge] = 0
     return state.with_window(state.time, state.n_min + 2 * kept.start,
-                             values[..., kept], parity, state.frame), absorbed
+                             values[..., kept], state.parity, state.frame), absorbed
 
 
-def point_in_frame(state, origin: int, columns: int, rows: tuple):
-    """A copy of the one-site state `state` for each of `rows` in a fresh
-    pair of buffers of `columns` columns from `origin`."""
-    values = state.values
-    live = np.empty(rows + values.shape[:-1] + (columns,), values.dtype)
+def point_in_frame(kind, site: np.ndarray, origin: int, columns: int, rows: tuple):
+    """A `kind` state at time 0 whose every one of `rows` holds `site` (the
+    coin amplitudes, or the probability) at site 0, in a fresh pair of
+    buffers of `columns` columns from `origin`."""
+    live = np.empty(rows + site.shape + (columns,), site.dtype)
     spare = np.empty_like(live)
-    offset = state.n_min - origin
-    k = offset >> 1
-    live[..., k:k + 1] = values
-    return state.with_window(state.time, origin + 2 * k, live[..., k:k + 1],
-                             offset & 1, Frame(origin, live, spare))
+    k = -origin >> 1
+    live[..., k] = site
+    return kind(0, origin + 2 * k, live[..., k:k + 1], -origin & 1,
+                Frame(origin, live, spare))
 
 
 @dataclass
@@ -262,32 +234,6 @@ class PositionDistribution:
 
     def mass(self):
         return row_sum(self.probs, 1)
-
-
-def initial_quantum_state(
-    amp_left: complex = 1.0,
-    amp_right: complex = 0.0,
-    dtype=np.complex128,
-) -> QuantumState:
-    """Walker localized at site 0 with the given coin amplitudes, stored
-    as `dtype` (float64 takes real amplitudes only).
-
-    The coin vector must be normalized: |amp_left|² + |amp_right|² = 1.
-    """
-    norm = abs(amp_left) ** 2 + abs(amp_right) ** 2
-    if abs(norm - 1.0) > 1e-12:
-        raise ConfigurationError(
-            f"initial coin amplitudes must be normalized, got |.|^2 = {norm}"
-        )
-    psi = np.zeros((2, 1), dtype=dtype)
-    psi[LEFT, 0] = amp_left
-    psi[RIGHT, 0] = amp_right
-    return QuantumState(time=0, n_min=0, psi=psi)
-
-
-def initial_classical_state() -> ClassicalState:
-    """Point mass at site 0."""
-    return ClassicalState(time=0, n_min=0, prob=np.array([1.0]))
 
 
 def probability_distribution(state) -> PositionDistribution:

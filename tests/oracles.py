@@ -97,6 +97,14 @@ def exact_first_passage(t, m1):
     return (at(m - 1) - at(m + 1)) / 2
 
 
+def exact_avg_times(m1, horizons):
+    """The finite-horizon average absorbing time Σ t·p_t / Σ p_t over
+    t ≤ n for each n in `horizons`, from `exact_first_passage`."""
+    ps = [float(exact_first_passage(t, m1)) for t in range(1, max(horizons) + 1)]
+    return [math.fsum(t * p for t, p in enumerate(ps[:n], 1)) / math.fsum(ps[:n])
+            for n in horizons]
+
+
 def binomial_half_coeffs(n_terms):
     """Exact generalized binomial coefficients C(1/2, k) for k = 0..n_terms-1.
 

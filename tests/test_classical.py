@@ -3,26 +3,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import brute_force_first_passage, dict_classical_walk
+from oracles import brute_force_first_passage, dict_classical_walk, exact_avg_times
 from walklab import (
     AbsorberConfig,
     ConfigurationError,
-    NoAbsorptionError,
     WalkConfig,
-    classical_avg_time_partial,
     classical_avg_time_ratio,
     classical_first_passage,
     classical_total_absorption,
-    crw_step,
     first_passage_series,
-    initial_classical_state,
     iterate_walk,
     probability_distribution,
     run_walk,
     snapshot_distribution,
 )
-from walklab.classical import crw_apply_absorber
-from walklab.lattice import ClassicalState
 
 
 def dist_dict(state):
@@ -30,23 +24,27 @@ def dist_dict(state):
     return {int(n): p for n, p in zip(d.positions, d.probs) if p != 0.0}
 
 
+def last_state(steps, lengths=None):
+    config = WalkConfig(steps=steps, engine="classical", step_lengths=lengths)
+    for state, _ in iterate_walk(config):
+        pass
+    return state
+
+
 def test_two_step_hand_values():
-    state = initial_classical_state()
-    for _ in range(2):
-        state = crw_step(state)
-    assert dist_dict(state) == pytest.approx(
+    assert dist_dict(last_state(2)) == pytest.approx(
         {-2: 0.25, 0: 0.5, 2: 0.25}, abs=1e-15
     )
 
 
 def test_zero_length_step_is_identity():
-    state = crw_step(initial_classical_state(), l=0)
+    state = last_state(1, np.array([0]))
     assert dist_dict(state) == {0: 1.0}
     assert state.time == 1
 
 
 def test_step_length_two():
-    state = crw_step(initial_classical_state(), l=2)
+    state = last_state(1, np.array([2]))
     assert dist_dict(state) == pytest.approx({-2: 0.5, 2: 0.5}, abs=1e-15)
 
 
@@ -146,16 +144,9 @@ def test_total_absorption_approaches_one():
 
 def test_avg_time_partial_diverges():
     # the average absorbing time has no finite limit: partial sums grow ~ sqrt(n)
-    a = classical_avg_time_partial(2, 10 ** 3)
-    b = classical_avg_time_partial(2, 4 * 10 ** 3)
-    c = classical_avg_time_partial(2, 16 * 10 ** 3)
+    a, b, c = exact_avg_times(2, [250, 10 ** 3, 4 * 10 ** 3])
     assert b / a == pytest.approx(2.0, rel=0.15)
     assert c / b == pytest.approx(2.0, rel=0.15)
-
-
-def test_avg_time_partial_errors_without_support():
-    with pytest.raises(NoAbsorptionError):
-        classical_avg_time_partial(5, 3)
 
 
 def test_avg_time_term_values():
@@ -195,18 +186,3 @@ def test_walk_loop_allocates_no_window_per_step(steps):
     assert state.time == steps
     pair = state.frame.live.nbytes + state.frame.spare.nbytes
     assert peak <= 3 * pair
-
-
-def test_absorber_inside_a_column_cuts_only_the_rows_it_reaches():
-    # rows at sites 1 and 0 share a column of a frame whose origin has the
-    # other parity than the absorber at 1: the column stays, zeroed in the
-    # row it absorbs
-    state = ClassicalState(time=0, n_min=0, prob=np.array([[1.0], [1.0]]))
-    state = crw_step(state, l=np.array([1, 2]))
-    kept, absorbed = crw_apply_absorber(state, AbsorberConfig(1))
-    np.testing.assert_array_equal(absorbed, [0.5, 0.5])
-    np.testing.assert_array_equal(kept.mass(), [0.5, 0.5])
-    dist = probability_distribution(kept)
-    for sites, probs, want in zip(dist.positions, dist.probs, ({-1: 0.5}, {-2: 0.5})):
-        assert {n: p for n, p in zip(sites.tolist(), probs.tolist()) if p} == want
-        assert sites.max() <= 1

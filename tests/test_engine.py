@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -7,19 +9,14 @@ from walklab import (
     ConfigurationError,
     CoinOperator,
     WalkConfig,
-    apply_absorber,
     coin_by_name,
-    crw_step,
     hadamard_coin,
-    initial_classical_state,
-    initial_quantum_state,
     iterate_walk,
     kempe_coin,
     mirrored_hadamard_coin,
     probability_distribution,
     run_walk,
     std_dev,
-    step,
 )
 from walklab.engine import snapshot_distribution
 
@@ -37,6 +34,12 @@ def coin_tuple(coin):
 def dist_dict(state):
     d = probability_distribution(state)
     return {int(n): p for n, p in zip(d.positions, d.probs) if p != 0.0}
+
+
+def last_state(config):
+    for state, _ in iterate_walk(config):
+        pass
+    return state
 
 
 def test_coin_matrices_unitary():
@@ -86,23 +89,19 @@ def test_coin_by_name():
 
 
 def test_one_step_hand_values():
-    state = step(initial_quantum_state(), hadamard_coin())
+    state = last_state(WalkConfig(steps=1))
     assert dist_dict(state) == pytest.approx({-1: 0.5, 1: 0.5}, abs=1e-12)
 
 
 def test_two_step_hand_values():
-    state = initial_quantum_state()
-    for _ in range(2):
-        state = step(state, hadamard_coin())
+    state = last_state(WalkConfig(steps=2))
     assert dist_dict(state) == pytest.approx(
         {-2: 0.25, 0: 0.5, 2: 0.25}, abs=1e-12
     )
 
 
 def test_matches_dict_oracle_clean():
-    state = initial_quantum_state()
-    for _ in range(25):
-        state = step(state, hadamard_coin())
+    state = last_state(WalkConfig(steps=25))
     psi, _ = dict_quantum_walk(25, coin_tuple(hadamard_coin()))
     oracle = {n: abs(v[0]) ** 2 + abs(v[1]) ** 2 for n, v in psi.items()}
     mine = dist_dict(state)
@@ -122,9 +121,7 @@ def test_matches_dict_oracle_with_absorber(m1):
 
 
 def test_mass_conservation_no_absorber():
-    state = initial_quantum_state()
-    for _ in range(300):
-        state = step(state, hadamard_coin())
+    for state, _ in iterate_walk(WalkConfig(steps=300)):
         assert abs(state.mass() - 1.0) < 1e-12
 
 
@@ -153,13 +150,14 @@ def test_absorber_zero_rejected():
 
 
 def test_apply_absorber_returns_removed_mass():
-    state = initial_quantum_state()
-    for _ in range(3):
-        state = step(state, hadamard_coin())
-    before = state.mass()
-    state, absorbed = apply_absorber(state, AbsorberConfig(2))
-    assert absorbed > 0.0
-    assert state.mass() == pytest.approx(before - absorbed, abs=1e-12)
+    # a step conserves mass, so what the absorber cuts is all the state loses
+    before, cut = 1.0, []
+    config = WalkConfig(steps=3, absorber=AbsorberConfig(2))
+    for state, absorbed in iterate_walk(config):
+        assert state.mass() == pytest.approx(before - absorbed, abs=1e-12)
+        before = state.mass()
+        cut.append(absorbed)
+    assert max(cut) > 0.0
 
 
 def test_coin_variants_same_probabilities():
@@ -198,19 +196,20 @@ def test_global_phase_invariance():
 
 
 def test_shift_lengths():
-    moved = step(initial_quantum_state(), hadamard_coin(), l=3)
+    moved = last_state(WalkConfig(steps=1, step_lengths=np.array([3])))
     d = probability_distribution(moved)
     support = {int(n) for n, p in zip(d.positions, d.probs) if p != 0.0}
     assert support == {-3, 3}
 
 
 def test_zero_length_applies_coin_only():
-    state = step(initial_quantum_state(), hadamard_coin(), l=0)
+    walk = iterate_walk(WalkConfig(steps=2, step_lengths=np.array([0, 0])))
+    state, _ = next(walk)
     d = dist_dict(state)
     assert set(d) == {0}
     assert state.time == 1
     # the coin did act: a second zero-length step interferes
-    state = step(state, hadamard_coin(), l=0)
+    state, _ = next(walk)
     amp_l = state.psi[0, 0]
     amp_r = state.psi[1, 0]
     # H^2 = identity restores the initial coin state
@@ -219,10 +218,27 @@ def test_zero_length_applies_coin_only():
 
 
 def test_negative_length_rejected():
-    with pytest.raises(ConfigurationError):
-        step(initial_quantum_state(), hadamard_coin(), -1)
-    with pytest.raises(ConfigurationError):
-        crw_step(initial_classical_state(), -1)
+    for engine in ("quantum", "classical"):
+        with pytest.raises(ConfigurationError):
+            WalkConfig(steps=1, engine=engine, step_lengths=np.array([-1]))
+
+
+@pytest.mark.parametrize("value, exact", [
+    (2.0, True), (np.int64(2), True), (Fraction(4, 2), True),
+    (float("nan"), False), (float("inf"), False), (2.5, False),
+    (np.float64(1.5), False), ("2", False), (None, False), (2j, False),
+])
+def test_absorber_position_and_steps_are_exact_integers(value, exact):
+    if not exact:
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            AbsorberConfig(value)
+        with pytest.raises(ConfigurationError, match="must be an integer"):
+            WalkConfig(steps=value)
+        return
+    config = WalkConfig(steps=value, absorber=AbsorberConfig(value))
+    assert type(config.steps) is int and type(config.absorber.position) is int
+    want = run_walk(WalkConfig(steps=2, absorber=AbsorberConfig(2)))
+    assert np.array_equal(run_walk(config).record.per_step, want.record.per_step)
 
 
 def test_config_validates_lengths():
@@ -275,11 +291,8 @@ def test_batched_walk_runs_until_every_row_is_empty():
 def test_sigma_is_renormalized_spread():
     config = WalkConfig(steps=30, absorber=AbsorberConfig(2))
     result = run_walk(config)
-    state = initial_quantum_state()
     expected = []
-    for _ in range(30):
-        state = step(state, hadamard_coin())
-        state, _ = apply_absorber(state, AbsorberConfig(2))
+    for state, _ in iterate_walk(config):
         dist = probability_distribution(state)
         dist.probs /= dist.mass()
         expected.append(std_dev(dist))

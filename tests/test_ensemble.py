@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import exact_avg_times
 from walklab import (
     AbsorberConfig,
     AbsorptionRecord,
@@ -16,7 +17,6 @@ from walklab import (
     NumericalError,
     WalkConfig,
     child_seed,
-    classical_avg_time_partial,
     disorder_avg_absorb_time,
     disorder_avg_sigma,
     finite_horizon_avg_time,
@@ -359,7 +359,7 @@ def test_absorbing_time_growth_reverses_under_disorder():
 
     clean = gamma(disorder_avg_absorb_time(EnsembleConfig(walk, 1), hs))
     assert abs(clean.alpha) < 0.02
-    values = np.array([classical_avg_time_partial(2, int(n)) for n in hs])
+    values = np.array(exact_avg_times(2, hs.tolist()))
     classical = gamma(AveragedCurve(hs, values, np.zeros(hs.size), 1,
                                     np.ones(hs.size, dtype=np.int64)))
     assert abs(classical.alpha - 0.5) < 0.05

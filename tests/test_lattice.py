@@ -5,8 +5,8 @@ from walklab import (
     ConfigurationError,
     EmptyStateError,
     PositionDistribution,
-    initial_classical_state,
-    initial_quantum_state,
+    WalkConfig,
+    iterate_walk,
     probability_distribution,
     std_dev,
 )
@@ -18,24 +18,34 @@ def dist(pairs, time=0):
     return PositionDistribution(time=time, positions=positions, probs=probs)
 
 
+def standing_walk(engine):
+    """The state after one step of length 0: still the initial point mass
+    (the quantum coin acts, but moves nothing)."""
+    state, _ = next(iterate_walk(
+        WalkConfig(steps=1, engine=engine, step_lengths=np.array([0]))))
+    return state
+
+
 def test_initial_quantum_state_point_mass():
-    state = initial_quantum_state()
-    assert state.time == 0
+    state = standing_walk("quantum")
     assert state.mass() == pytest.approx(1.0, abs=1e-15)
     d = probability_distribution(state)
     assert d.positions.tolist() == [0]
-    assert d.probs.tolist() == [1.0]
+    assert d.probs.tolist() == pytest.approx([1.0], abs=1e-15)
 
 
 def test_initial_quantum_state_normalization_check():
     with pytest.raises(ConfigurationError):
-        initial_quantum_state(amp_left=1.0, amp_right=1.0)
+        WalkConfig(steps=1, initial_amp_left=1.0, initial_amp_right=1.0)
     # any phase on a normalized pair is fine
-    initial_quantum_state(amp_left=1j / np.sqrt(2), amp_right=-1 / np.sqrt(2))
+    WalkConfig(steps=1, initial_amp_left=1j / np.sqrt(2),
+               initial_amp_right=-1 / np.sqrt(2))
+    # the classical engine ignores the amplitudes
+    WalkConfig(steps=1, engine="classical", initial_amp_left=1.0, initial_amp_right=1.0)
 
 
 def test_initial_classical_state():
-    state = initial_classical_state()
+    state = standing_walk("classical")
     assert state.mass() == pytest.approx(1.0, abs=1e-15)
     d = probability_distribution(state)
     assert d.positions.tolist() == [0]

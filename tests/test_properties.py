@@ -277,6 +277,56 @@ def test_parity_windows_match_oracles_every_step(config):
 
 
 @st.composite
+def framed_walks(draw):
+    """Either engine, 1–4 rows of step lengths 0–4, and an absorber at
+    ±1..±6 or none."""
+    steps, rows = draw(st.integers(1, 16)), draw(st.integers(1, 4))
+    lengths = draw(st.lists(
+        st.lists(st.integers(0, 4), min_size=steps, max_size=steps),
+        min_size=rows, max_size=rows))
+    position = draw(st.one_of(st.none(), st.integers(-6, 6).filter(bool)))
+    return WalkConfig(
+        steps=steps,
+        engine=draw(st.sampled_from(("quantum", "classical"))),
+        absorber=None if position is None else AbsorberConfig(position),
+        step_lengths=np.array(lengths if rows > 1 else lengths[0], dtype=np.int64),
+    )
+
+
+def first_cut_column(state, position, parity):
+    """The first column of a row of `parity` that holds a site at or beyond
+    the absorber at `position` (position > 0), or the first that holds one
+    short of it (position < 0)."""
+    gap = position - state.n_min - parity
+    return -(-gap // 2) if position > 0 else gap // 2 + 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(framed_walks())
+# rows of both parities, the left absorber at an odd site
+@example(WalkConfig(steps=3, engine="classical", absorber=AbsorberConfig(-3),
+                    step_lengths=np.array([[1, 0, 4], [0, 1, 1]])))
+def test_every_window_lies_in_its_frame(config):
+    """What the kernels assume of every state the walk yields: its window is
+    a view into the live buffer of its frame, its first site has the parity
+    of the frame's origin, and the absorber's cut falls between the same two
+    columns for rows of either parity."""
+    for state, _ in iterate_walk(config):
+        origin, live, spare = state.frame
+        values = state.values
+        assert live.shape == spare.shape and live.shape[:-1] == values.shape[:-1]
+        assert (state.n_min - origin) % 2 == 0
+        start = (state.n_min - origin) // 2
+        assert 0 <= start and start + state.width <= live.shape[-1]
+        assert values.base is live
+        offset = values.__array_interface__["data"][0] - live.__array_interface__["data"][0]
+        assert offset == start * live.strides[-1]
+        if config.absorber is not None:
+            a = config.absorber.position
+            assert first_cut_column(state, a, 0) == first_cut_column(state, a, 1)
+
+
+@st.composite
 def real_walks(draw):
     """A quantum walk with a real coin and start: 1–4 rows of step lengths,
     and an absorber on either side of the origin or none."""
