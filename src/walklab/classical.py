@@ -1,14 +1,16 @@
 """Classical random walk kernels and first-passage laws.
 
-The walker splits its mass half left, half right by the step length each
-step, writing both halves straight into the spare buffer of its state (see
-`lattice`): by plain slices for one length, by index for one per row. The
-absorber cuts the window at its position and returns the mass beyond it,
-exactly as in the quantum engine. `engine.run_walk` drives these kernels
-for configs with engine "classical". Exact vector propagation replaces
-Monte Carlo everywhere; trajectory sampling exists only in the test suite
-as a cross-check oracle. The first-passage law has one implementation,
-`first_passage_series`, which steps its exact term ratio;
+A step splits the walker's mass half left, half right by the step length,
+writing both halves into the spare buffer along the step's `Move` (see
+`lattice`): by plain slices for one walk, by one indexed copy per image
+for a block. The window then ends, on each side, at its outermost column
+that holds mass in some row, so no step computes the columns of a long
+walk whose mass underflowed to zero. The absorber cuts the window exactly
+as in the quantum engine.
+`engine.iterate_walk` drives these kernels for the "classical" engine.
+Exact vector propagation replaces Monte Carlo; trajectory sampling exists
+only in the test suite as an oracle. The first-passage law has one
+implementation, `first_passage_series`, which steps its exact term ratio;
 `classical_first_passage` reads one term of it.
 """
 from __future__ import annotations
@@ -19,46 +21,58 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ConfigurationError
-from .lattice import ClassicalState, cut_window, place_rows, plan_move
+from .lattice import ClassicalState, Move, cut_at, keep_columns, shift_window
 
 if TYPE_CHECKING:  # engine imports this module for its kernels
     from .engine import AbsorberConfig
 
 
-def crw_step(state: ClassicalState, l=1) -> ClassicalState:
-    """One fair step of length l of a state of `engine.iterate_walk`:
-    p'(n) = ½ p(n+l) + ½ p(n−l).
+def _trim(state: ClassicalState) -> None:
+    """Cut the window to its columns from the first to the last that holds
+    mass in some row; to no columns when no row holds any."""
+    prob = state.values
+    live = prob if prob.ndim == 1 else prob.any(axis=0)
+    start, stop = 0, live.shape[0]
+    while stop > start and not live[stop - 1]:
+        stop -= 1
+    while start < stop and not live[start]:
+        start += 1
+    if stop - start < live.shape[0]:
+        keep_columns(state, start, stop)
 
-    `l` is one length, or one per row; the window grows by the longest. The
-    step overwrites the input state's window.
-    """
-    if not (l if isinstance(l, int) else np.any(l)):
-        # no row moves: the same window, one step later
-        return state.with_window(state.time + 1, state.n_min, state.prob,
-                                 state.parity, state.frame)
-    moved, down, up = plan_move(state, l)
-    moved.time += 1
-    prob, out = state.prob, moved.prob
-    if isinstance(down, int):  # one length and parity: plain slices, l apart
-        width = prob.shape[-1]
-        np.multiply(prob, 0.5, out=out[..., :width])
-        out[..., width:] = 0
-        target = out[..., up:]
+
+def crw_step(state: ClassicalState, move: Move) -> ClassicalState:
+    """One fair step along `move` of the state of `engine.iterate_walk`, in
+    place: p'(n) = ½ p(n+l) + ½ p(n−l), for one length l or one per row.
+    The step overwrites the input window."""
+    if not (move.low or move.high):  # no row moves: the same window
+        state.time += 1
+        return state
+    prob, rows = shift_window(state, move)
+    if rows is None:  # one walk: its images are plain slices, l apart
+        out, width = state.values, prob.shape[-1]
+        np.multiply(prob, 0.5, out=out[:width])
+        out[width:] = 0
+        target = out[move.length:]
         np.add(target, np.multiply(prob, 0.5, out=prob), out=target)
-        return moved
-    half = 0.5 * prob
-    out[...] = 0
-    place_rows(out, half, down)
-    place_rows(out, half, up)
-    return moved
+    else:  # a block: one indexed copy per image
+        np.multiply(prob, 0.5, out=prob)
+        state.values[...] = 0
+        rows[move.starts[:, 0]] = prob
+        rows[move.starts[:, 1]] += prob
+    _trim(state)
+    return state
 
 
 def crw_apply_absorber(
     state: ClassicalState, absorber: AbsorberConfig
 ) -> tuple[ClassicalState, float]:
-    """Cut the window at the absorber; return (a view of the kept sites, the
-    mass of the cut sites), the cut mass per row for a state with rows."""
-    return cut_window(state, absorber.position)
+    """Cut the window at the absorber and drop the columns that hold no
+    mass; return (the state, the mass of the cut sites), the cut mass per
+    row for a state with rows."""
+    absorbed = cut_at(state, absorber.position)
+    _trim(state)
+    return state, absorbed
 
 
 def classical_first_passage(t: int, m1: int) -> float:

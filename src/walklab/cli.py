@@ -84,8 +84,8 @@ def _render(args, meta: dict, columns: list[str], rows: list[tuple],
         lines = [f"# {k}={meta[k]}" for k in sorted(meta)]
         lines.append(",".join(columns))
         for row in rows:
-            cells = ("" if v is None else str(v) for v in map(_value, row))
-            lines.append(",".join(cells))
+            # `_value` inline: only a NaN has v != v; str(np.float64) is str(float)
+            lines.append(",".join("" if v is None or v != v else str(v) for v in row))
         return "\n".join(lines) + "\n"
     payload = {
         "meta": {k: _value(v) for k, v in meta.items()},

@@ -18,12 +18,14 @@ real keeps every amplitude real, so it stores float64 amplitudes; any other
 inputs complex arithmetic adds only ±0 imaginary parts, so p_t and σ are the
 same, bit for bit, at half the bytes a step.
 
-States store one parity sublattice per row (see `lattice`). A walk
-allocates its two buffers once, over a frame that holds every site it can
-reach; a step writes the coin's output straight into its shifted place in
-the spare buffer, so no step allocates a window: by plain slices for one
-length per step, else by one indexed copy of all rows, whose window
-`iterate_walk` then cuts back to the rows' reach.
+`iterate_walk` is one planned loop. It allocates a walk's two buffers
+once (see `lattice`) and derives each step's `lattice.Move` from the step
+lengths alone: Python ints for one walk; for a block of rows, the reach
+that clips the shared window from one cumulative sum of the lengths, and
+the row parities and image starts in a few row-sized operations a step. A
+kernel then only does the arithmetic, writing the coin's output straight
+to its place in the spare buffer (plain slices for one walk, one indexed
+copy for a block). An empty window, no row holding mass, ends a walk.
 """
 from __future__ import annotations
 
@@ -39,15 +41,14 @@ from .lattice import (
     LEFT,
     RIGHT,
     ClassicalState,
+    Move,
     PositionDistribution,
     QuantumState,
-    clamped,
-    cut_window,
-    place_rows,
-    plan_move,
+    cut_at,
+    keep_columns,
     point_in_frame,
     probability_distribution,
-    row_sum,
+    shift_window,
     std_dev,
 )
 
@@ -140,40 +141,46 @@ class AbsorberConfig:
         object.__setattr__(self, "position", position)
 
 
-def step(state: QuantumState, coin: CoinOperator, l=1) -> QuantumState:
-    """One full evolution step of a state of `iterate_walk`: apply `coin`
-    and move the L component l sites down and the R component l sites up
-    (`l` is one length, or one per row), writing into the spare buffer;
-    advances the step counter and overwrites the input state's window."""
-    moved, down, up = plan_move(state, l)
-    psi, out = state.psi, moved.psi
+def step(state: QuantumState, coin: CoinOperator, move: Move) -> QuantumState:
+    """One full evolution step along `move` of the state of `iterate_walk`,
+    in place: apply `coin` and move the L component l sites down and the R
+    component l sites up (one l, or one per row), writing into the spare
+    buffer; overwrites the input window."""
+    psi, rows = shift_window(state, move)
     src_l, src_r = psi[..., LEFT, :], psi[..., RIGHT, :]
-    if isinstance(down, int):  # one length and parity: plain slices, l apart
-        width = psi.shape[-1]
-        left, right = out[..., LEFT, :width], out[..., RIGHT, up:]
+    if rows is None:  # one walk: plain slices, l apart
+        out, width, l = state.values, psi.shape[-1], move.length
+        left, right = out[..., LEFT, :width], out[..., RIGHT, l:]
         # a·L + c·R and b·L + d·R with no temporary: each cross term
         # is written first, then each source scaled in place and added
         np.multiply(src_r, coin.c, out=left)
         np.multiply(src_l, coin.b, out=right)
         np.add(left, np.multiply(src_l, coin.a, out=src_l), out=left)
         np.add(right, np.multiply(src_r, coin.d, out=src_r), out=right)
-        out[..., LEFT, width:] = out[..., RIGHT, :up] = 0
-    else:  # coin in place (the input window is spent), then place the rows
-        cross_l, cross_r = coin.c * src_r, coin.b * src_l
-        np.add(np.multiply(src_l, coin.a, out=src_l), cross_l, out=src_l)
-        np.add(np.multiply(src_r, coin.d, out=src_r), cross_r, out=src_r)
-        out[...] = 0
-        place_rows(out, psi, np.stack([down, up], axis=1))
-    moved.time += 1
-    return moved
+        out[..., LEFT, width:] = out[..., RIGHT, :l] = 0
+        return state
+    # a block: coin in place (the input window is spent), then one indexed
+    # copy puts every row's L and R image at its start
+    cross_l, cross_r = coin.c * src_r, coin.b * src_l
+    np.add(np.multiply(src_l, coin.a, out=src_l), cross_l, out=src_l)
+    np.add(np.multiply(src_r, coin.d, out=src_r), cross_r, out=src_r)
+    state.values[...] = 0
+    rows[move.starts] = psi
+    return state
 
 
 def apply_absorber(
     state: QuantumState, absorber: AbsorberConfig
 ) -> tuple[QuantumState, float]:
-    """Cut the window at the absorber; return (a view of the kept sites, the
-    mass of the cut sites), the cut mass per row for a state with rows."""
-    return cut_window(state, absorber.position)
+    """Cut the window at the absorber; return (the state, the mass of the
+    cut sites), the cut mass per row for a state with rows. A cut that
+    leaves no amplitude in any row leaves no columns."""
+    absorbed = cut_at(state, absorber.position)
+    # only a cut can empty the walk
+    hit = absorbed.any() if isinstance(absorbed, np.ndarray) else absorbed
+    if hit and not state.values.any():
+        keep_columns(state, 0, 0)
+    return state, absorbed
 
 
 @dataclass
@@ -188,7 +195,7 @@ class AbsorptionRecord:
 
     @property
     def cumulative_total(self):
-        return row_sum(self.per_step, 1)
+        return self.per_step.sum(axis=-1)
 
 
 # bytes per site of each engine's window, as the budget counts them: complex
@@ -300,24 +307,58 @@ class WalkResult:
     final_state: WalkerState
 
 
+def _moves(lengths: Optional[np.ndarray], steps: int, origin: int, columns: int,
+           components: int) -> Iterator[Move]:
+    """Each step's `Move` for a walk that starts at parity −origin & 1 in a
+    frame of `columns` columns of `components` arrays a row: Python ints for
+    one walk; for a block, the reach of every step from one cumulative sum of
+    its lengths, then each step's row parities and image starts."""
+    parity = -origin & 1
+    if lengths is None or lengths.ndim == 1:
+        for l in itertools.repeat(1, steps) if lengths is None else lengths.tolist():
+            moved = parity + l
+            parity = moved & 1
+            yield Move(l, parity, (moved >> 1) - l, moved >> 1)
+        return
+    reach = np.cumsum(lengths, axis=1).max(axis=0)
+    firsts = ((-reach - origin) >> 1).tolist()
+    ends = (((reach - origin) >> 1) + 1).tolist()
+    # row r's L (or only) array starts at element r·components·columns of the
+    # flat buffer, its R array `columns` later
+    base = np.arange(len(lengths))[:, np.newaxis] * (components * columns) \
+        + np.array([0, (components - 1) * columns])
+    parities = np.full(len(lengths), parity)
+    for l, first, end in zip(lengths.T, firsts, ends):
+        moved = parities + l
+        parities = moved & 1
+        up = moved >> 1
+        low = int((up - l).min())
+        starts = base - low + up[:, np.newaxis]
+        starts[:, 0] -= l
+        yield Move(l, parities, low, int(up.max()), starts, (first, end))
+
+
 def iterate_walk(config: WalkConfig) -> Iterator[tuple[WalkerState, float]]:
     """Yield (state after step t, mass absorbed at step t) for t = 1..steps.
 
     A yielded state is valid until the next step, which overwrites it. Stops
-    early after a step that leaves every row without surviving mass: nothing
-    evolves past that point. Rows share one window: the columns within the
-    farthest any row has moved from the start, up to the absorber. The walk
-    allocates its two buffers before the first step, float64 for real
-    amplitudes (see `real_amplitudes`) and complex128 otherwise; a walk whose
-    window could pass MAX_ARRAY_BYTES at SITE_BYTES is refused before that.
+    early after a step that leaves every row without surviving mass, whose
+    window is empty: nothing evolves past that point. Rows share one window:
+    the columns within the farthest any row has moved from the start, up to
+    the absorber (for the classical engine, only those out to the outermost
+    one that holds mass). The walk allocates its two buffers before the first
+    step, float64 for real amplitudes (see `real_amplitudes`) and complex128
+    otherwise; a walk whose window could pass MAX_ARRAY_BYTES at SITE_BYTES
+    is refused before that.
     """
     lengths = config.step_lengths
     if lengths is None:
         count, farthest, longest = 1, config.steps, 1
     else:
         lengths = np.asarray(lengths)
-        sums = np.sum(lengths, axis=-1)
-        count, farthest, longest = np.size(sums), int(np.max(sums)), int(lengths.max())
+        # float sums do not wrap, and are exact for any walk within the budget
+        sums = lengths.sum(axis=-1, dtype=np.float64)
+        count, farthest, longest = sums.size, int(sums.max()), int(lengths.max())
     sites = 1 + 2 * farthest
     nbytes = count * sites * SITE_BYTES[config.engine]
     if nbytes > MAX_ARRAY_BYTES:
@@ -325,6 +366,8 @@ def iterate_walk(config: WalkConfig) -> Iterator[tuple[WalkerState, float]]:
             f"a walk window of {count} row(s) × {sites} sites needs {nbytes} "
             f"bytes, above the budget of {MAX_ARRAY_BYTES}"
         )
+    if lengths is not None:  # for the plan: an unsigned up − l would wrap
+        lengths = lengths.astype(np.int64, copy=False)
     if config.engine == "quantum":
         coin, amps = config.coin, (config.initial_amp_left, config.initial_amp_right)
         kind, site = QuantumState, np.array(amps, np.complex128)
@@ -332,36 +375,22 @@ def iterate_walk(config: WalkConfig) -> Iterator[tuple[WalkerState, float]]:
             coin = replace(coin, **{k: complex(getattr(coin, k)).real for k in "abcd"})
             site = site.real
 
-        def advance(current, l):
-            return step(current, coin, l)
+        def advance(current, move):
+            return step(current, coin, move)
 
         absorb = apply_absorber
     else:
         kind, site = ClassicalState, np.array(1.0)
         advance, absorb = crw_step, crw_apply_absorber
-    rows = config.rows
-    state = point_in_frame(
-        kind, site, *frame_span(farthest, longest, config.absorber, count), rows)
-    if lengths is None:
-        schedule = itertools.repeat(1, config.steps)
-    elif lengths.ndim == 1:
-        schedule = lengths.tolist()
-    else:
-        schedule = lengths.T
-        # a step widens the window by its longest row length; cut it back to
-        # the farthest any row has moved (no row has mass beyond that)
-        reach = iter(np.cumsum(lengths, axis=-1).max(axis=0).tolist())
-    for l in schedule:
-        state = advance(state, l)
-        if rows:
-            state = clamped(state, next(reach))
-        if config.absorber is None:
-            yield state, 0.0
-            continue
-        state, absorbed = absorb(state, config.absorber)
+    origin, columns = frame_span(farthest, longest, config.absorber, count)
+    state = point_in_frame(kind, site, origin, columns, config.rows)
+    absorber = config.absorber
+    for move in _moves(lengths, config.steps, origin, columns, site.size):
+        state, absorbed = advance(state, move), 0.0
+        if absorber is not None:
+            state, absorbed = absorb(state, absorber)
         yield state, absorbed
-        # only absorption removes mass, so only a step that absorbed can empty
-        if (absorbed.any() if rows else absorbed) and state.is_empty():
+        if not state.width:  # no row holds mass
             return
 
 

@@ -3,64 +3,34 @@
 A step of length l moves a walker's mass from site n to n ± l, so after
 every step all of one walk's mass sits on sites of one parity. A state
 stores only that sublattice: column j of a row of parity p is site
-n_min + p + 2j. A quantum state stores two amplitude arrays (left-mover
-and right-mover components, float64 or complex128) over a window of such
-columns; a classical state stores one probability array over the same kind
-of window.
-A walk's window holds the columns within reach of its start, cut at the
-absorber: no site outside it carries surviving mass, so propagation is
-exact. Every array may carry a leading row axis: R independent walks (rows)
-on one shared window of columns, whose masses, distributions and spreads
-are taken per row. Rows may differ in parity, so `positions` is then per
-row.
+n_min + p + 2j, in two amplitude arrays (quantum: left- and right-mover,
+float64 or complex128) or one probability array (classical) over a window
+of columns. A leading row axis holds R independent walks (rows), each of
+its own parity, on one shared window; masses, distributions and spreads
+are taken per row.
 
-The window is a view into one of two buffers in a fixed `Frame`, which
-only `engine.iterate_walk` allocates (`point_in_frame`), over every site
-the walk can reach. A step writes the next window into the spare buffer
-and hands the old one over as the next spare; in exchange a step consumes
-its input, and a state is valid only until the next step. `plan_move`
-places the next window; a block of rows is placed whole, and `clamped`
-cuts its window back to the reach, a view like `cut_window`.
+The window is a view into one of two buffers in a fixed `Frame` that only
+`engine.iterate_walk` allocates (`point_in_frame`). The walk advances one
+state in place along one `Move` a step, which the step lengths alone fix:
+`shift_window` moves the state to the next window in the spare buffer,
+which the step kernel writes, and swaps the buffers, so a state is valid
+only until the next step. A window holds only columns within reach of the
+start, cut at the absorber (`cut_at`), so propagation is exact; a
+classical window also ends at its outermost column that is nonzero in
+some row, since a zero column stays zero.
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigurationError, EmptyStateError
 
 # coin basis component indices
 LEFT = 0
 RIGHT = 1
-
-
-def row_sum(values: np.ndarray, walk_ndim: int):
-    """Sum over one walk's axes (the last `walk_ndim`): a float for a single
-    walk, one sum per row when `values` has a leading row axis."""
-    if values.ndim == walk_ndim:
-        return float(values.sum())
-    return values.reshape(values.shape[0], -1).sum(axis=1)
-
-
-# as_strided reads __array_interface__, whose "typestr" key numpy interns
-# anew per call unless something holds it; holding it spares the interpreter
-# reallocating its interned-string table (1-2 MB) every 10^4 or so steps
-_TYPESTR = sys.intern("typestr")
-
-
-def place_rows(out: np.ndarray, values: np.ndarray, starts: np.ndarray) -> None:
-    """Add each row of `values` (its last axis) into the same row of `out`
-    from column starts[row] on; `starts` has the leading shape of both."""
-    width = values.shape[-1]
-    windows = as_strided(out, out.shape[:-1] + (out.shape[-1] - width + 1, width),
-                         out.strides + out.strides[-1:])
-    rows = np.arange(len(starts)).reshape((-1,) + (1,) * (starts.ndim - 1))
-    lead = (rows,) if starts.ndim == 1 else (rows, np.arange(starts.shape[1]))
-    windows[lead + (starts,)] += values
 
 
 class Frame(NamedTuple):
@@ -73,9 +43,36 @@ class Frame(NamedTuple):
     spare: np.ndarray
 
 
+class Move(NamedTuple):
+    """One step's geometry, which the step lengths alone fix. A row of
+    parity p moves by l to parity (p + l) & 1, its column k to k + up and
+    k + up − l (up = (p + l) >> 1). The next window runs from `low` columns
+    past the current first column to `high` past the current end. One
+    walk: ints, its images `length` columns apart. A block: `length` and
+    `parity` per row, `starts` of each row's down and up image in the flat
+    spare buffer from that first column, and `reach` (first, end), the
+    columns within the rows' farthest move, to which the window is clipped.
+    """
+
+    length: Union[int, np.ndarray]
+    parity: Union[int, np.ndarray]
+    low: int
+    high: int
+    starts: Optional[np.ndarray] = None
+    reach: Optional[tuple] = None
+
+
+@dataclass
 class _Window:
-    """What both states share: each is a dataclass of (time, n_min, its
-    window array, parity, frame), and `values` is the window array."""
+    """What both states share: the time, the site n_min of the window's
+    first column, the window array `values` (a view into `frame.live`), the
+    row parity (one per row for a block) and the frame."""
+
+    time: int
+    n_min: int
+    values: np.ndarray
+    parity: Union[int, np.ndarray]
+    frame: Frame
 
     @property
     def width(self) -> int:
@@ -83,133 +80,93 @@ class _Window:
 
     @property
     def positions(self) -> np.ndarray:
-        """Sites of the window's columns: one row per walk when the rows
-        differ in parity."""
+        """Sites of the window's columns: one row per walk for a block."""
         sites = self.n_min + 2 * np.arange(self.width)
         if isinstance(self.parity, np.ndarray):
             return sites + self.parity[:, np.newaxis]
         return sites + self.parity
 
-    def is_empty(self) -> bool:
-        """True when no row holds a nonzero amplitude or probability."""
-        return not self.values.any()
-
     def mass(self):
         return self.mass_of(self.values)
 
-    def with_window(self, time: int, n_min: int, values: np.ndarray,
-                    parity, frame: Frame):
-        return type(self)(time, n_min, values, parity, frame)
 
-
-@dataclass
 class QuantumState(_Window):
-    """Coin ⊗ position amplitudes over a window of parity columns."""
-
-    time: int
-    n_min: int
-    # shape ([rows,] 2, width), L = 0, R = 1: float64 when the walk's coin
-    # and start are real (its amplitudes stay real), else complex128
-    psi: np.ndarray
-    parity: Union[int, np.ndarray]  # per row when the rows differ
-    frame: Frame
+    """Coin ⊗ position amplitudes over a window of parity columns: `values`
+    has shape ([rows,] 2, width), L = 0, R = 1, float64 when the walk's coin
+    and start are real (its amplitudes stay real), else complex128."""
 
     @property
-    def values(self) -> np.ndarray:
-        return self.psi
+    def psi(self) -> np.ndarray:
+        return self.values
 
     @staticmethod
     def mass_of(values: np.ndarray):
-        return row_sum(np.abs(values) ** 2, 2)
+        return (np.abs(values) ** 2).sum(axis=(-2, -1))
 
 
-@dataclass
 class ClassicalState(_Window):
-    """Probability mass over a window of parity columns."""
-
-    time: int
-    n_min: int
-    prob: np.ndarray  # float64, shape ([rows,] width)
-    parity: Union[int, np.ndarray]  # per row when the rows differ
-    frame: Frame
+    """Probability mass over a window of parity columns: `values` is float64
+    of shape ([rows,] width)."""
 
     @property
-    def values(self) -> np.ndarray:
-        return self.prob
+    def prob(self) -> np.ndarray:
+        return self.values
 
     @staticmethod
     def mass_of(values: np.ndarray):
-        return row_sum(values, 1)
+        return values.sum(axis=-1)
 
 
-def _parity_range(parity) -> tuple[int, int]:
-    """(lowest, highest) parity of the rows."""
-    if isinstance(parity, np.ndarray):
-        return int(parity.min()), int(parity.max())
-    return parity, parity
+def keep_columns(state, start: int, stop: int) -> None:
+    """Cut the state's window to its columns start..stop − 1."""
+    state.n_min += 2 * start
+    state.values = state.values[..., start:stop]
 
 
-def plan_move(state, l):
-    """Plan one step of length `l` (one, or one per row) of `state`.
-
-    A row of parity p moves to parity p' = (p + l) mod 2, and its column k
-    to k + (p + l − p')/2 (up) and that less l (down). The new window spans
-    both images of every row. Returns the state of the new window, whose
-    values are not yet written, and the columns of that window where the
-    down and up images start: 0 and l for one length and parity, else one
-    of each per row.
-    """
-    parity, width = state.parity, state.values.shape[-1]
-    moved_to = parity + l
-    new_parity, up = moved_to & 1, moved_to >> 1
-    down = up - l
-    if isinstance(down, np.ndarray):
-        first, last = _parity_range(new_parity)
-        if first == last:
-            new_parity = first
-        low = int(down.min())
-        down, up = down - low, up - low
-        grown = int(up.max())
-    else:
-        low, down, up, grown = down, 0, l, l
+def shift_window(state, move: Move):
+    """Advance the state to the window of the step `move` in the spare
+    buffer, which the step then writes, and swap the buffers. Returns the
+    window it held, the step's input, and for a block a flat view of the
+    new buffer that `move.starts` index: its row q is the input's width of
+    elements from q elements past the first column of the new window, before
+    the clip to the reach."""
     origin, live, spare = state.frame
-    lo = ((state.n_min - origin) >> 1) + low
-    hi = lo + width + grown
-    return state.with_window(state.time, origin + 2 * lo, spare[..., lo:hi],
-                             new_parity, Frame(origin, spare, live)), down, up
+    values, rows = state.values, None
+    width = values.shape[-1]
+    lo = (state.n_min - origin) >> 1
+    start, stop = lo + move.low, lo + width + move.high
+    if move.reach is not None:
+        size = spare.itemsize
+        rows = np.ndarray((spare.size - start - width + 1, width), spare.dtype, spare,
+                          start * size, (size, size))
+        first, end = move.reach
+        start = max(start, first)
+        stop = max(min(stop, end), start)
+    state.time += 1
+    state.n_min = origin + 2 * start
+    state.values = spare[..., start:stop]
+    state.parity = move.parity
+    state.frame = Frame(origin, spare, live)
+    return values, rows
 
 
-def clamped(state, reach: int):
-    """A view of the window cut to the columns that hold, for some row, a
-    site within `reach` of the start, site 0."""
-    pmin, pmax = _parity_range(state.parity)
-    offset = -state.n_min
-    start = max((offset - reach - pmax + 1) >> 1, 0)
-    stop = max(min(((offset + reach - pmin) >> 1) + 1, state.width), start)
-    return state.with_window(state.time, state.n_min + 2 * start,
-                             state.values[..., start:stop], state.parity, state.frame)
-
-
-def cut_window(state, position: int):
-    """Cut the window at an absorber at `position`; return (a view of the
-    kept columns, the mass of the cut sites), the cut mass per row for a
-    state with rows.
-
-    For position > 0 the sites n ≥ position are cut, for position < 0 the
-    sites n ≤ position. The frame's origin has the absorber's parity (or
-    the one after it, for position < 0; see `engine.frame_span`), so the
-    cut falls between two columns for rows of either parity: column
-    (position − n_min + 1) >> 1 is the first cut one for position > 0 and
-    the first kept one for position < 0.
-    """
+def cut_at(state, position: int):
+    """Cut the window at an absorber at `position` (sites n ≥ position, or
+    n ≤ position for position < 0); returns the cut mass (per row for a
+    block), 0.0 when no column is cut. The frame's origin has the parity of
+    the absorber (or of the site after it, if left; see `engine.frame_span`),
+    so column (position − n_min + 1) >> 1 is the first cut (right) or first
+    kept (left) column for rows of either parity."""
     values = state.values
     width = values.shape[-1]
     edge = min(max((position - state.n_min + 1) >> 1, 0), width)
-    kept, cut = (slice(0, edge), slice(edge, width)) if position > 0 \
-        else (slice(edge, width), slice(0, edge))
-    absorbed = state.mass_of(values[..., cut])
-    return state.with_window(state.time, state.n_min + 2 * kept.start,
-                             values[..., kept], state.parity, state.frame), absorbed
+    if position > 0:
+        cut = values[..., edge:]
+        keep_columns(state, 0, edge)
+    else:
+        cut = values[..., :edge]
+        keep_columns(state, edge, width)
+    return state.mass_of(cut) if cut.shape[-1] else 0.0
 
 
 def point_in_frame(kind, site: np.ndarray, origin: int, columns: int, rows: tuple):
@@ -233,7 +190,7 @@ class PositionDistribution:
     probs: np.ndarray  # shape ([rows,] sites)
 
     def mass(self):
-        return row_sum(self.probs, 1)
+        return self.probs.sum(axis=-1)
 
 
 def probability_distribution(state) -> PositionDistribution:

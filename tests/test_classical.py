@@ -186,3 +186,28 @@ def test_walk_loop_allocates_no_window_per_step(steps):
     assert state.time == steps
     pair = state.frame.live.nbytes + state.frame.spare.nbytes
     assert peak <= 3 * pair
+
+
+# perfbench's absorb check holds p_t to this bound against the closed form
+FIRST_PASSAGE_ABS_TOL = 1e-14
+
+
+@pytest.mark.parametrize("position", [2, -3])
+def test_long_walk_window_ends_at_its_mass(position):
+    # past t ≈ 1,075 the outermost sites' mass 2^-t underflows to zero, and
+    # the window drops those columns: at every step its first and last
+    # columns hold mass, and the walk keeps its closed-form p_t and its
+    # mass budget
+    steps = 3000
+    ts, ps = first_passage_series(position, steps)
+    closed_form = np.zeros(steps + 1)
+    closed_form[ts.astype(int)] = ps
+    absorbed_so_far = 0.0
+    for state, absorbed in iterate_walk(
+            WalkConfig(steps=steps, engine="classical", absorber=AbsorberConfig(position))):
+        assert state.prob[0] != 0.0 and state.prob[-1] != 0.0
+        assert abs(absorbed - closed_form[state.time]) <= FIRST_PASSAGE_ABS_TOL
+        absorbed_so_far += absorbed
+        assert abs(absorbed_so_far + state.mass() - 1.0) <= 1e-12
+    assert state.time == steps
+    assert state.width < steps // 2

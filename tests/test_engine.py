@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -297,3 +298,19 @@ def test_sigma_is_renormalized_spread():
         dist.probs /= dist.mass()
         expected.append(std_dev(dist))
     np.testing.assert_allclose(result.sigma, expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("engine", ["quantum", "classical"])
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint64])
+@pytest.mark.parametrize("lengths", [
+    [1, 2, 0, 3, 1],
+    [[1, 2, 0, 3, 1], [1, 1, 1, 1, 1], [0, 0, 2, 1, 0]],
+], ids=["one walk", "rows"])
+def test_unsigned_step_lengths_walk_as_int64(engine, dtype, lengths):
+    # the walk plan's arithmetic is int64: an unsigned up − l would wrap
+    config = WalkConfig(steps=5, engine=engine, absorber=AbsorberConfig(2),
+                        step_lengths=np.array(lengths, dtype=np.int64))
+    want = run_walk(config)
+    got = run_walk(replace(config, step_lengths=np.array(lengths, dtype=dtype)))
+    assert np.array_equal(got.record.per_step, want.record.per_step)
+    assert np.array_equal(got.sigma, want.sigma, equal_nan=True)

@@ -109,9 +109,14 @@ def oracle_sigma(dist):
 
 
 def assert_live_window(config, state):
-    """The window is exactly the columns that hold, for some row, a site of
-    that row's parity within the farthest any row has moved from the start,
-    site 0, cut at the absorber: no row holds a site at or beyond it."""
+    """The window holds, for some row, a site of that row's parity within
+    the farthest any row has moved from the start, site 0, cut at the
+    absorber: no row holds a site at or beyond it. A quantum window is
+    exactly those columns; a classical one ends, on each side, at its
+    outermost column that is nonzero in some row. A walk that no row
+    survives ends on an empty window."""
+    if not state.width:
+        return
     moved = np.atleast_2d(config.step_lengths)[:, :state.time].sum(axis=1)
     lo, hi = -int(moved.max()), int(moved.max())
     if config.absorber is not None:
@@ -124,8 +129,13 @@ def assert_live_window(config, state):
     inside = (sites >= lo) & (sites <= hi)
     if config.absorber is not None:
         assert not np.any(sites >= a if a > 0 else sites <= a)
-    # every column holds a site in the window, and no row lacks one
+    # every column holds a site in the window
     assert np.all(inside.any(axis=0))
+    if config.engine == "classical":
+        nonzero = np.atleast_2d(state.values).any(axis=0)
+        assert nonzero[0] and nonzero[-1]
+        return
+    # and no row lacks one
     for row, parity in zip(sites, moved % 2):
         first = lo + (lo - parity) % 2
         want = np.arange(first, hi + 1, 2)
@@ -383,7 +393,41 @@ def batched_walks(draw):
                     step_lengths=np.array([[1, 2, 0], [1, 2, 0]])))
 def test_batched_walk_equals_single_row_walks(config):
     batch = run_walk(config)
-    atol = mass_tol(batch.final_state.width)
+    assert_block_equals_rows(config, batch, mass_tol(batch.final_state.width))
+    for state, _ in iterate_walk(config):
+        assert_live_window(config, state)
+
+
+@st.composite
+def planned_blocks(draw):
+    """2–5 rows of step lengths 0–4 on either engine: the first row stands
+    still and the second moves by one at the first step, so the rows part
+    in parity, and an absorber on either side of the origin or none."""
+    steps, extra = draw(st.integers(1, 16)), draw(st.integers(0, 3))
+    rows = [draw(st.lists(st.integers(0, 4), min_size=steps - 1, max_size=steps - 1))
+            for _ in range(2 + extra)]
+    lengths = np.array([[0] + rows[0], [1] + rows[1]]
+                       + [[draw(st.integers(0, 4))] + row for row in rows[2:]])
+    position = draw(st.one_of(st.none(), st.integers(-6, 6).filter(bool)))
+    return WalkConfig(
+        steps=steps,
+        engine=draw(st.sampled_from(("quantum", "classical"))),
+        coin=coin_by_name(draw(st.sampled_from(("hadamard", "kempe")))),
+        absorber=None if position is None else AbsorberConfig(position),
+        step_lengths=lengths,
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(planned_blocks())
+def test_planned_block_equals_its_rows(config):
+    """A block walks its rows from one plan: each row's p_t and σ equal its
+    own walk's, within the rounding of a window of every reachable site."""
+    reach = int(config.step_lengths.sum(axis=1).max())
+    assert_block_equals_rows(config, run_walk(config), mass_tol(1 + 2 * reach))
+
+
+def assert_block_equals_rows(config, batch, atol):
     horizons = []
     for row, lengths in enumerate(config.step_lengths):
         single = run_walk(replace(config, step_lengths=lengths))
@@ -396,8 +440,6 @@ def test_batched_walk_equals_single_row_walks(config):
         assert not np.any(batch.record.per_step[row, h:])
         assert np.all(np.isnan(batch.sigma[row, h:]))
     assert batch.record.horizon == max(horizons)
-    for state, _ in iterate_walk(config):
-        assert_live_window(config, state)
 
 
 def mirror(config):
