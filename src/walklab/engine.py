@@ -49,7 +49,7 @@ from .lattice import (
     point_in_frame,
     probability_distribution,
     shift_window,
-    std_dev,
+    window_sigma,
 )
 
 WalkerState = Union[QuantumState, ClassicalState]
@@ -398,18 +398,18 @@ def record_walk(config: WalkConfig, per_step: Optional[np.ndarray],
                 sigma: Optional[np.ndarray], columns: dict[int, int]):
     """Run `config`, writing p_t to per_step[..., t − 1] (unless per_step is
     None) and σ after step t to sigma[..., columns[t]] for each t in
-    `columns`; returns (the final state, the last step run)."""
-    state, horizon = None, 0
+    `columns` (NaN for a row without mass); returns (the final state, the
+    last step run)."""
+    state, horizon, index = None, 0, None
     for state, absorbed in iterate_walk(config):
         horizon = state.time
         if per_step is not None:
             per_step[..., horizon - 1] = absorbed
         column = columns.get(horizon)
         if column is not None:
-            dist = probability_distribution(state)
-            # std_dev gives NaN for an empty row; a single empty walk has no σ
-            if config.rows or dist.mass() > 0.0:
-                sigma[..., column] = std_dev(dist)
+            if index is None:  # one column index per column of the frame
+                index = np.arange(state.frame.live.shape[-1], dtype=np.float64)
+            sigma[..., column] = window_sigma(state, index)
     return state, horizon
 
 

@@ -17,7 +17,9 @@ which the step kernel writes, and swaps the buffers, so a state is valid
 only until the next step. A window holds only columns within reach of the
 start, cut at the absorber (`cut_at`), so propagation is exact; a
 classical window also ends at its outermost column that is nonzero in
-some row, since a zero column stays zero.
+some row, since a zero column stays zero. A row's sites lie two apart, so
+its σ is twice the spread of its column index (`window_sigma`): no site
+array is built a step.
 """
 from __future__ import annotations
 
@@ -193,17 +195,58 @@ class PositionDistribution:
         return self.probs.sum(axis=-1)
 
 
-def probability_distribution(state) -> PositionDistribution:
-    """Site-by-site probabilities of a quantum or classical state (per row)."""
+def _column_probs(state) -> np.ndarray:
+    """Probabilities of the window's columns (per row): the state's own
+    array for a classical state."""
     if isinstance(state, QuantumState):
         psi = state.psi
-        probs = np.abs(psi[..., LEFT, :]) ** 2 + np.abs(psi[..., RIGHT, :]) ** 2
-    elif isinstance(state, ClassicalState):
-        probs = state.prob.copy()
-    else:
-        raise ConfigurationError(f"not a walker state: {type(state).__name__}")
+        if np.iscomplexobj(psi):
+            probs, right = np.abs(psi[..., LEFT, :]), np.abs(psi[..., RIGHT, :])
+            probs *= probs
+            right *= right
+        else:  # x·x, as |x|·|x| is
+            probs, right = np.square(psi[..., LEFT, :]), np.square(psi[..., RIGHT, :])
+        probs += right
+        return probs
+    if isinstance(state, ClassicalState):
+        return state.prob
+    raise ConfigurationError(f"not a walker state: {type(state).__name__}")
+
+
+def probability_distribution(state) -> PositionDistribution:
+    """Site-by-site probabilities of a quantum or classical state (per row)."""
+    probs = _column_probs(state)
+    if probs is state.values:
+        probs = probs.copy()
     return PositionDistribution(time=state.time, positions=state.positions,
                                 probs=probs)
+
+
+def _spread(probs: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Standard deviation of `coords` (one per column, or one row per row)
+    under the renormalized `probs`, one per row; NaN for a row without mass.
+
+    Each row is centred on its heaviest column before the two passes (the
+    mean, then the centred second moment), so a point mass reads exactly 0
+    and σ loses nothing to rounding when it is small next to the mean.
+    """
+    if not probs.shape[-1]:
+        return np.full(probs.shape[:-1], np.nan)
+    mass = probs.sum(axis=-1)
+    # a row without mass: x / NaN gives NaN, with no 0/0 warning
+    mass = np.where(mass > 0.0, mass, np.nan)
+    heaviest = probs.argmax(axis=-1)
+    if coords.ndim == 1:  # one coordinate per column, shared by any rows
+        centre = coords[heaviest]
+    else:
+        centre = np.take_along_axis(coords, heaviest[..., np.newaxis], -1)[..., 0]
+    dev = np.subtract(coords, centre[..., np.newaxis], dtype=np.float64)
+    weighted = dev * probs
+    mean = weighted.sum(axis=-1) / mass
+    dev -= mean[..., np.newaxis]
+    np.multiply(dev, probs, out=weighted)
+    weighted *= dev
+    return np.sqrt(weighted.sum(axis=-1) / mass)
 
 
 def std_dev(dist: PositionDistribution):
@@ -212,15 +255,15 @@ def std_dev(dist: PositionDistribution):
     With rows, one spread per row, NaN for a row without mass; a single
     distribution without mass raises EmptyStateError.
     """
-    m = dist.mass()
-    if dist.probs.ndim == 1 and m <= 0.0:
+    if dist.probs.ndim == 1 and dist.mass() <= 0.0:
         raise EmptyStateError("zero-mass distribution has no spread")
-    with np.errstate(invalid="ignore"):  # 0/0 on a row without mass
-        mu = np.sum(dist.positions * dist.probs, axis=-1) / m
-        # centred second pass: E[n²] − μ² would lose σ to rounding when σ is
-        # small next to |μ| (a point mass at −3 read σ = 4e-8)
-        dev = dist.positions - mu[..., np.newaxis]
-        dev *= dev
-        dev *= dist.probs
-        sigma = np.sqrt(np.sum(dev, axis=-1) / m)
+    sigma = _spread(dist.probs, dist.positions)
     return float(sigma) if dist.probs.ndim == 1 else sigma
+
+
+def window_sigma(state, index: np.ndarray) -> np.ndarray:
+    """σ of a state's sites (per row; NaN for a row without mass) from its
+    column probabilities and `index`, a float arange at least as long as the
+    window: a row's sites lie two apart, so σ is twice the spread of the
+    column index, and the sites themselves are never built."""
+    return 2.0 * _spread(_column_probs(state), index[:state.width])

@@ -301,6 +301,24 @@ def test_sigma_is_renormalized_spread():
 
 
 @pytest.mark.parametrize("engine", ["quantum", "classical"])
+@pytest.mark.parametrize("lengths", [[3], [[3], [1]], [[3], [0]]],
+                         ids=["one walk", "rows", "mixed parities"])
+def test_surviving_point_mass_has_zero_sigma(engine, lengths):
+    # the absorber at −1 takes the mass sent left: what survives of each row
+    # is a point mass at site 3 (column 1 of the quantum window over sites 1
+    # and 3, or of the rows' shared window), at 1, or at 0, whose σ is
+    # exactly 0
+    config = WalkConfig(steps=1, engine=engine, absorber=AbsorberConfig(-1),
+                        step_lengths=np.array(lengths))
+    result = run_walk(config)
+    state = result.final_state
+    assert state.width > 1 or engine == "classical" and np.ndim(lengths) == 1
+    np.testing.assert_array_equal(result.sigma, np.zeros(config.rows + (1,)))
+    np.testing.assert_array_equal(std_dev(probability_distribution(state)),
+                                  np.zeros(config.rows))
+
+
+@pytest.mark.parametrize("engine", ["quantum", "classical"])
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint64])
 @pytest.mark.parametrize("lengths", [
     [1, 2, 0, 3, 1],

@@ -112,7 +112,8 @@ def test_ensemble_without_sigma_stores_none():
 def test_sigma_average_holds_only_its_columns():
     # 2,000 realizations × 100 steps, σ at t = 20..80: the ensemble keeps a
     # (realizations × 61) σ matrix, reduces it in place, and holds no
-    # absorption matrix; each block of rows adds only what its rows hold
+    # absorption matrix; a block of rows adds only what its rows hold, which
+    # `_row_bytes` counts against BLOCK_BYTES (0.84 of it measured)
     steps, count, ts = 100, 2000, range(20, 81)
     cfg = EnsembleConfig(
         walk=WalkConfig(steps=steps, engine="classical", absorber=AbsorberConfig(2)),
@@ -127,7 +128,7 @@ def test_sigma_average_holds_only_its_columns():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * matrix
+    assert peak <= matrix + ensemble.BLOCK_BYTES
     # the average walks only to its last t, 80
     stopped = replace(cfg, walk=replace(cfg.walk, steps=80))
     _, sigma = run_ensemble(stopped, sigma_times=ts, absorbed=False)

@@ -71,3 +71,13 @@ def test_empty_distribution_errors():
     empty = dist([(0, 0.0), (2, 0.0)])
     with pytest.raises(EmptyStateError):
         std_dev(empty)
+
+
+def test_std_dev_point_mass_off_centre_is_zero():
+    # 3 · 0.1 / 0.1 rounds to 3.0000000000000004: a mean taken from the sites
+    # leaves σ at the rounding floor, one centred on the heaviest site reads 0
+    assert std_dev(dist([(-1, 0.0), (1, 0.0), (3, 0.1), (5, 0.0)])) == 0.0
+    rows = PositionDistribution(
+        time=1, positions=np.array([[-1, 1, 3], [3, 5, 7]]),
+        probs=np.array([[0.0, 0.0, 0.7], [0.0, 0.0, 0.3]]))
+    assert std_dev(rows).tolist() == [0.0, 0.0]

@@ -10,6 +10,7 @@ absorber at an even or odd site on either side of the origin.
 """
 import math
 from dataclasses import replace
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -50,8 +51,8 @@ from walklab import (
 TOL = 1e-12
 # Rows on a shared (wider) window, or a mirrored walk, sum the same terms in
 # another order: absorbed mass may differ by W·2^-52 for a window of W sites,
-# and sigma by a relative 1e-12, which also bounds sigma against the
-# math.fsum oracle.
+# and sigma by a relative 1e-12, which also bounds sigma against the exact
+# Fraction oracle.
 SIGMA_RTOL = 1e-12
 
 
@@ -99,13 +100,15 @@ def oracle(config, t, lengths=None):
 
 
 def oracle_sigma(dist):
-    """σ of a {site: probability} distribution, renormalized, summed with
-    math.fsum; NaN without mass."""
-    mass = math.fsum(dist.values())
-    if mass == 0.0:
+    """σ of a {site: probability} distribution, renormalized: exact in
+    Fraction, rounded once to a float before the square root; NaN without
+    mass."""
+    probs = {n: Fraction(p) for n, p in dist.items()}
+    mass = sum(probs.values())
+    if mass == 0:
         return math.nan
-    mean = math.fsum(n * p for n, p in dist.items()) / mass
-    return math.sqrt(math.fsum(p * (n - mean) ** 2 for n, p in dist.items()) / mass)
+    mean = sum(n * p for n, p in probs.items()) / mass
+    return math.sqrt(sum(p * (n - mean) ** 2 for n, p in probs.items()) / mass)
 
 
 def assert_live_window(config, state):
@@ -498,6 +501,25 @@ def test_block_layout_does_not_change_ensembles(
     width = 1 + 2 * int(max(row.sum() for row in lengths))  # the widest window
     np.testing.assert_allclose(split_absorbed, absorbed, rtol=0, atol=mass_tol(width))
     assert_sigma_close(split_sigma, sigma)
+
+
+@pytest.mark.parametrize("absorber", [2, None], ids=["with", "without"])
+@pytest.mark.parametrize("preset", sorted(TABLE2_PRESETS))
+def test_sweep_sigma_matches_exact_oracle(preset, absorber):
+    """The sweep's σ, rows of one block of its 80-step Hadamard walks, at the
+    ends and middle of its fit range, against the exact oracle."""
+    times, seed = (20, 50, 80), 1
+    config = EnsembleConfig(
+        walk=WalkConfig(steps=80,
+                        absorber=None if absorber is None else AbsorberConfig(absorber)),
+        realizations=3, master_seed=seed, disorder=TABLE2_PRESETS[preset],
+    )
+    _, sigma = run_ensemble(config, sigma_times=times, absorbed=False)
+    for i, row in enumerate(sigma):
+        lengths = sample_realization(config.disorder, 80, child_seed(seed, i)).lengths
+        for got, t in zip(row, times):
+            want, _ = oracle(config.walk, t, lengths)
+            assert_sigma_close(got, oracle_sigma(want))
 
 
 # FFT products in w = z² against exact rational p_t: absolute 1e-15
