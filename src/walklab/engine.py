@@ -400,16 +400,14 @@ def record_walk(config: WalkConfig, per_step: Optional[np.ndarray],
     None) and σ after step t to sigma[..., columns[t]] for each t in
     `columns` (NaN for a row without mass); returns (the final state, the
     last step run)."""
-    state, horizon, index = None, 0, None
+    state, horizon = None, 0
     for state, absorbed in iterate_walk(config):
         horizon = state.time
         if per_step is not None:
             per_step[..., horizon - 1] = absorbed
         column = columns.get(horizon)
         if column is not None:
-            if index is None:  # one column index per column of the frame
-                index = np.arange(state.frame.live.shape[-1], dtype=np.float64)
-            sigma[..., column] = window_sigma(state, index)
+            sigma[..., column] = window_sigma(state)
     return state, horizon
 
 

@@ -35,9 +35,9 @@ from .errors import ConfigurationError, NoAbsorptionError, NumericalError
 # at once (probabilities, column offsets and weighted offsets: 8 bytes a
 # column each) and about 16 more 8-byte values (the step plan's parities and
 # image starts, the σ's sums). Blocks take realizations in index order while
-# their rows stay under BLOCK_BYTES (a single row may exceed it). 2 MiB runs
-# each default `sweep` ensemble as one block, and is one core's L2 cache on
-# the 2-core Xeon it was measured on.
+# their rows stay under BLOCK_BYTES (a single row may exceed it). Every block
+# step pays a fixed Python cost whatever its row count; 2 MiB is the smallest
+# power of two that runs each default `sweep` ensemble as one block.
 BLOCK_BYTES = 2 ** 21
 
 
@@ -89,11 +89,11 @@ class FitResult:
     n_points: int
 
 
-def _row_bytes(walk: WalkConfig, site: int, farthest: int, longest: int) -> int:
+def _row_bytes(walk: WalkConfig, farthest: int, longest: int) -> int:
     """What one row of a block of `walk`s holds, for rows that move at most
-    `farthest` in all and `longest` in one step, at `site` bytes a column of
-    each walk buffer."""
+    `farthest` in all and `longest` in one step."""
     _, columns = frame_span(farthest, longest, walk.absorber, rows=2)
+    site = SITE_BYTES[walk.engine] // (2 if real_amplitudes(walk) else 1)
     return 8 * (walk.steps + 16) + (2 * site + 3 * 8) * columns
 
 
@@ -137,14 +137,13 @@ def run_ensemble(
                     None if per_step is None else per_step[done],
                     None if sigma is None else sigma[done], columns)
 
-    site = SITE_BYTES[walk.engine] // (2 if real_amplitudes(walk) else 1)
     rows, farthest, longest = [], 0, 0
     for i in range(count):
         lengths = sample_realization(config.disorder, walk.steps,
                                      child_seed(config.master_seed, i)).lengths
         reach, top = int(lengths.sum()), int(lengths.max())
         if rows and (len(rows) + 1) * _row_bytes(
-                walk, site, max(farthest, reach), max(longest, top)) > BLOCK_BYTES:
+                walk, max(farthest, reach), max(longest, top)) > BLOCK_BYTES:
             run_block(i - len(rows), rows)
             farthest = longest = 0
         rows.append(lengths)

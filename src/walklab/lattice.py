@@ -200,14 +200,7 @@ def _column_probs(state) -> np.ndarray:
     array for a classical state."""
     if isinstance(state, QuantumState):
         psi = state.psi
-        if np.iscomplexobj(psi):
-            probs, right = np.abs(psi[..., LEFT, :]), np.abs(psi[..., RIGHT, :])
-            probs *= probs
-            right *= right
-        else:  # x·x, as |x|·|x| is
-            probs, right = np.square(psi[..., LEFT, :]), np.square(psi[..., RIGHT, :])
-        probs += right
-        return probs
+        return np.abs(psi[..., LEFT, :]) ** 2 + np.abs(psi[..., RIGHT, :]) ** 2
     if isinstance(state, ClassicalState):
         return state.prob
     raise ConfigurationError(f"not a walker state: {type(state).__name__}")
@@ -261,9 +254,9 @@ def std_dev(dist: PositionDistribution):
     return float(sigma) if dist.probs.ndim == 1 else sigma
 
 
-def window_sigma(state, index: np.ndarray) -> np.ndarray:
+def window_sigma(state) -> np.ndarray:
     """σ of a state's sites (per row; NaN for a row without mass) from its
-    column probabilities and `index`, a float arange at least as long as the
-    window: a row's sites lie two apart, so σ is twice the spread of the
-    column index, and the sites themselves are never built."""
-    return 2.0 * _spread(_column_probs(state), index[:state.width])
+    column probabilities: a row's sites lie two apart, so σ is twice the
+    spread of the column index, and the sites themselves are never built."""
+    index = np.arange(state.width, dtype=np.float64)
+    return 2.0 * _spread(_column_probs(state), index)
