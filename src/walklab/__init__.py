@@ -10,12 +10,12 @@ from .errors import (
     WalklabError,
 )
 from .lattice import (
+    AbsorberConfig,
     PositionDistribution,
     probability_distribution,
     std_dev,
 )
 from .engine import (
-    AbsorberConfig,
     AbsorptionRecord,
     CoinOperator,
     WalkConfig,

@@ -16,15 +16,11 @@ implementation, `first_passage_series`, which steps its exact term ratio;
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigurationError
-from .lattice import ClassicalState, Move, cut_at, keep_columns, shift_window
-
-if TYPE_CHECKING:  # engine imports this module for its kernels
-    from .engine import AbsorberConfig
+from .lattice import (AbsorberConfig, ClassicalState, Move, cut_at, exact_int,
+                      keep_columns, shift_window)
 
 
 def _trim(state: ClassicalState) -> None:
@@ -82,17 +78,11 @@ def classical_first_passage(t: int, m1: int) -> float:
     for t ≥ |m1| with t ≡ m1 (mod 2). Symmetric in the sign of m1. The last
     term of `first_passage_series` up to t.
     """
-    m = _distance(m1)
-    t = int(t)
+    m = abs(AbsorberConfig(m1).position)
+    t = exact_int("t", t)
     if t < m or (t - m) % 2 != 0:
         return 0.0
     return float(first_passage_series(m, t)[1][-1])
-
-
-def _distance(m1: int) -> int:
-    if m1 == 0:
-        raise ConfigurationError("absorber position must be nonzero")
-    return abs(int(m1))
 
 
 def first_passage_series(m1: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:
@@ -102,8 +92,8 @@ def first_passage_series(m1: int, horizon: int) -> tuple[np.ndarray, np.ndarray]
     p_m = 2^−m (m = |m1|), summed in logs so that no partial product
     underflows or overflows.
     """
-    m = _distance(m1)
-    ts = np.arange(m, horizon + 1, 2, dtype=np.float64)
+    m = abs(AbsorberConfig(m1).position)
+    ts = np.arange(m, exact_int("horizon", horizon) + 1, 2, dtype=np.float64)
     t = ts[:-1]
     log_p = np.empty(ts.size)
     log_p[:1] = -m * math.log(2.0)
@@ -124,7 +114,7 @@ def classical_avg_time_ratio(m1: int):
     Vectorized over n (n ≥ 0); feeds the Raabe convergence estimator, which
     finds the limit 1/2, i.e. divergence.
     """
-    m = _distance(m1)
+    m = abs(AbsorberConfig(m1).position)
 
     def ratio(n):
         t = m + 2.0 * np.asarray(n, dtype=np.float64)

@@ -24,6 +24,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -32,11 +33,11 @@ from . import __version__
 from .classical import classical_avg_time_ratio
 from .disorder import TABLE2_PRESETS, DisorderSpec, child_seed, parse_disorder, sample_realization
 from .engine import (
-    MAX_ARRAY_BYTES,
     AbsorberConfig,
     WalkConfig,
+    check_budget,
     coin_by_name,
-    iterate_walk,
+    run_walk,
     snapshot_distributions,
 )
 from .ensemble import (
@@ -106,9 +107,8 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _walk_config(args, absorber: Optional[AbsorberConfig],
-                 step_lengths=None) -> WalkConfig:
-    """The walk that --engine/--coin/--initial/--steps describe."""
+def _walk_config(args, step_lengths=None) -> WalkConfig:
+    """The walk that --engine/--coin/--initial/--steps/--absorber describe."""
     amp_l, amp_r = (1.0, 0.0) if args.initial == "L" else (0.0, 1.0)
     return WalkConfig(
         steps=args.steps,
@@ -116,7 +116,7 @@ def _walk_config(args, absorber: Optional[AbsorberConfig],
         coin=coin_by_name(args.coin),
         initial_amp_left=amp_l,
         initial_amp_right=amp_r,
-        absorber=absorber,
+        absorber=None if args.absorber is None else AbsorberConfig(args.absorber),
         step_lengths=step_lengths,
     )
 
@@ -138,17 +138,12 @@ def _walk_meta(args, spec: Optional[DisorderSpec]) -> dict:
 
 def cmd_walk(args) -> str:
     spec = parse_disorder(args.disorder) if args.disorder else None
-    absorber = AbsorberConfig(args.absorber) if args.absorber is not None else None
     lengths = None
-    if spec is not None:
-        nbytes = args.steps * 8  # one int64 length per step, drawn before the walk
-        if nbytes > MAX_ARRAY_BYTES:
-            raise ConfigurationError(
-                f"{args.steps} disordered steps need {nbytes} bytes of step "
-                f"lengths, above the budget of {MAX_ARRAY_BYTES}"
-            )
+    if spec is not None:  # one int64 length per step, drawn before the walk
+        check_budget(args.steps * 8,
+                     f"{args.steps} disordered steps need {{}} bytes of step lengths")
         lengths = sample_realization(spec, args.steps, child_seed(args.seed, 0)).lengths
-    config = _walk_config(args, absorber, lengths)
+    config = _walk_config(args, lengths)
     rows = []
     for dist in snapshot_distributions(config, args.snapshot or [args.steps]):
         for pos, prob in zip(dist.positions.tolist(), dist.probs.tolist()):
@@ -161,15 +156,12 @@ def cmd_walk(args) -> str:
 
 def cmd_absorb(args) -> str:
     spec = parse_disorder(args.disorder) if args.disorder else None
-    absorber = AbsorberConfig(args.absorber)
     if spec is None:
         if args.realizations is not None:
             raise ConfigurationError("--realizations requires --disorder")
         if args.horizons is not None:
             raise ConfigurationError("--horizons requires --disorder")
-        per_step = np.array(
-            [absorbed for _, absorbed in iterate_walk(_walk_config(args, absorber))]
-        )
+        per_step = run_walk(_walk_config(args), sigma_times=()).record.per_step
         ts = np.arange(1, per_step.size + 1)
         avg_time = _horizon_ratios(per_step[np.newaxis, :].copy(), ts)[0]
         rows = list(zip(ts.tolist(), per_step.tolist(),
@@ -179,12 +171,8 @@ def cmd_absorb(args) -> str:
             args, meta, ["t", "p_t", "cumulative", "avg_time"], rows, "record"
         )
     realizations = args.realizations if args.realizations is not None else 40
-    horizons = (
-        _ints(args.horizons, ",", "--horizons")
-        if args.horizons
-        else list(range(1, args.steps + 1))
-    )
-    config = EnsembleConfig(_walk_config(args, absorber), realizations, args.seed, spec)
+    horizons = _ints(args.horizons, ",", "--horizons") if args.horizons else None
+    config = EnsembleConfig(_walk_config(args), realizations, args.seed, spec)
     curve = disorder_avg_absorb_time(config, horizons)
     rows = list(zip(curve.abscissa.tolist(), curve.values.tolist(),
                     curve.stderr.tolist(), curve.included.tolist(),
@@ -254,12 +242,11 @@ def _fit_sigma(config: EnsembleConfig, t_lo: int, t_hi: int):
 
 def cmd_exponent(args) -> str:
     spec = parse_disorder(args.disorder) if args.disorder else None
-    absorber = AbsorberConfig(args.absorber) if args.absorber is not None else None
     realizations = args.realizations
     if realizations is None:
         realizations = 200 if spec is not None else 1
     t_lo, t_hi = _ints(args.t_range, ":", "--t-range", pair=True)
-    config = EnsembleConfig(_walk_config(args, absorber), realizations, args.seed, spec)
+    config = EnsembleConfig(_walk_config(args), realizations, args.seed, spec)
     fit = _fit_sigma(config, t_lo, t_hi)
     meta = {**_walk_meta(args, spec), "realizations": realizations,
             "t_range": args.t_range}
@@ -283,15 +270,14 @@ def cmd_sweep(args) -> str:
             known = ", ".join(TABLE2_PRESETS)
             raise ConfigurationError(f"unknown preset {name!r} (known: {known})")
     t_lo, t_hi = _ints(args.t_range, ":", "--t-range", pair=True)
-    absorber = AbsorberConfig(args.absorber)
+    walk = _walk_config(args)
     rows = []
     for name in names:
         spec = TABLE2_PRESETS[name]
         mean, var = spec.moments()
         fits = {}
-        for label, absorber_cfg in (("with", absorber), ("without", None)):
-            config = EnsembleConfig(_walk_config(args, absorber_cfg),
-                                    args.realizations, args.seed, spec)
+        for label, walk_cfg in (("with", walk), ("without", replace(walk, absorber=None))):
+            config = EnsembleConfig(walk_cfg, args.realizations, args.seed, spec)
             fits[label] = _fit_sigma(config, t_lo, t_hi)
         rows.append(
             (

@@ -20,6 +20,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigurationError
+from .lattice import exact_int
 
 _TAIL_EPS = 1e-12
 # longest support table: a bounded support beyond it is refused, an
@@ -174,9 +175,10 @@ class DisorderSpec:
         return " ".join(parts)
 
     def pmf(self, l: int) -> float:
-        if l < 0 or int(l) != l:
-            raise ConfigurationError(f"step length must be a nonnegative integer, got {l}")
-        return _pmf_array(self, np.array([int(l)]))[0]
+        l = exact_int("step length", l)
+        if l < 0:
+            raise ConfigurationError(f"step length must be >= 0, got {l}")
+        return _pmf_array(self, np.array([l]))[0]
 
     def support_table(self) -> tuple[np.ndarray, np.ndarray]:
         """(lengths, probabilities) covering all but < 1e-12 of the mass,
@@ -330,19 +332,21 @@ class Realization:
 
 def child_seed(master_seed: int, index: int) -> int:
     """Derive realization seed i from the master seed, order-independently."""
+    master_seed = exact_int("master_seed", master_seed)
     if master_seed < 0:
         raise ConfigurationError(f"seed must be >= 0, got {master_seed}")
-    ss = np.random.SeedSequence((int(master_seed), int(index)))
+    ss = np.random.SeedSequence((master_seed, exact_int("index", index)))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
 def sample_realization(spec: DisorderSpec, n_steps: int, seed: int) -> Realization:
     """Draw n_steps i.i.d. lengths from the spec's pmf, deterministically."""
+    n_steps = exact_int("n_steps", n_steps)
     if n_steps < 1:
         raise ConfigurationError(f"n_steps must be >= 1, got {n_steps}")
     ls, ps = spec.support_table()
     cum = np.cumsum(ps)
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(exact_int("seed", seed))
     u = rng.random(n_steps)
     idx = np.searchsorted(cum, u, side="right")
     idx = np.minimum(idx, ls.size - 1)

@@ -30,6 +30,7 @@ copy for a block). An empty window, no row holding mass, ends a walk.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -40,15 +41,18 @@ from .errors import ConfigurationError
 from .lattice import (
     LEFT,
     RIGHT,
+    AbsorberConfig,
     ClassicalState,
     Move,
     PositionDistribution,
     QuantumState,
     cut_at,
+    exact_int,
     keep_columns,
     point_in_frame,
     probability_distribution,
     shift_window,
+    step_times,
     window_sigma,
 )
 
@@ -112,35 +116,6 @@ def coin_by_name(name: str) -> CoinOperator:
         raise ConfigurationError(f"unknown coin {name!r} (known: {known})") from None
 
 
-def _exact_int(name: str, value) -> int:
-    """`value` as an int when it is exactly one; a NaN, an infinity, a
-    fraction or a non-number is a ConfigurationError."""
-    try:
-        as_int = int(value)
-    except (TypeError, ValueError, OverflowError):
-        as_int = None
-    if as_int is None or as_int != value:
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-    return as_int
-
-
-@dataclass(frozen=True)
-class AbsorberConfig:
-    """One absorbing boundary at a nonzero lattice position.
-
-    For position > 0 it removes mass at sites n ≥ position; for position < 0
-    at sites n ≤ position.
-    """
-
-    position: int
-
-    def __post_init__(self) -> None:
-        position = _exact_int("absorber position", self.position)
-        if position == 0:
-            raise ConfigurationError("absorber position must be nonzero")
-        object.__setattr__(self, "position", position)
-
-
 def step(state: QuantumState, coin: CoinOperator, move: Move) -> QuantumState:
     """One full evolution step along `move` of the state of `iterate_walk`,
     in place: apply `coin` and move the L component l sites down and the R
@@ -202,11 +177,25 @@ class AbsorptionRecord:
 # L and R amplitudes, or one probability (a real quantum walk stores half)
 SITE_BYTES = {"quantum": 2 * 16, "classical": 8}
 # Largest array a walk may ask for: its widest window (all rows, both
-# parities) or an ensemble's (realizations × steps) matrix. A walk's two
-# preallocated buffers hold one parity each, about one window in all; an
-# ensemble peaks at 2.56 matrices (the absorbing-time reduction) or 1.35 (the
-# σ average), so a run stays below about 180 MB.
+# parities), or the (rows × steps) matrix of its record or of an ensemble's.
+# A walk's two preallocated buffers hold one parity each, about one window in
+# all; an ensemble peaks at 2.56 matrices (the absorbing-time reduction) or
+# 1.35 (the σ average), so a run stays below about 180 MB.
 MAX_ARRAY_BYTES = 2 ** 26
+
+
+def check_budget(nbytes: int, needs: str) -> None:
+    """Refuse an array of `nbytes` bytes beyond MAX_ARRAY_BYTES before it is
+    allocated; `needs` says what would hold it, with {} for the bytes."""
+    if nbytes > MAX_ARRAY_BYTES:
+        raise ConfigurationError(
+            f"{needs.format(nbytes)}, above the budget of {MAX_ARRAY_BYTES}")
+
+
+def check_matrix(count: int, steps: int, of: str) -> None:
+    """Refuse a (count × steps) matrix of 8-byte values, one per `of` and step."""
+    check_budget(count * steps * 8,
+                 f"{count} {of} × {steps} steps need {{}} bytes per matrix")
 
 
 @dataclass
@@ -232,7 +221,7 @@ class WalkConfig:
             raise ConfigurationError(
                 f"engine must be one of {tuple(SITE_BYTES)}, got {self.engine!r}"
             )
-        self.steps = _exact_int("steps", self.steps)
+        self.steps = exact_int("steps", self.steps)
         if self.steps < 1:
             raise ConfigurationError(f"steps must be >= 1, got {self.steps}")
         if self.engine == "quantum":  # the classical engine ignores the amplitudes
@@ -360,12 +349,8 @@ def iterate_walk(config: WalkConfig) -> Iterator[tuple[WalkerState, float]]:
         sums = lengths.sum(axis=-1, dtype=np.float64)
         count, farthest, longest = sums.size, int(sums.max()), int(lengths.max())
     sites = 1 + 2 * farthest
-    nbytes = count * sites * SITE_BYTES[config.engine]
-    if nbytes > MAX_ARRAY_BYTES:
-        raise ConfigurationError(
-            f"a walk window of {count} row(s) × {sites} sites needs {nbytes} "
-            f"bytes, above the budget of {MAX_ARRAY_BYTES}"
-        )
+    check_budget(count * sites * SITE_BYTES[config.engine],
+                 f"a walk window of {count} row(s) × {sites} sites needs {{}} bytes")
     if lengths is not None:  # for the plan: an unsigned up − l would wrap
         lengths = lengths.astype(np.int64, copy=False)
     if config.engine == "quantum":
@@ -413,10 +398,12 @@ def record_walk(config: WalkConfig, per_step: Optional[np.ndarray],
 
 def run_walk(config: WalkConfig,
              sigma_times: Optional[Iterable[int]] = None) -> WalkResult:
-    """Run the whole walk; σ only after the steps in `sigma_times` (default:
-    every step). An empty `sigma_times` stores no σ at all (sigma is None)."""
-    times = range(1, config.steps + 1) if sigma_times is None else set(sigma_times)
+    """Run the whole walk; σ only after the steps in `sigma_times` (see
+    `lattice.step_times`). An empty `sigma_times` stores no σ at all (sigma
+    is None). A (rows × steps) record beyond the budget is refused first."""
     shape = config.rows + (config.steps,)
+    check_matrix(math.prod(config.rows), config.steps, "row(s)")
+    times = step_times(sigma_times, config.steps, "sigma time").tolist()
     per_step = np.zeros(shape)
     sigma = np.full(shape, np.nan) if times else None
     state, horizon = record_walk(config, per_step, sigma,
@@ -434,15 +421,9 @@ def snapshot_distributions(
     """Position distributions after each of `times` steps (post-absorption),
     sorted by time and taken from one pass of the walk. A snapshot after
     the walk was fully absorbed is empty."""
-    wanted = sorted(set(times))
-    bad = [t for t in wanted if not 0 < t <= config.steps]
-    if bad:
-        raise ConfigurationError(
-            f"snapshot time must be in 1..{config.steps}, got {bad[0]}"
-        )
     walk = iterate_walk(config)
     dists = []
-    for t in wanted:
+    for t in step_times(times, config.steps, "snapshot time").tolist():
         for state, _ in walk:
             if state.time == t:
                 dists.append(probability_distribution(state))

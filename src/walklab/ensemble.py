@@ -19,15 +19,16 @@ import numpy as np
 
 from .disorder import DisorderSpec, child_seed, sample_realization
 from .engine import (
-    MAX_ARRAY_BYTES,
     SITE_BYTES,
     AbsorptionRecord,
     WalkConfig,
+    check_matrix,
     frame_span,
     real_amplitudes,
     record_walk,
 )
 from .errors import ConfigurationError, NoAbsorptionError, NumericalError
+from .lattice import exact_int, step_times
 
 # A row of a block holds its step lengths (8 bytes a step), its share of the
 # block's two walk buffers (SITE_BYTES a column, half that for the float64
@@ -56,10 +57,11 @@ class EnsembleConfig:
     disorder: Optional[DisorderSpec] = None
 
     def __post_init__(self) -> None:
-        if self.realizations < 1:
-            raise ConfigurationError(
-                f"realizations must be >= 1, got {self.realizations}"
-            )
+        realizations = exact_int("realizations", self.realizations)
+        if realizations < 1:
+            raise ConfigurationError(f"realizations must be >= 1, got {realizations}")
+        object.__setattr__(self, "realizations", realizations)
+        object.__setattr__(self, "master_seed", exact_int("master_seed", self.master_seed))
 
 
 @dataclass
@@ -105,22 +107,16 @@ def run_ensemble(
 
     Returns (absorbed, sigma): absorbed[i, t − 1] is realization i's p_t,
     and sigma[i, j] its σ after the j-th of the sorted distinct
-    `sigma_times` (default: every step), NaN after it lost all its mass or
-    for a time beyond the steps. With `sigma_times` empty no σ matrix is
-    built and sigma is None; with `absorbed` False absorbed is None. Without
-    disorder one walk stands for every realization. A
-    (realizations × steps) matrix beyond MAX_ARRAY_BYTES is refused before
-    anything is sampled.
+    `sigma_times` (default: every step; a time beyond the steps raises, see
+    `lattice.step_times`), NaN after it lost all its mass. With
+    `sigma_times` empty no σ matrix is built and sigma is None; with
+    `absorbed` False absorbed is None. Without disorder one walk stands for
+    every realization. A (realizations × steps) matrix beyond
+    MAX_ARRAY_BYTES is refused before anything is sampled.
     """
     walk, count = config.walk, config.realizations
-    nbytes = count * walk.steps * 8  # one 8-byte value per realization and step
-    if nbytes > MAX_ARRAY_BYTES:
-        raise ConfigurationError(
-            f"{count} realizations × {walk.steps} steps need {nbytes} bytes per "
-            f"matrix, above the budget of {MAX_ARRAY_BYTES}"
-        )
-    times = range(1, walk.steps + 1) if sigma_times is None \
-        else sorted(set(sigma_times))
+    check_matrix(count, walk.steps, "realizations")
+    times = step_times(sigma_times, walk.steps, "sigma time").tolist()
     per_step = np.zeros((count, walk.steps)) if absorbed else None
     sigma = np.full((count, len(times)), np.nan) if times else None
     columns = {t: j for j, t in enumerate(times)}
@@ -155,6 +151,7 @@ def run_ensemble(
 def finite_horizon_avg_time(record: AbsorptionRecord, n: int) -> float:
     """Weighted average absorbing time Σ_{t≤n} t·p_t / Σ_{t≤n} p_t: the
     `_horizon_ratios` of one row."""
+    n = exact_int("horizon", n)
     if n < 1:
         raise ConfigurationError(f"horizon must be >= 1, got {n}")
     p = record.per_step[np.newaxis, :n].copy()
@@ -218,25 +215,20 @@ def _upto(config: EnsembleConfig, last: int) -> EnsembleConfig:
 
 
 def disorder_avg_absorb_time(
-    config: EnsembleConfig, horizons: Sequence[int]
+    config: EnsembleConfig, horizons: Optional[Sequence[int]] = None
 ) -> AveragedCurve:
-    """⟨t_a^(n)⟩ across realizations at each horizon n.
+    """⟨t_a^(n)⟩ across realizations at each horizon n (default: every step).
 
     Realizations with zero absorption by a horizon are excluded from that
     horizon's average; the per-point inclusion count is reported, and a
     horizon with none included averages to NaN. Some horizon must keep at
     least one realization. The walks stop at the last horizon.
     """
-    steps = config.walk.steps
     if config.walk.absorber is None:
         raise ConfigurationError("absorbing-time averages need an absorber")
-    hs = np.asarray(sorted(set(int(h) for h in horizons)), dtype=np.int64)
+    hs = step_times(horizons, config.walk.steps, "horizon")
     if hs.size == 0:
         raise ConfigurationError("at least one horizon is required")
-    if hs[0] < 1 or hs[-1] > steps:
-        raise ConfigurationError(
-            f"horizons must lie in 1..{steps}, got {hs[0]}..{hs[-1]}"
-        )
     absorbed, _ = run_ensemble(_upto(config, int(hs[-1])), sigma_times=())
     return _nan_average(_horizon_ratios(absorbed, hs), hs, config.realizations,
                         NoAbsorptionError,
@@ -250,13 +242,10 @@ def disorder_avg_sigma(
     step); σ is the surviving-mass (renormalized) spread whenever an
     absorber is present, and is computed only at those t; the walks stop at
     the last one."""
-    steps = config.walk.steps
-    if t_grid is None:
-        t_grid = range(1, steps + 1)
-    ts = np.asarray(sorted(set(int(t) for t in t_grid)), dtype=np.int64)
-    if ts.size == 0 or ts[0] < 1 or ts[-1] > steps:
-        raise ConfigurationError(f"t grid must lie within 1..{steps}")
-    _, sigma = run_ensemble(_upto(config, int(ts[-1])), sigma_times=ts.tolist(),
+    ts = step_times(t_grid, config.walk.steps, "t grid value")
+    if ts.size == 0:
+        raise ConfigurationError("the t grid is empty")
+    _, sigma = run_ensemble(_upto(config, int(ts[-1])), sigma_times=ts,
                             absorbed=False)
     return _nan_average(sigma, ts, config.realizations, NumericalError,
                         "no surviving mass at t =")
@@ -309,6 +298,7 @@ def _t_quantile(nu: int, q: float) -> float:
 
 def fit_exponent(curve: AveragedCurve, t_lo: int = 20, t_hi: int = 80) -> FitResult:
     """OLS fit of ln(value) against ln(t) over integer t in [t_lo, t_hi]."""
+    t_lo, t_hi = exact_int("t_lo", t_lo), exact_int("t_hi", t_hi)
     mask = (curve.abscissa >= t_lo) & (curve.abscissa <= t_hi)
     check_fit_range(t_lo, t_hi, np.count_nonzero(mask))
     t_sel = curve.abscissa[mask].astype(np.float64)
@@ -329,16 +319,13 @@ def fit_exponent(curve: AveragedCurve, t_lo: int = 20, t_hi: int = 80) -> FitRes
     resid = y - (alpha * x + intercept)
     rss = float(np.sum(resid ** 2))
     residual_rms = math.sqrt(rss / n)
-    if n > 2:
-        slope_se = math.sqrt(rss / (n - 2) / sxx)
-        ci95 = _t_quantile(n - 2, 0.975) * slope_se
-    else:
-        ci95 = float("inf")
+    # check_fit_range asked for n >= 3 points
+    slope_se = math.sqrt(rss / (n - 2) / sxx)
     return FitResult(
         alpha=alpha,
         intercept=intercept,
-        ci95_halfwidth=ci95,
+        ci95_halfwidth=_t_quantile(n - 2, 0.975) * slope_se,
         residual_rms=residual_rms,
-        fit_range=(int(t_lo), int(t_hi)),
+        fit_range=(t_lo, t_hi),
         n_points=n,
     )

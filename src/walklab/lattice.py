@@ -20,11 +20,14 @@ classical window also ends at its outermost column that is nonzero in
 some row, since a zero column stays zero. A row's sites lie two apart, so
 its σ is twice the spread of its column index (`window_sigma`): no site
 array is built a step.
+
+Every module reads its integers (`exact_int`: 2.0 reads as 2, 2.5 is an
+error), absorber sites (`AbsorberConfig`) and step times (`step_times`) here.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -33,6 +36,52 @@ from .errors import ConfigurationError, EmptyStateError
 # coin basis component indices
 LEFT = 0
 RIGHT = 1
+
+
+def exact_int(name: str, value) -> int:
+    """`value` as an int when it is exactly one; a NaN, an infinity, a
+    fraction or a non-number is a ConfigurationError that names `name`."""
+    try:
+        as_int = int(value)
+    except (TypeError, ValueError, OverflowError):
+        as_int = None
+    if as_int is None or as_int != value:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    return as_int
+
+
+@dataclass(frozen=True)
+class AbsorberConfig:
+    """One absorbing boundary at a nonzero lattice position.
+
+    For position > 0 it removes mass at sites n ≥ position; for position < 0
+    at sites n ≤ position.
+    """
+
+    position: int
+
+    def __post_init__(self) -> None:
+        position = exact_int("absorber position", self.position)
+        if position == 0:
+            raise ConfigurationError("absorber position must be nonzero")
+        object.__setattr__(self, "position", position)
+
+
+def step_times(values: Optional[Iterable[int]], steps: int, what: str) -> np.ndarray:
+    """The distinct times in `values` (None: every step), sorted, as int64.
+    Each must be an exact integer in 1..steps, else a ConfigurationError
+    names `what`."""
+    if values is None:
+        return np.arange(1, steps + 1, dtype=np.int64)
+    times = np.asarray(values if isinstance(values, np.ndarray) else list(values)).ravel()
+    if times.dtype.kind not in "biu":  # floats, strings, objects: one by one
+        times = np.array([exact_int(what, t) for t in times.tolist()], dtype=object)
+    outside = (times < 1) | (times > steps)
+    if outside.any():
+        raise ConfigurationError(
+            f"{what} must be in 1..{steps}, got {times[outside].tolist()[0]}")
+    # not np.unique: its first call imports numpy.ma, about 1 MB of memory
+    return np.array(sorted(set(times.tolist())), dtype=np.int64)
 
 
 class Frame(NamedTuple):

@@ -25,6 +25,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
+from .lattice import AbsorberConfig, exact_int
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 DEFAULT_ORDER = 2 ** 14
@@ -59,6 +60,7 @@ class PowerSeries:
         return self.coeffs.size - 1
 
     def coefficient(self, k: int) -> float:
+        k = exact_int("coefficient index", k)
         if not 0 <= k <= self.order:
             raise ConfigurationError(
                 f"coefficient index {k} outside truncation order {self.order}"
@@ -121,19 +123,19 @@ def _amplitude_rows(
     """
     if initial not in ("L", "R"):
         raise ConfigurationError(f"initial coin state must be 'L' or 'R', got {initial!r}")
+    order = exact_int("order", order)
     if order > MAX_ORDER:
         raise ConfigurationError(
             f"series order {order} is above the memory budget of {MAX_ORDER}"
         )
     for m1 in m1s:  # a lazy range is checked before anything is stored
-        if m1 == 0:
-            raise ConfigurationError("absorber position must be nonzero")
-        if abs(m1) > order:
+        k = abs(AbsorberConfig(m1).position)
+        if k > order:
             raise ConfigurationError(
-                f"absorber at {abs(m1)} needs series order >= {abs(m1)}, got {order}"
+                f"absorber at {k} needs series order >= {k}, got {order}"
             )
-    # (power k = |m1|, row uses f) -> m1
-    rows = {(abs(m1), (m1 > 0) == (initial == "L")): m1 for m1 in m1s}
+    # (power k = |m1|, row uses f) -> m1; int(m1) is exact after the check
+    rows = {(abs(int(m1)), (m1 > 0) == (initial == "L")): m1 for m1 in m1s}
     n = (order + 1) // 2
     g, f = _w_series(n)
     power = None  # G^(k−1); None stands for G^0 = 1, which needs no product
@@ -175,7 +177,7 @@ def quantum_absorption_prob(t: int) -> float:
     Nonzero only at t = 4m − 2 (m ≥ 1), where the absorbed amplitude is
     (2m−2)! / (2^{2m−1}·(m−1)!·m!); p_t is its square: 1/4, 1/64, 1/256, ...
     """
-    t = int(t)
+    t = exact_int("t", t)
     if t < 2 or (t + 2) % 4 != 0:
         return 0.0
     m = (t + 2) // 4
@@ -191,7 +193,7 @@ def quantum_avg_time_ratio(m1: int = 2) -> Callable:
     limit 2 > 1, i.e. convergence. Only the absorber-at-2 series has this
     closed form.
     """
-    if m1 != 2:
+    if AbsorberConfig(m1).position != 2:
         raise ConfigurationError(
             "closed-form average-time terms exist only for the absorber at 2"
         )
@@ -305,6 +307,7 @@ def raabe_estimate(ratio: Callable, n_max: int = 10 ** 6) -> RaabeReport:
     E_n = E + c/n over the top two octaves, which cancels the leading
     finite-n bias.
     """
+    n_max = exact_int("n_max", n_max)
     if not 16 <= n_max <= RAABE_MAX_N:
         raise ConfigurationError(
             f"n_max must be in 16..{RAABE_MAX_N}, got {n_max}")
@@ -320,12 +323,9 @@ def raabe_estimate(ratio: Callable, n_max: int = 10 ** 6) -> RaabeReport:
             f"series term ratio at n = {int(ns[bad[0]])} is not positive"
         )
     e_samples = ns * (r - 1.0)
+    # n_max >= 16 puts at least 3 distinct grid points in the top two octaves
     top = ns >= n_max / 4
-    if np.count_nonzero(top) >= 3:
-        slope_fit = np.polyfit(1.0 / ns[top], e_samples[top], 1)
-        limit = float(slope_fit[1])
-    else:
-        limit = float(e_samples[-1])
+    limit = float(np.polyfit(1.0 / ns[top], e_samples[top], 1)[1])
     if limit > 1.0 + RAABE_BAND:
         verdict = "converges"
     elif limit < 1.0 - RAABE_BAND:
@@ -335,7 +335,7 @@ def raabe_estimate(ratio: Callable, n_max: int = 10 ** 6) -> RaabeReport:
     return RaabeReport(
         limit=limit,
         verdict=verdict,
-        n_max=int(n_max),
+        n_max=n_max,
         band=RAABE_BAND,
         samples=list(zip(ns.tolist(), e_samples.tolist())),
     )

@@ -227,6 +227,13 @@ def test_series_m1_range(capsys):
     assert [int(r[0]) for r in rows] == [3, 4, 5]
 
 
+def test_series_rejects_an_empty_m1_range(capsys):
+    rc, out, err = run_cli(["series", "--m1-range", "3..1", "--seed", "1"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: empty m1 range '3..1'\n"
+
+
 def test_series_rejects_m1_with_range(capsys):
     rc, _, err = run_cli(
         ["series", "--m1", "2", "--m1-range", "1..4", "--seed", "1"], capsys
@@ -761,6 +768,8 @@ def test_parse_disorder_grammar():
     assert parse_disorder("binomial:n=2.0,p=0.5").params == (("n", 2), ("p", 0.5))
     with pytest.raises(ConfigurationError, match="needs an integer n"):
         parse_disorder("binomial:n=2.5,p=0.5")
+    with pytest.raises(ConfigurationError, match="non-numeric disorder parameter"):
+        parse_disorder("poisson:lambda=abc")
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,7 @@ from walklab import (
     poisson,
     sample_realization,
 )
-from walklab.disorder import parse_disorder
+from walklab.disorder import DisorderSpec, parse_disorder
 
 ALL_SPECS = [
     poisson(1.0),
@@ -96,6 +96,8 @@ def test_pmf_values():
     # a pmf from term ratios spans its support: one past the cap is refused
     with pytest.raises(ConfigurationError, match="beyond the support cap"):
         hypergeometric(10 ** 12, 10 ** 11, 10 ** 11).pmf(5)
+    with pytest.raises(ConfigurationError, match="step length must be >= 0, got -1"):
+        spec.pmf(-1)
 
 
 def test_negbinomial_equals_shifted_geometric():
@@ -138,6 +140,8 @@ def test_build_spec_validation():
         build_spec("nosuch", {"a": "1"})
     with pytest.raises(ConfigurationError):
         build_spec("poisson", {"mu": "1"})  # wrong key
+    with pytest.raises(ConfigurationError, match=r"needs parameters \('lambda',\), got \('mu',\)"):
+        DisorderSpec("poisson", (("mu", 1.0),))
     with pytest.raises(ConfigurationError):
         build_spec("poisson", {"lambda": "-1"})
     with pytest.raises(ConfigurationError):
@@ -254,6 +258,8 @@ def test_sampler_determinism():
     assert a.lengths.tolist() != c.lengths.tolist()
     assert a.lengths.dtype == np.int64
     assert np.all(a.lengths >= 0)
+    with pytest.raises(ConfigurationError, match="n_steps must be >= 1, got 0"):
+        sample_realization(spec, 0, 1)
 
 
 def test_child_seed_mixing():

@@ -258,6 +258,9 @@ def test_snapshot_matches_stepping():
     final = probability_distribution(result.final_state)
     np.testing.assert_allclose(snap.probs, final.probs, atol=1e-14)
     assert snap.time == 20
+    for t in (0, 21):
+        with pytest.raises(ConfigurationError, match=f"snapshot time must be in 1..20, got {t}"):
+            snapshot_distribution(config, t)
 
 
 def test_walk_stops_once_fully_absorbed():

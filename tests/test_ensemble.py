@@ -145,6 +145,19 @@ def test_single_realization_matches_clean_run():
     assert np.all(curve.excluded == 0)
 
 
+@pytest.mark.parametrize("engine", ["quantum", "classical"])
+def test_template_lengths_stop_at_the_last_step_an_average_reads(engine):
+    """Without disorder every realization walks the template's own lengths;
+    an average that reads only the first steps walks only those lengths."""
+    walk = WalkConfig(steps=10, engine=engine, absorber=AbsorberConfig(3),
+                      step_lengths=np.array([1, 0, 2, 1, 3, 1, 2, 0, 1, 1]))
+    cfg = EnsembleConfig(walk=walk, realizations=2)
+    full = run_walk(walk)
+    assert disorder_avg_sigma(cfg, [2, 5]).values.tolist() == full.sigma[[1, 4]].tolist()
+    curve = disorder_avg_absorb_time(cfg, [4, 6])
+    assert curve.values.tolist() == [finite_horizon_avg_time(full.record, n) for n in (4, 6)]
+
+
 def test_avg_sigma_stderr_is_sample_spread_over_sqrt_count():
     cfg = EnsembleConfig(
         walk=WalkConfig(steps=40, engine="classical"),

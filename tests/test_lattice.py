@@ -71,6 +71,8 @@ def test_empty_distribution_errors():
     empty = dist([(0, 0.0), (2, 0.0)])
     with pytest.raises(EmptyStateError):
         std_dev(empty)
+    with pytest.raises(ConfigurationError, match="not a walker state: object"):
+        probability_distribution(object())
 
 
 def test_std_dev_point_mass_off_centre_is_zero():

@@ -35,6 +35,9 @@ def test_power_series_arithmetic():
     # products truncate at the shared order
     assert (a * b).coeffs.tolist() == [0.0, 1.0, 2.0]
     assert (2.0 * a).coeffs.tolist() == [2.0, 4.0, 6.0]
+    for coeffs in (np.array([]), np.ones((2, 2))):
+        with pytest.raises(ConfigurationError, match="nonempty 1D array"):
+            PowerSeries(coeffs)
 
 
 def test_monomial_and_coefficient():
