@@ -238,7 +238,10 @@ class WalkConfig:
                     f"step_lengths must have length {self.steps} (per row), "
                     f"got {lengths.shape}"
                 )
-            if np.any(lengths < 0) or not np.issubdtype(lengths.dtype, np.integer):
+            if lengths.dtype.kind not in "iu":  # read one by one: 2.0 is 2, 2.5 an error
+                exact = [exact_int("step length", v) for v in lengths.ravel().tolist()]
+                self.step_lengths = lengths = np.array(exact).reshape(lengths.shape)
+            if np.any(lengths < 0):
                 raise ConfigurationError("step lengths must be nonnegative integers")
 
     @property

@@ -179,16 +179,16 @@ def _horizon_ratios(absorbed: np.ndarray, horizons: np.ndarray) -> np.ndarray:
     return ratios
 
 
-def _nan_average(matrix: np.ndarray, abscissa: np.ndarray, realizations: int,
-                 error: type, empty_message: str) -> AveragedCurve:
+def _nan_average(matrix: np.ndarray, abscissa: np.ndarray, error: type,
+                 empty_message: str) -> AveragedCurve:
     """Columnwise mean/stderr/count ignoring NaN entries, as a curve over
     `abscissa`; a column with no entry averages to NaN (mean and stderr),
     and `error` is raised if no column has any.
 
     Overwrites `matrix`: the matrix may be large.
     """
-    missing = np.isnan(matrix)
-    included = matrix.shape[0] - missing.sum(axis=0)
+    missing, realizations = np.isnan(matrix), matrix.shape[0]
+    included = realizations - missing.sum(axis=0)
     if not included.any():
         raise error(f"{empty_message} {abscissa.tolist()}")
     # an empty column: x / NaN gives NaN, with no 0/0 warning
@@ -204,14 +204,22 @@ def _nan_average(matrix: np.ndarray, abscissa: np.ndarray, realizations: int,
                          realization_count=realizations, included=included)
 
 
-def _upto(config: EnsembleConfig, last: int) -> EnsembleConfig:
-    """`config` with its walk stopped after step `last`, the last one an
-    average reads: each realization draws the same first `last` lengths."""
-    lengths = config.walk.step_lengths
+def _stop_at_grid(config: EnsembleConfig, values: Optional[Iterable[int]],
+                  what: str) -> tuple[np.ndarray, EnsembleConfig]:
+    """The steps at which an average reads `config`'s walks (`step_times` of
+    `values`, None: every step; refused when empty), and `config` stopped
+    after the last, each realization drawing the same first lengths. The
+    default grid is a matrix row long: the matrix is checked before it."""
+    if values is None:
+        check_matrix(config.realizations, config.walk.steps, "realizations")
+    times = step_times(values, config.walk.steps, what)
+    if not times.size:
+        raise ConfigurationError(f"at least one {what} is required")
+    last, lengths = int(times[-1]), config.walk.step_lengths
     if lengths is not None:
         lengths = np.asarray(lengths)[..., :last]
-    return replace(config, walk=replace(config.walk, steps=last,
-                                        step_lengths=lengths))
+    return times, replace(config, walk=replace(config.walk, steps=last,
+                                               step_lengths=lengths))
 
 
 def disorder_avg_absorb_time(
@@ -226,12 +234,9 @@ def disorder_avg_absorb_time(
     """
     if config.walk.absorber is None:
         raise ConfigurationError("absorbing-time averages need an absorber")
-    hs = step_times(horizons, config.walk.steps, "horizon")
-    if hs.size == 0:
-        raise ConfigurationError("at least one horizon is required")
-    absorbed, _ = run_ensemble(_upto(config, int(hs[-1])), sigma_times=())
-    return _nan_average(_horizon_ratios(absorbed, hs), hs, config.realizations,
-                        NoAbsorptionError,
+    hs, stopped = _stop_at_grid(config, horizons, "horizon")
+    absorbed, _ = run_ensemble(stopped, sigma_times=())
+    return _nan_average(_horizon_ratios(absorbed, hs), hs, NoAbsorptionError,
                         "no realization absorbed anything by horizon(s)")
 
 
@@ -242,21 +247,15 @@ def disorder_avg_sigma(
     step); σ is the surviving-mass (renormalized) spread whenever an
     absorber is present, and is computed only at those t; the walks stop at
     the last one."""
-    ts = step_times(t_grid, config.walk.steps, "t grid value")
-    if ts.size == 0:
-        raise ConfigurationError("the t grid is empty")
-    _, sigma = run_ensemble(_upto(config, int(ts[-1])), sigma_times=ts,
-                            absorbed=False)
-    return _nan_average(sigma, ts, config.realizations, NumericalError,
-                        "no surviving mass at t =")
+    ts, stopped = _stop_at_grid(config, t_grid, "t grid value")
+    _, sigma = run_ensemble(stopped, sigma_times=ts, absorbed=False)
+    return _nan_average(sigma, ts, NumericalError, "no surviving mass at t =")
 
 
 def check_fit_range(t_lo: int, t_hi: int, points: int) -> None:
     """Raise unless [t_lo, t_hi], holding `points` curve points, can be fit."""
     if t_lo >= t_hi:
-        raise ConfigurationError(
-            f"fit range needs t_lo < t_hi, got [{t_lo}, {t_hi}]"
-        )
+        raise ConfigurationError(f"fit range needs t_lo < t_hi, got [{t_lo}, {t_hi}]")
     if points < 3:
         raise ConfigurationError(
             f"fit range [{t_lo}, {t_hi}] covers fewer than 3 curve points"

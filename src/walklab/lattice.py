@@ -73,15 +73,14 @@ def step_times(values: Optional[Iterable[int]], steps: int, what: str) -> np.nda
     names `what`."""
     if values is None:
         return np.arange(1, steps + 1, dtype=np.int64)
-    times = np.asarray(values if isinstance(values, np.ndarray) else list(values)).ravel()
-    if times.dtype.kind not in "biu":  # floats, strings, objects: one by one
-        times = np.array([exact_int(what, t) for t in times.tolist()], dtype=object)
-    outside = (times < 1) | (times > steps)
-    if outside.any():
-        raise ConfigurationError(
-            f"{what} must be in 1..{steps}, got {times[outside].tolist()[0]}")
+    if isinstance(values, np.ndarray):
+        values = values.ravel().tolist()
     # not np.unique: its first call imports numpy.ma, about 1 MB of memory
-    return np.array(sorted(set(times.tolist())), dtype=np.int64)
+    times = sorted({exact_int(what, t) for t in values})
+    if times and (times[0] < 1 or times[-1] > steps):
+        raise ConfigurationError(
+            f"{what} must be in 1..{steps}, got {times[0] if times[0] < 1 else times[-1]}")
+    return np.array(times, dtype=np.int64)
 
 
 class Frame(NamedTuple):

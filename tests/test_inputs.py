@@ -70,6 +70,9 @@ def _fields(obj):
 INTEGER_ARGUMENTS = {
     "WalkConfig.steps": (
         "steps must be an integer", lambda v: run_walk(WalkConfig(steps=v)).sigma),
+    "WalkConfig.step_lengths": (
+        "step length must be an integer",
+        lambda v: run_walk(WalkConfig(steps=3, step_lengths=[v, 1, v])).sigma),
     "AbsorberConfig.position": (
         "absorber position must be an integer",
         lambda v: run_walk(WalkConfig(steps=6, absorber=AbsorberConfig(v))).record.per_step),
@@ -216,6 +219,17 @@ def test_no_times_means_every_step():
                             _fields(disorder_avg_absorb_time(ENSEMBLE, every)))
 
 
+def _peak_while_refused(call, message):
+    """The tracemalloc peak of `call`, which must raise `message`."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_run_walk_refuses_a_record_beyond_the_budget_before_allocating():
     # 10^10 steps would need an 80 GB record. Zero-length steps keep the
     # window of three rows one site wide, so only their 100 MB record is
@@ -229,11 +243,19 @@ def test_run_walk_refuses_a_record_beyond_the_budget_before_allocating():
          f"3 row(s) × {steps} steps need {3 * 8 * steps} bytes per matrix"),
     ]
     for config, message in cases:
-        tracemalloc.start()
-        try:
-            with pytest.raises(ConfigurationError, match=re.escape(message)):
-                run_walk(config)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 ** 20
+        assert _peak_while_refused(lambda: run_walk(config), message) < 2 ** 20
+
+
+@pytest.mark.parametrize("average", [disorder_avg_sigma, disorder_avg_absorb_time])
+def test_an_average_refuses_its_matrix_before_building_the_default_grid(average):
+    # every step of 10^10 would be an 80 GB grid
+    config = replace(ENSEMBLE, walk=replace(WALK, steps=10 ** 10), realizations=1)
+    message = "1 realizations × 10000000000 steps need 80000000000 bytes per matrix"
+    assert _peak_while_refused(lambda: average(config), message) < 2 ** 20
+
+
+@pytest.mark.parametrize("average, what", [(disorder_avg_sigma, "t grid value"),
+                                           (disorder_avg_absorb_time, "horizon")])
+def test_an_average_refuses_an_empty_grid(average, what):
+    with pytest.raises(ConfigurationError, match=f"^at least one {what} is required$"):
+        average(ENSEMBLE, [])
