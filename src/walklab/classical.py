@@ -3,11 +3,11 @@
 A step splits the walker's mass half left, half right by the step length,
 writing both halves into the spare buffer along the step's `Move` (see
 `lattice`): by plain slices for one walk, by one indexed copy per image
-for a block. The window then ends, on each side, at its outermost column
-that holds mass in some row, so no step computes the columns of a long
-walk whose mass underflowed to zero. The absorber cuts the window exactly
-as in the quantum engine.
-`engine.iterate_walk` drives these kernels for the "classical" engine.
+for a block. The absorber cuts the window exactly as in the quantum
+engine. `engine.iterate_walk` drives these kernels for the "classical"
+engine and, after every step of either engine, ends the window at its
+outermost live column, so no step computes the columns of a long walk
+whose mass underflowed to zero.
 Exact vector propagation replaces Monte Carlo; trajectory sampling exists
 only in the test suite as an oracle. The first-passage law has one
 implementation, `first_passage_series`, which steps its exact term ratio;
@@ -19,22 +19,7 @@ import math
 
 import numpy as np
 
-from .lattice import (AbsorberConfig, ClassicalState, Move, cut_at, exact_int,
-                      keep_columns, shift_window)
-
-
-def _trim(state: ClassicalState) -> None:
-    """Cut the window to its columns from the first to the last that holds
-    mass in some row; to no columns when no row holds any."""
-    prob = state.values
-    live = prob if prob.ndim == 1 else prob.any(axis=0)
-    start, stop = 0, live.shape[0]
-    while stop > start and not live[stop - 1]:
-        stop -= 1
-    while start < stop and not live[start]:
-        start += 1
-    if stop - start < live.shape[0]:
-        keep_columns(state, start, stop)
+from .lattice import AbsorberConfig, ClassicalState, Move, cut_at, exact_int, shift_window
 
 
 def crw_step(state: ClassicalState, move: Move) -> ClassicalState:
@@ -56,19 +41,13 @@ def crw_step(state: ClassicalState, move: Move) -> ClassicalState:
         state.values[...] = 0
         rows[move.starts[:, 0]] = prob
         rows[move.starts[:, 1]] += prob
-    _trim(state)
     return state
 
 
-def crw_apply_absorber(
-    state: ClassicalState, absorber: AbsorberConfig
-) -> tuple[ClassicalState, float]:
-    """Cut the window at the absorber and drop the columns that hold no
-    mass; return (the state, the mass of the cut sites), the cut mass per
-    row for a state with rows."""
-    absorbed = cut_at(state, absorber.position)
-    _trim(state)
-    return state, absorbed
+def crw_apply_absorber(state: ClassicalState, absorber: AbsorberConfig):
+    """Cut the window at the absorber; return (the state, the mass of the
+    cut sites), the cut mass per row for a state with rows."""
+    return state, cut_at(state, absorber.position)
 
 
 def classical_first_passage(t: int, m1: int) -> float:

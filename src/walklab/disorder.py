@@ -332,10 +332,11 @@ class Realization:
 
 def child_seed(master_seed: int, index: int) -> int:
     """Derive realization seed i from the master seed, order-independently."""
-    master_seed = exact_int("master_seed", master_seed)
-    if master_seed < 0:
-        raise ConfigurationError(f"seed must be >= 0, got {master_seed}")
-    ss = np.random.SeedSequence((master_seed, exact_int("index", index)))
+    entropy = (exact_int("master_seed", master_seed), exact_int("index", index))
+    for name, value in zip(("seed", "index"), entropy):
+        if value < 0:
+            raise ConfigurationError(f"{name} must be >= 0, got {value}")
+    ss = np.random.SeedSequence(entropy)
     return int(ss.generate_state(1, np.uint64)[0])
 
 

@@ -20,12 +20,13 @@ same, bit for bit, at half the bytes a step.
 
 `iterate_walk` is one planned loop. It allocates a walk's two buffers
 once (see `lattice`) and derives each step's `lattice.Move` from the step
-lengths alone: Python ints for one walk; for a block of rows, the reach
-that clips the shared window from one cumulative sum of the lengths, and
-the row parities and image starts in a few row-sized operations a step. A
-kernel then only does the arithmetic, writing the coin's output straight
-to its place in the spare buffer (plain slices for one walk, one indexed
-copy for a block). An empty window, no row holding mass, ends a walk.
+lengths alone: Python ints for one walk; for a block of rows, the row
+parities and image starts in a few row-sized operations a step. A kernel
+then only does the arithmetic, writing the coin's output straight to its
+place in the spare buffer (plain slices for one walk, one indexed copy for
+a block). After the cut at the absorber, one rule ends the window of
+either engine at its outermost live column (`lattice.trim`), and an empty
+window, no row holding mass, ends a walk.
 """
 from __future__ import annotations
 
@@ -48,11 +49,11 @@ from .lattice import (
     QuantumState,
     cut_at,
     exact_int,
-    keep_columns,
     point_in_frame,
     probability_distribution,
     shift_window,
     step_times,
+    trim,
     window_sigma,
 )
 
@@ -144,18 +145,10 @@ def step(state: QuantumState, coin: CoinOperator, move: Move) -> QuantumState:
     return state
 
 
-def apply_absorber(
-    state: QuantumState, absorber: AbsorberConfig
-) -> tuple[QuantumState, float]:
+def apply_absorber(state: QuantumState, absorber: AbsorberConfig):
     """Cut the window at the absorber; return (the state, the mass of the
-    cut sites), the cut mass per row for a state with rows. A cut that
-    leaves no amplitude in any row leaves no columns."""
-    absorbed = cut_at(state, absorber.position)
-    # only a cut can empty the walk
-    hit = absorbed.any() if isinstance(absorbed, np.ndarray) else absorbed
-    if hit and not state.values.any():
-        keep_columns(state, 0, 0)
-    return state, absorbed
+    cut sites), the cut mass per row for a state with rows."""
+    return state, cut_at(state, absorber.position)
 
 
 @dataclass
@@ -264,13 +257,13 @@ def frame_span(farthest: int, longest: int, absorber: Optional[AbsorberConfig],
     """(origin, columns) of the frame a walk's two buffers share.
 
     It holds every site within `farthest` of the start, site 0, and for
-    several rows `longest` + 1 more on each side: rows are placed whole
-    before the window is cut to their reach, and a window column may hold a
-    site one past the reach for the rows of the other parity. Past an
-    absorber it holds only the `longest` sites a step can carry mass beyond
-    it. The origin takes the absorber's parity (or the one after it, for a
-    left absorber), so that the cut falls between two columns for either
-    row parity.
+    several rows `longest` + 1 more on each side: rows are placed whole, so
+    before the trim a block's window may run one longest step past the
+    reach, and a window column may hold a site one past it for the rows of
+    the other parity. Past an absorber it holds only the `longest` sites a
+    step can carry mass beyond it. The origin takes the absorber's parity
+    (or the one after it, for a left absorber), so that the cut falls
+    between two columns for either row parity.
     """
     pad = longest + 1 if rows > 1 else 0
     lo, hi = -farthest - pad, farthest + pad
@@ -303,8 +296,7 @@ def _moves(lengths: Optional[np.ndarray], steps: int, origin: int, columns: int,
            components: int) -> Iterator[Move]:
     """Each step's `Move` for a walk that starts at parity −origin & 1 in a
     frame of `columns` columns of `components` arrays a row: Python ints for
-    one walk; for a block, the reach of every step from one cumulative sum of
-    its lengths, then each step's row parities and image starts."""
+    one walk; for a block, each step's row parities and image starts."""
     parity = -origin & 1
     if lengths is None or lengths.ndim == 1:
         for l in itertools.repeat(1, steps) if lengths is None else lengths.tolist():
@@ -312,36 +304,34 @@ def _moves(lengths: Optional[np.ndarray], steps: int, origin: int, columns: int,
             parity = moved & 1
             yield Move(l, parity, (moved >> 1) - l, moved >> 1)
         return
-    reach = np.cumsum(lengths, axis=1).max(axis=0)
-    firsts = ((-reach - origin) >> 1).tolist()
-    ends = (((reach - origin) >> 1) + 1).tolist()
     # row r's L (or only) array starts at element r·components·columns of the
     # flat buffer, its R array `columns` later
     base = np.arange(len(lengths))[:, np.newaxis] * (components * columns) \
         + np.array([0, (components - 1) * columns])
     parities = np.full(len(lengths), parity)
-    for l, first, end in zip(lengths.T, firsts, ends):
+    for l in lengths.T:
         moved = parities + l
         parities = moved & 1
         up = moved >> 1
         low = int((up - l).min())
         starts = base - low + up[:, np.newaxis]
         starts[:, 0] -= l
-        yield Move(l, parities, low, int(up.max()), starts, (first, end))
+        yield Move(l, parities, low, int(up.max()), starts)
 
 
 def iterate_walk(config: WalkConfig) -> Iterator[tuple[WalkerState, float]]:
     """Yield (state after step t, mass absorbed at step t) for t = 1..steps.
 
-    A yielded state is valid until the next step, which overwrites it. Stops
-    early after a step that leaves every row without surviving mass, whose
-    window is empty: nothing evolves past that point. Rows share one window:
-    the columns within the farthest any row has moved from the start, up to
-    the absorber (for the classical engine, only those out to the outermost
-    one that holds mass). The walk allocates its two buffers before the first
-    step, float64 for real amplitudes (see `real_amplitudes`) and complex128
-    otherwise; a walk whose window could pass MAX_ARRAY_BYTES at SITE_BYTES
-    is refused before that.
+    A yielded state is valid until the next step, which overwrites it. Every
+    step is the kernel, the cut at the absorber and `lattice.trim`, so for
+    either engine, one walk or a block, the window ends on each side at its
+    outermost column where some row holds a value of at least its state's
+    `floor`, and lies within the columns the rows can have reached. Stops
+    early after a step that leaves every row without such a value, whose
+    window is empty: nothing evolves past that point. The walk allocates its
+    two buffers before the first step, float64 for real amplitudes (see
+    `real_amplitudes`) and complex128 otherwise; a walk whose window could
+    pass MAX_ARRAY_BYTES at SITE_BYTES is refused before that.
     """
     lengths = config.step_lengths
     if lengths is None:
@@ -377,6 +367,7 @@ def iterate_walk(config: WalkConfig) -> Iterator[tuple[WalkerState, float]]:
         state, absorbed = advance(state, move), 0.0
         if absorber is not None:
             state, absorbed = absorb(state, absorber)
+        trim(state)
         yield state, absorbed
         if not state.width:  # no row holds mass
             return

@@ -14,12 +14,13 @@ The window is a view into one of two buffers in a fixed `Frame` that only
 state in place along one `Move` a step, which the step lengths alone fix:
 `shift_window` moves the state to the next window in the spare buffer,
 which the step kernel writes, and swaps the buffers, so a state is valid
-only until the next step. A window holds only columns within reach of the
-start, cut at the absorber (`cut_at`), so propagation is exact; a
-classical window also ends at its outermost column that is nonzero in
-some row, since a zero column stays zero. A row's sites lie two apart, so
-its σ is twice the spread of its column index (`window_sigma`): no site
-array is built a step.
+only until the next step. Every step the window is cut at the absorber
+(`cut_at`) and then ends, on each side, at its outermost column where some
+row holds a value of at least its state class's `floor` (`trim`): the
+columns dropped hold no probability that shows, and every column kept lies
+within reach of the start. A row's sites lie two apart, so its σ is twice
+the spread of its column index (`window_sigma`): no site array is built a
+step.
 
 Every module reads its integers (`exact_int`: 2.0 reads as 2, 2.5 is an
 error), absorber sites (`AbsorberConfig`) and step times (`step_times`) here.
@@ -99,9 +100,8 @@ class Move(NamedTuple):
     k + up − l (up = (p + l) >> 1). The next window runs from `low` columns
     past the current first column to `high` past the current end. One
     walk: ints, its images `length` columns apart. A block: `length` and
-    `parity` per row, `starts` of each row's down and up image in the flat
-    spare buffer from that first column, and `reach` (first, end), the
-    columns within the rows' farthest move, to which the window is clipped.
+    `parity` per row, and `starts` of each row's down and up image in the
+    flat spare buffer from that first column.
     """
 
     length: Union[int, np.ndarray]
@@ -109,7 +109,6 @@ class Move(NamedTuple):
     low: int
     high: int
     starts: Optional[np.ndarray] = None
-    reach: Optional[tuple] = None
 
 
 @dataclass
@@ -145,6 +144,11 @@ class QuantumState(_Window):
     has shape ([rows,] 2, width), L = 0, R = 1, float64 when the walk's coin
     and start are real (its amplitudes stay real), else complex128."""
 
+    # far below the 2^-537 or so whose square is the least positive float:
+    # a dropped column holds no probability that shows, nor could it change
+    # the rounding of an amplitude whose square is nonzero
+    floor = 2.0 ** -600
+
     @property
     def psi(self) -> np.ndarray:
         return self.values
@@ -157,6 +161,8 @@ class QuantumState(_Window):
 class ClassicalState(_Window):
     """Probability mass over a window of parity columns: `values` is float64
     of shape ([rows,] width)."""
+
+    floor = 5e-324  # the least positive float: a zero column stays zero
 
     @property
     def prob(self) -> np.ndarray:
@@ -178,26 +184,46 @@ def shift_window(state, move: Move):
     buffer, which the step then writes, and swap the buffers. Returns the
     window it held, the step's input, and for a block a flat view of the
     new buffer that `move.starts` index: its row q is the input's width of
-    elements from q elements past the first column of the new window, before
-    the clip to the reach."""
+    elements from q elements past the first column of the new window."""
     origin, live, spare = state.frame
     values, rows = state.values, None
     width = values.shape[-1]
     lo = (state.n_min - origin) >> 1
     start, stop = lo + move.low, lo + width + move.high
-    if move.reach is not None:
+    if move.starts is not None:
         size = spare.itemsize
         rows = np.ndarray((spare.size - start - width + 1, width), spare.dtype, spare,
                           start * size, (size, size))
-        first, end = move.reach
-        start = max(start, first)
-        stop = max(min(stop, end), start)
     state.time += 1
     state.n_min = origin + 2 * start
     state.values = spare[..., start:stop]
     state.parity = move.parity
     state.frame = Frame(origin, spare, live)
     return values, rows
+
+
+def trim(state) -> None:
+    """End the window, on each side, at its outermost column where some row
+    holds a value of magnitude at least the state's `floor`; no columns are
+    left when none does."""
+    values, floor = state.values, state.floor
+    width = values.shape[-1]
+    start, stop = 0, width
+    if isinstance(state.parity, np.ndarray):  # a block: a column of all rows at once
+        lines = values.reshape(-1, width)
+        while stop > start and not (np.abs(lines[:, stop - 1]) >= floor).any():
+            stop -= 1
+        while start < stop and not (np.abs(lines[:, start]) >= floor).any():
+            start += 1
+    else:  # one walk: Python scalars, far cheaper than a reduction
+        at = values.reshape(-1, width).item  # (line, column): L and R, or one line
+        while stop > start and not (abs(at(0, stop - 1)) >= floor
+                                    or abs(at(-1, stop - 1)) >= floor):
+            stop -= 1
+        while start < stop and not (abs(at(0, start)) >= floor or abs(at(-1, start)) >= floor):
+            start += 1
+    if stop - start < width:
+        keep_columns(state, start, stop)
 
 
 def cut_at(state, position: int):

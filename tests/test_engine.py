@@ -10,6 +10,7 @@ from walklab import (
     ConfigurationError,
     CoinOperator,
     WalkConfig,
+    absorption_probabilities,
     coin_by_name,
     hadamard_coin,
     iterate_walk,
@@ -308,17 +309,35 @@ def test_sigma_is_renormalized_spread():
                          ids=["one walk", "rows", "mixed parities"])
 def test_surviving_point_mass_has_zero_sigma(engine, lengths):
     # the absorber at −1 takes the mass sent left: what survives of each row
-    # is a point mass at site 3 (column 1 of the quantum window over sites 1
-    # and 3, or of the rows' shared window), at 1, or at 0, whose σ is
-    # exactly 0
+    # is a point mass at site 3 (the one column of a walk's window, or a
+    # column of the rows' shared window), at 1, or at 0, whose σ is exactly 0
     config = WalkConfig(steps=1, engine=engine, absorber=AbsorberConfig(-1),
                         step_lengths=np.array(lengths))
     result = run_walk(config)
     state = result.final_state
-    assert state.width > 1 or engine == "classical" and np.ndim(lengths) == 1
+    assert state.width > 1 or np.ndim(lengths) == 1
     np.testing.assert_array_equal(result.sigma, np.zeros(config.rows + (1,)))
     np.testing.assert_array_equal(std_dev(probability_distribution(state)),
                                   np.zeros(config.rows))
+
+
+@pytest.mark.parametrize("position", [2, -3])
+def test_long_quantum_walk_window_ends_at_its_amplitude(position):
+    # past t = 1,200 the free front's amplitude 2^(−t/2) falls below 2^-600,
+    # and the window drops those columns: at every step its first and last
+    # columns hold some |ψ| ≥ 2^-600, and the walk keeps the series' p_t and
+    # its mass budget
+    steps = 3000
+    series = absorption_probabilities(position, "L", order=steps)
+    absorbed_so_far = 0.0
+    for state, absorbed in iterate_walk(
+            WalkConfig(steps=steps, absorber=AbsorberConfig(position))):
+        assert np.all(np.abs(state.psi[:, [0, -1]]).max(axis=0) >= 2.0 ** -600)
+        assert abs(absorbed - series[state.time - 1]) <= 1e-14
+        absorbed_so_far += absorbed
+        assert abs(absorbed_so_far + state.mass() - 1.0) <= 1e-12
+    assert state.time == steps
+    assert state.width < steps // 2
 
 
 @pytest.mark.parametrize("engine", ["quantum", "classical"])

@@ -177,6 +177,19 @@ def test_integer_argument_reads_2_0_as_2_and_refuses_2_5(message, call):
     np.testing.assert_equal(call(2.0), call(2))
 
 
+# entry point -> (the call, its whole error): integers in range only
+OUT_OF_RANGE = {
+    "child_seed.master_seed": (lambda: child_seed(-1, 0), "seed must be >= 0, got -1"),
+    "child_seed.index": (lambda: child_seed(1, -1), "index must be >= 0, got -1"),
+}
+
+
+@pytest.mark.parametrize("call, message", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
+def test_an_integer_out_of_range_is_refused(call, message):
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 @pytest.mark.parametrize("values, want", [
     ([3, 1, 3], [1, 3]),
     ((2.0, 1), [1, 2]),
