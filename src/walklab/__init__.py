@@ -1,6 +1,9 @@
 """walklab: quantum and classical random walks on a line, with absorbing
 boundaries, step-length disorder, absorption-series analytics, and spreading
-exponent estimation."""
+exponent estimation, in one process on one thread (see OPENBLAS_NUM_THREADS)."""
+import os
+# numpy's OpenBLAS spins a worker ~0.125 CPU-s at import; walklab has no BLAS work for it
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .errors import (
     ConfigurationError,

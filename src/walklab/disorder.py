@@ -185,6 +185,11 @@ class DisorderSpec:
         as read-only arrays that are built once per spec."""
         return _support_table(self)
 
+    @functools.cached_property
+    def _cumulative(self) -> np.ndarray:
+        # the draws' running sums; the last is +inf, so a u past the tail gets the last length
+        return np.append(np.cumsum(_support_table(self)[1])[:-1], np.inf)
+
     def moments(self) -> tuple[float, float]:
         """Closed-form (mean, variance)."""
         return _FAMILIES[self.family].moments(*self.values)
@@ -336,8 +341,12 @@ def child_seed(master_seed: int, index: int) -> int:
     for name, value in zip(("seed", "index"), entropy):
         if value < 0:
             raise ConfigurationError(f"{name} must be >= 0, got {value}")
-    ss = np.random.SeedSequence(entropy)
-    return int(ss.generate_state(1, np.uint64)[0])
+    return unchecked_child_seed(*entropy)
+
+
+def unchecked_child_seed(master_seed: int, index: int) -> int:
+    """`child_seed` of a master seed and an index that are ints >= 0."""
+    return int(np.random.SeedSequence((master_seed, index)).generate_state(1, np.uint64)[0])
 
 
 def sample_realization(spec: DisorderSpec, n_steps: int, seed: int) -> Realization:
@@ -345,10 +354,10 @@ def sample_realization(spec: DisorderSpec, n_steps: int, seed: int) -> Realizati
     n_steps = exact_int("n_steps", n_steps)
     if n_steps < 1:
         raise ConfigurationError(f"n_steps must be >= 1, got {n_steps}")
-    ls, ps = spec.support_table()
-    cum = np.cumsum(ps)
-    rng = np.random.default_rng(exact_int("seed", seed))
-    u = rng.random(n_steps)
-    idx = np.searchsorted(cum, u, side="right")
-    idx = np.minimum(idx, ls.size - 1)
-    return Realization(lengths=ls[idx].astype(np.int64))
+    return Realization(lengths=unchecked_lengths(spec, n_steps, exact_int("seed", seed)))
+
+
+def unchecked_lengths(spec: DisorderSpec, n_steps: int, seed: int) -> np.ndarray:
+    """`sample_realization`'s lengths for an int n_steps >= 1 and seed."""
+    u = np.random.default_rng(seed).random(n_steps)
+    return spec.support_table()[0][np.searchsorted(spec._cumulative, u, side="right")]

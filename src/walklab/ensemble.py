@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .disorder import DisorderSpec, child_seed, sample_realization
+from .disorder import DisorderSpec, child_seed, unchecked_child_seed, unchecked_lengths
 from .engine import (
     SITE_BYTES,
     AbsorptionRecord,
@@ -31,14 +31,14 @@ from .errors import ConfigurationError, NoAbsorptionError, NumericalError
 from .lattice import exact_int, step_times
 
 # A row of a block holds its step lengths (8 bytes a step), its share of the
-# block's two walk buffers (SITE_BYTES a column, half that for the float64
-# amplitudes of a real quantum walk), the three float arrays a σ step holds
-# at once (probabilities, column offsets and weighted offsets: 8 bytes a
-# column each) and about 16 more 8-byte values (the step plan's parities and
-# image starts, the σ's sums). Blocks take realizations in index order while
-# their rows stay under BLOCK_BYTES (a single row may exceed it). Every block
-# step pays a fixed Python cost whatever its row count; 2 MiB is the smallest
-# power of two that runs each default `sweep` ensemble as one block.
+# two walk buffers (SITE_BYTES a column, half for a real quantum walk), the
+# larger of a step's temporaries (a site a column: the coin's cross terms, or
+# a classical step's indexed read) and a σ step's three float arrays (8 bytes
+# a column each), and about 16 more 8-byte values. An in-place ufunc on a
+# window, a strided view, adds numpy's iteration buffers for its input and
+# output, up to np.getbufsize() elements each. Blocks take realizations in
+# index order while under BLOCK_BYTES (a single row may exceed it). Every block
+# step pays a fixed Python cost; 2 MiB runs each default `sweep` ensemble whole.
 BLOCK_BYTES = 2 ** 21
 
 
@@ -91,12 +91,14 @@ class FitResult:
     n_points: int
 
 
-def _row_bytes(walk: WalkConfig, farthest: int, longest: int) -> int:
-    """What one row of a block of `walk`s holds, for rows that move at most
-    `farthest` in all and `longest` in one step."""
+def _block_bytes(walk: WalkConfig, rows: int, farthest: int, longest: int) -> int:
+    """What a block of `rows` `walk`s holds at its peak, for rows that move
+    at most `farthest` in all and `longest` in one step."""
     _, columns = frame_span(farthest, longest, walk.absorber, rows=2)
     site = SITE_BYTES[walk.engine] // (2 if real_amplitudes(walk) else 1)
-    return 8 * (walk.steps + 16) + (2 * site + 3 * 8) * columns
+    item = site // 2 if walk.engine == "quantum" else site  # bytes of an element
+    row = 8 * (walk.steps + 16) + (2 * site + max(site, 3 * 8)) * columns
+    return rows * row + 2 * item * min(rows * columns, np.getbufsize())
 
 
 def run_ensemble(
@@ -134,12 +136,13 @@ def run_ensemble(
                     None if sigma is None else sigma[done], columns)
 
     rows, farthest, longest = [], 0, 0
+    child_seed(config.master_seed, 0)  # checks the seed; WalkConfig the steps
     for i in range(count):
-        lengths = sample_realization(config.disorder, walk.steps,
-                                     child_seed(config.master_seed, i)).lengths
+        lengths = unchecked_lengths(config.disorder, walk.steps,
+                                    unchecked_child_seed(config.master_seed, i))
         reach, top = int(lengths.sum()), int(lengths.max())
-        if rows and (len(rows) + 1) * _row_bytes(
-                walk, max(farthest, reach), max(longest, top)) > BLOCK_BYTES:
+        if rows and _block_bytes(walk, len(rows) + 1, max(farthest, reach),
+                                 max(longest, top)) > BLOCK_BYTES:
             run_block(i - len(rows), rows)
             farthest = longest = 0
         rows.append(lengths)

@@ -5,6 +5,7 @@ import importlib
 import inspect
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -884,19 +885,56 @@ def test_cli_import_leaves_out_multiprocessing():
 
 
 SCIPY_MODULES = "[m for m in sys.modules if m.split('.')[0] == 'scipy']"
+# the thread count of numpy's bundled OpenBLAS, asked through ctypes; None
+# when numpy bundles no such library
+OPENBLAS_THREADS = """
+import ctypes, glob, os, numpy
+libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)),
+                              "numpy.libs", "libscipy_openblas64_*.so"))
+if libs:
+    get_threads = ctypes.CDLL(libs[0]).scipy_openblas_get_num_threads64_
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+print(get_threads() if libs else None)
+"""
+
+
+def _import_cli(openblas_threads):
+    """Import walklab.cli in a fresh interpreter whose OPENBLAS_NUM_THREADS
+    is `openblas_threads` (None: not set); return the scipy modules it
+    loaded and the thread count its OpenBLAS reports, as printed."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys, walklab.cli\nprint({SCIPY_MODULES})\n{OPENBLAS_THREADS}"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
 
 
 def test_cli_import_leaves_out_scipy_stats():
     # importing scipy (any of it: scipy.special pulls in numpy.testing and
     # more) costs most of the CLI's start-up time, so scipy is imported only
     # inside the functions that call it
-    proc = subprocess.run(
-        [sys.executable, "-c", f"import sys, walklab.cli; print({SCIPY_MODULES})"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    scipy_modules, threads = _import_cli(None)
+    assert scipy_modules == "[]"
+    # nor does it start a BLAS worker: on 2 cores an idle OpenBLAS worker
+    # spun for about 0.125 CPU-s after import, a third of a short command
+    if threads == "None":
+        pytest.skip("numpy bundles no scipy-openblas library to ask")
+    assert threads == "1"
+
+
+def test_exported_openblas_threads_win():
+    # walklab only sets a default; OpenBLAS caps the count at the CPUs it has
+    _, threads = _import_cli("2")
+    if threads == "None":
+        pytest.skip("numpy bundles no scipy-openblas library to ask")
+    assert threads == str(min(2, len(os.sched_getaffinity(0))))
 
 
 @pytest.mark.parametrize("argv", [

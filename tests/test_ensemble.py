@@ -8,6 +8,7 @@ import pytest
 
 from oracles import exact_avg_times
 from walklab import (
+    TABLE2_PRESETS,
     AbsorberConfig,
     AbsorptionRecord,
     AveragedCurve,
@@ -17,6 +18,7 @@ from walklab import (
     NumericalError,
     WalkConfig,
     child_seed,
+    coin_by_name,
     disorder_avg_absorb_time,
     disorder_avg_sigma,
     finite_horizon_avg_time,
@@ -113,7 +115,7 @@ def test_sigma_average_holds_only_its_columns():
     # 2,000 realizations × 100 steps, σ at t = 20..80: the ensemble keeps a
     # (realizations × 61) σ matrix, reduces it in place, and holds no
     # absorption matrix; a block of rows adds only what its rows hold, which
-    # `_row_bytes` counts against BLOCK_BYTES (0.84 of it measured)
+    # `_block_bytes` counts against BLOCK_BYTES (0.79 of it measured)
     steps, count, ts = 100, 2000, range(20, 81)
     cfg = EnsembleConfig(
         walk=WalkConfig(steps=steps, engine="classical", absorber=AbsorberConfig(2)),
@@ -133,6 +135,84 @@ def test_sigma_average_holds_only_its_columns():
     stopped = replace(cfg, walk=replace(cfg.walk, steps=80))
     _, sigma = run_ensemble(stopped, sigma_times=ts, absorbed=False)
     np.testing.assert_array_equal(curve.values, np.nanmean(sigma, axis=0))
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("spec", [poisson(1.0), TABLE2_PRESETS["tableII-hypergeometric"]],
+                         ids=["poisson", "hypergeometric"])
+def test_ensemble_rows_are_the_public_draws(spec, seed, monkeypatch):
+    # run_ensemble checks the seed and the steps once and then draws
+    # unchecked: its rows must still be sample_realization's draws from
+    # child_seed(seed, i), in one block or in many
+    steps, count, blocks = 40, 12, []
+    record = ensemble.record_walk
+    def capture(config, *args):
+        blocks.append(np.array(config.step_lengths))
+        return record(config, *args)
+    monkeypatch.setattr(ensemble, "record_walk", capture)
+    cfg = EnsembleConfig(WalkConfig(steps=steps, absorber=AbsorberConfig(2)),
+                         count, seed, spec)
+    want = np.stack([sample_realization(spec, steps, child_seed(seed, i)).lengths
+                     for i in range(count)])
+    for block_bytes in (ensemble.BLOCK_BYTES, 1):
+        monkeypatch.setattr(ensemble, "BLOCK_BYTES", block_bytes)
+        blocks.clear()
+        run_ensemble(cfg, sigma_times=())
+        got = np.concatenate(blocks)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+    assert len(blocks) == count
+
+
+def _sweep_ensembles(coin, presets=tuple(TABLE2_PRESETS)):
+    """The default `sweep` ensembles of `presets` (200 realizations of 80
+    steps, with the absorber at 2 and without), on the quantum walk with
+    `coin` or, for None, on the classical walk."""
+    for name in presets:
+        spec = TABLE2_PRESETS[name]
+        for absorber in (AbsorberConfig(2), None):
+            walk = WalkConfig(steps=80, engine="classical" if coin is None else "quantum",
+                              coin=coin_by_name(coin or "hadamard"), absorber=absorber)
+            yield EnsembleConfig(walk, 200, 1, spec)
+
+
+@pytest.mark.parametrize("block_bytes", [2 ** 18, 2 ** 21], ids=["256KiB", "2MiB"])
+@pytest.mark.parametrize("coin", ["hadamard", "kempe", None],
+                         ids=["quantum", "quantum-complex", "classical"])
+def test_block_peak_stays_within_block_bytes(coin, block_bytes, monkeypatch):
+    # above the σ matrix, a σ average holds at most BLOCK_BYTES at its peak:
+    # the blocks' arrays and step temporaries, and numpy's iteration buffers
+    # (up to np.getbufsize() elements per operand of an in-place ufunc on a
+    # window), which the parent did not count: at 256 KiB its quantum peak
+    # was 1.15 times BLOCK_BYTES, its complex one 1.35 times. The other two
+    # presets draw the same laws (geometric) or nearly (hypergeometric)
+    monkeypatch.setattr(ensemble, "BLOCK_BYTES", block_bytes)
+    ts = range(20, 81)
+    matrix = 200 * len(ts) * 8
+    for cfg in _sweep_ensembles(coin, ("tableII-binomial", "tableII-negbinomial")):
+        sample_realization(cfg.disorder, 1, 0)  # table and numpy.random loaded first
+        tracemalloc.start()
+        try:
+            disorder_avg_sigma(cfg, ts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - matrix <= block_bytes, (cfg.disorder.to_text(), cfg.walk.absorber)
+
+
+def test_default_sweep_ensembles_run_as_one_block(monkeypatch):
+    # every block step pays a fixed Python cost, so the default BLOCK_BYTES
+    # runs each default `sweep` ensemble whole
+    blocks = []
+    record = ensemble.record_walk
+    def count_rows(config, *args):
+        blocks.append(len(config.step_lengths))
+        return record(config, *args)
+    monkeypatch.setattr(ensemble, "record_walk", count_rows)
+    for cfg in _sweep_ensembles("hadamard"):
+        blocks.clear()
+        disorder_avg_sigma(cfg, range(20, 81))
+        assert blocks == [200], cfg.disorder.to_text()
 
 
 def test_single_realization_matches_clean_run():
