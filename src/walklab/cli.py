@@ -79,11 +79,12 @@ def _value(value):
 
 
 def _render(args, meta: dict, columns: list[str], rows: list[tuple],
-            json_key: str = "rows") -> str:
+            json_key: str = "rows", first: bool = True, last: bool = True) -> str:
+    """A table's text, or one chunk of it: `first` adds the head and `last`
+    the tail, so the chunks of one table join to the text of the whole."""
     meta = {"tool": "walklab", "version": __version__, **meta}
     if args.format == "csv":
-        lines = [f"# {k}={meta[k]}" for k in sorted(meta)]
-        lines.append(",".join(columns))
+        lines = [f"# {k}={meta[k]}" for k in sorted(meta)] + [",".join(columns)] if first else []
         for row in rows:
             # `_value` inline: only a NaN has v != v; str(np.float64) is str(float)
             lines.append(",".join("" if v is None or v != v else str(v) for v in row))
@@ -92,19 +93,47 @@ def _render(args, meta: dict, columns: list[str], rows: list[tuple],
         "meta": {k: _value(v) for k, v in meta.items()},
         json_key: [dict(zip(columns, map(_value, row))) for row in rows],
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    if not last:  # the next chunk goes on with the row list: end at this last row
+        text = text[:text.index("\n  ]")]  # row objects sit at indent 4
+    if not first:  # go on with the list an earlier chunk opened
+        text = ",\n" + text[text.index(": [\n") + 4:]
+    return text
 
 
-def _write(args, text: str) -> None:
+# rows rendered per write: a table's text is never held whole
+CHUNK_ROWS = 1024
+
+
+def _stream(fh, args, meta, columns, blocks, json_key) -> None:
+    """Write the rows of each block (a tuple of equal-length columns, arrays
+    or sequences) CHUNK_ROWS at a time, each chunk as a list of Python tuples
+    built in the call that renders it, so no name holds it afterwards."""
+    left, first = sum(len(block[0]) for block in blocks), True
+    for block in blocks:
+        for start in range(0, len(block[0]), CHUNK_ROWS):
+            cells = [col[start:start + CHUNK_ROWS] for col in block]
+            left -= len(cells[0])
+            lists = (c.tolist() if isinstance(c, np.ndarray) else c for c in cells)
+            fh.write(_render(args, meta, columns, list(zip(*lists)), json_key, first, not left))
+            first = False
+    if first:  # no rows: the head and the tail alone
+        fh.write(_render(args, meta, columns, [], json_key))
+
+
+def _write(args, meta: dict, columns: list[str], blocks: list[tuple],
+           json_key: str = "rows") -> None:
+    """Write a table to --output or stdout, one chunk of rows at a time."""
     if args.output and args.output != "-":
         try:
             with open(args.output, "w") as fh:
-                fh.write(text)
+                _stream(fh, args, meta, columns, blocks, json_key)
         except OSError as exc:
             raise ConfigurationError(
                 f"cannot write {args.output}: {exc.strerror or exc}") from None
     else:
-        sys.stdout.write(text)
+        _stream(sys.stdout, args, meta, columns, blocks, json_key)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
 
 
 def _walk_config(args, step_lengths=None) -> WalkConfig:
@@ -136,7 +165,7 @@ def _walk_meta(args, spec: Optional[DisorderSpec]) -> dict:
     }
 
 
-def cmd_walk(args) -> str:
+def cmd_walk(args) -> None:
     spec = parse_disorder(args.disorder) if args.disorder else None
     lengths = None
     if spec is not None:  # one int64 length per step, drawn before the walk
@@ -144,17 +173,17 @@ def cmd_walk(args) -> str:
                      f"{args.steps} disordered steps need {{}} bytes of step lengths")
         lengths = sample_realization(spec, args.steps, child_seed(args.seed, 0)).lengths
     config = _walk_config(args, lengths)
-    rows = []
+    blocks = []
     for dist in snapshot_distributions(config, args.snapshot or [args.steps]):
-        for pos, prob in zip(dist.positions.tolist(), dist.probs.tolist()):
-            # the window holds only sites of the walk's parity and none that
-            # was absorbed; sites whose mass is exactly zero are left out
-            if prob != 0.0:
-                rows.append((dist.time, pos, float(prob)))
-    return _render(args, _walk_meta(args, spec), ["time", "position", "probability"], rows)
+        # the window holds only sites of the walk's parity and none that
+        # was absorbed; sites whose mass is exactly zero are left out
+        live = dist.probs != 0.0
+        blocks.append((np.full(np.count_nonzero(live), dist.time),
+                       dist.positions[live], dist.probs[live]))
+    _write(args, _walk_meta(args, spec), ["time", "position", "probability"], blocks)
 
 
-def cmd_absorb(args) -> str:
+def cmd_absorb(args) -> None:
     spec = parse_disorder(args.disorder) if args.disorder else None
     if spec is None:
         if args.realizations is not None:
@@ -164,31 +193,22 @@ def cmd_absorb(args) -> str:
         per_step = run_walk(_walk_config(args), sigma_times=()).record.per_step
         ts = np.arange(1, per_step.size + 1)
         avg_time = _horizon_ratios(per_step[np.newaxis, :].copy(), ts)[0]
-        rows = list(zip(ts.tolist(), per_step.tolist(),
-                        np.cumsum(per_step).tolist(), avg_time.tolist()))
         meta = {**_walk_meta(args, spec), "cumulative_total": float(np.sum(per_step))}
-        return _render(
-            args, meta, ["t", "p_t", "cumulative", "avg_time"], rows, "record"
-        )
+        _write(args, meta, ["t", "p_t", "cumulative", "avg_time"],
+               [(ts, per_step, np.cumsum(per_step), avg_time)], "record")
+        return
     realizations = args.realizations if args.realizations is not None else 40
     horizons = _ints(args.horizons, ",", "--horizons") if args.horizons else None
     config = EnsembleConfig(_walk_config(args), realizations, args.seed, spec)
     curve = disorder_avg_absorb_time(config, horizons)
-    rows = list(zip(curve.abscissa.tolist(), curve.values.tolist(),
-                    curve.stderr.tolist(), curve.included.tolist(),
-                    curve.excluded.tolist()))
     meta = {**_walk_meta(args, spec), "realizations": realizations,
             "total_excluded": int(np.sum(curve.excluded))}
-    return _render(
-        args,
-        meta,
-        ["horizon", "avg_time", "stderr", "included", "excluded"],
-        rows,
-        "curve",
-    )
+    _write(args, meta, ["horizon", "avg_time", "stderr", "included", "excluded"],
+           [(curve.abscissa, curve.values, curve.stderr, curve.included, curve.excluded)],
+           "curve")
 
 
-def cmd_series(args) -> str:
+def cmd_series(args) -> None:
     if args.raabe:
         m1 = args.m1 if args.m1 is not None else 2
         if args.raabe == "classical":
@@ -206,7 +226,8 @@ def cmd_series(args) -> str:
             "verdict": report.verdict,
             "seed": args.seed,
         }
-        return _render(args, meta, ["n", "ratio_estimate"], report.samples, "samples")
+        _write(args, meta, ["n", "ratio_estimate"], [tuple(zip(*report.samples))], "samples")
+        return
     if args.m1 is not None and args.m1_range:
         raise ConfigurationError("use either --m1 or --m1-range, not both")
     if args.m1 is not None:
@@ -220,7 +241,6 @@ def cmd_series(args) -> str:
     else:
         positions = list(range(1, 11))
     summaries = absorption_summaries(positions, args.initial, args.T, args.tail)
-    rows = [(m1, *summary) for m1, summary in zip(positions, summaries)]
     meta = {
         "command": "series",
         "mode": "absorption-table",
@@ -229,7 +249,7 @@ def cmd_series(args) -> str:
         "tail": args.tail,
         "seed": args.seed,
     }
-    return _render(args, meta, ["m1", "total_absorption", "avg_time"], rows)
+    _write(args, meta, ["m1", "total_absorption", "avg_time"], [(positions, *zip(*summaries))])
 
 
 def _fit_sigma(config: EnsembleConfig, t_lo: int, t_hi: int):
@@ -240,7 +260,7 @@ def _fit_sigma(config: EnsembleConfig, t_lo: int, t_hi: int):
     return fit_exponent(disorder_avg_sigma(config, grid), t_lo, t_hi)
 
 
-def cmd_exponent(args) -> str:
+def cmd_exponent(args) -> None:
     spec = parse_disorder(args.disorder) if args.disorder else None
     realizations = args.realizations
     if realizations is None:
@@ -256,10 +276,10 @@ def cmd_exponent(args) -> str:
         "alpha", "ci95_halfwidth", "intercept", "residual_rms",
         "t_lo", "t_hi", "n_points",
     ]
-    return _render(args, meta, columns, rows, "fit")
+    _write(args, meta, columns, [tuple(zip(*rows))], "fit")
 
 
-def cmd_sweep(args) -> str:
+def cmd_sweep(args) -> None:
     names = (
         [s.strip() for s in args.presets.split(",")]
         if args.presets
@@ -307,7 +327,7 @@ def cmd_sweep(args) -> str:
         "alpha_with_absorber", "ci95_with", "alpha_no_absorber", "ci95_without",
         "restoration_gap",
     ]
-    return _render(args, meta, columns, rows)
+    _write(args, meta, columns, [tuple(zip(*rows))])
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -406,8 +426,12 @@ def main(argv=None) -> int:
                     f"WALKLAB_SEED must be an integer, got {raw!r}") from None
         if args.workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {args.workers}")
-        text = args.func(args)
-        _write(args, text)
+        args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout: end quietly, with what is left to flush
+        # going to devnull (Python's note on SIGPIPE)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -173,7 +173,10 @@ SITE_BYTES = {"quantum": 2 * 16, "classical": 8}
 # parities), or the (rows × steps) matrix of its record or of an ensemble's.
 # A walk's two preallocated buffers hold one parity each, about one window in
 # all; an ensemble peaks at 2.56 matrices (the absorbing-time reduction) or
-# 1.35 (the σ average), so a run stays below about 180 MB.
+# 1.35 (the σ average), and the CLI writes its tables from their arrays in
+# chunks of `cli.CHUNK_ROWS` rows, at most five arrays of a clean record (at
+# most half the budget: its window is twice as long). So a run, the CLI's
+# output included, stays below about 180 MB.
 MAX_ARRAY_BYTES = 2 ** 26
 
 

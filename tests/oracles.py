@@ -5,6 +5,7 @@ structures than the library (dicts, exact rationals, brute-force path
 enumeration instead of arrays and float recurrences), so agreement between
 the two is meaningful evidence and not a shared bug.
 """
+import json
 import math
 from collections import defaultdict
 from fractions import Fraction
@@ -224,3 +225,26 @@ def pmf_oracle(family, params, l):
     if family == "point_mass":
         return 1.0 if l == params["length"] else 0.0
     raise ValueError(f"no oracle for {family!r}")
+
+
+def render_table(fmt, version, meta, columns, rows, json_key="rows"):
+    """A whole CLI table rendered from a list of row tuples, one string built
+    at once: the renderer the CLI had before it wrote tables in chunks.
+    None and NaN cells are missing (empty in CSV, null in JSON)."""
+    def cell(value):
+        if isinstance(value, float):  # np.float64 included
+            return None if math.isnan(value) else float(value)
+        return value
+
+    meta = {"tool": "walklab", "version": version, **meta}
+    if fmt == "csv":
+        lines = [f"# {k}={meta[k]}" for k in sorted(meta)]
+        lines.append(",".join(columns))
+        for row in rows:
+            lines.append(",".join("" if cell(v) is None else str(v) for v in row))
+        return "\n".join(lines) + "\n"
+    payload = {
+        "meta": {k: cell(v) for k, v in meta.items()},
+        json_key: [dict(zip(columns, map(cell, row))) for row in rows],
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"

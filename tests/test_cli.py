@@ -1,8 +1,10 @@
 """CLI behavior: output schemas, determinism, anchors, exit codes, goldens."""
 import argparse
 import ast
+import contextlib
 import importlib
 import inspect
+import io
 import json
 import math
 import os
@@ -13,9 +15,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import render_table
 
-from walklab import ConfigurationError, PowerSeries, ensemble
-from walklab.cli import _render, build_parser, main, parse_disorder
+from walklab import ConfigurationError, PowerSeries, __version__, ensemble
+from walklab.cli import CHUNK_ROWS, _render, _write, build_parser, main, parse_disorder
 from walklab.engine import MAX_ARRAY_BYTES
 from walklab.series import MAX_ORDER, RAABE_MAX_N
 
@@ -548,6 +553,72 @@ def test_render_one_cell_rule(fmt):
         row = json.loads(text)["rows"][0]
         assert row == {"a": 0.1, "b": None, "c": None, "d": 3, "e": "x"}
         assert '"a": 0.1,' in text and '"b": null,' in text
+
+
+CELLS = st.one_of(st.none(), st.floats(), st.floats().map(np.float64),
+                  st.integers(), st.text(max_size=4))
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("n_rows", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_streamed_table_matches_the_row_oracle(fmt, n_rows, data):
+    # a table written in chunks from its columns, split into blocks at
+    # arbitrary rows (empty blocks included), joins to the text the old
+    # renderer made of the whole list of row tuples
+    key = data.draw(st.sampled_from(["curve", "record"]), "json_key")  # either side of "meta"
+    pool = data.draw(st.lists(st.tuples(st.floats(), st.integers(-2 ** 63, 2 ** 63 - 1), CELLS),
+                              min_size=1, max_size=4), "rows")
+    picks = [pool[i % len(pool)] for i in range(n_rows)]
+    floats = np.array([r[0] for r in picks], dtype=np.float64)
+    ints = np.array([r[1] for r in picks], dtype=np.int64)
+    mixed = [r[2] for r in picks]
+    cuts = sorted(data.draw(st.lists(st.integers(0, n_rows), max_size=3), "cuts"))
+    edges = [0, *cuts, n_rows]
+    blocks = [(floats[a:b], ints[a:b], mixed[a:b]) for a, b in zip(edges, edges[1:])]
+    meta = {"command": "test", "steps": n_rows, "cell": data.draw(CELLS, "meta cell")}
+    columns = ["x", "n", "mixed"]
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _write(argparse.Namespace(format=fmt, output="-"), meta, columns, blocks, key)
+    rows = list(zip(floats.tolist(), ints.tolist(), mixed))
+    assert out.getvalue() == render_table(fmt, __version__, meta, columns, rows, key)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_output_memory_per_row_is_bounded(fmt):
+    # a table is written from its arrays in chunks: the peak grows by the
+    # record's few 8-byte arrays per step, not by a Python object per row
+    def peak(steps):
+        argv = ["absorb", "--engine", "classical", "--absorber", "2",
+                "--steps", str(steps), "--format", fmt, "--seed", "1"]
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    assert (peak(40_000) - peak(4_000)) / 36_000 <= 64
+
+
+def test_closed_pipe_ends_the_run_quietly():
+    # a reader that stops after one line: the writes after it find the pipe
+    # closed, and the run still exits 0 with nothing on stderr
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "walklab.cli", "absorb", "--engine", "classical",
+         "--absorber", "2", "--steps", "20000", "--seed", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"# absorber=2\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert err == b""
 
 
 def test_exit_code_unknown_preset(capsys):
