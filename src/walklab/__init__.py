@@ -19,7 +19,6 @@ from .lattice import (
     std_dev,
 )
 from .engine import (
-    AbsorptionRecord,
     CoinOperator,
     WalkConfig,
     coin_by_name,
@@ -32,17 +31,13 @@ from .engine import (
 )
 from .classical import (
     classical_avg_time_ratio,
-    classical_first_passage,
-    classical_total_absorption,
     first_passage_series,
 )
 from .series import (
     PowerSeries,
     absorption_probabilities,
     absorption_summaries,
-    absorption_summary,
     generating_function,
-    quantum_absorption_prob,
     quantum_avg_time_ratio,
     raabe_estimate,
 )
@@ -74,19 +69,17 @@ __version__ = "0.1.0"
 
 # the names the README and the tests use; submodules stay out of `import *`
 __all__ = [
-    "AbsorberConfig", "AbsorptionRecord", "AveragedCurve", "CoinOperator",
-    "ConfigurationError", "DisorderSpec", "EmptyStateError", "EnsembleConfig",
-    "NoAbsorptionError", "NumericalError", "PositionDistribution",
-    "PowerSeries", "TABLE2_PRESETS", "WalkConfig", "WalklabError",
-    "absorption_probabilities", "absorption_summaries", "absorption_summary",
-    "binomial", "build_spec", "child_seed", "classical_avg_time_ratio",
-    "classical_first_passage", "classical_total_absorption", "coin_by_name",
-    "disorder_avg_absorb_time", "disorder_avg_sigma",
-    "finite_horizon_avg_time", "first_passage_series", "fit_exponent",
-    "generating_function", "geometric", "geometric_shifted", "hadamard_coin",
-    "hypergeometric", "iterate_walk", "kempe_coin", "mirrored_hadamard_coin",
-    "negative_binomial", "point_mass", "poisson", "probability_distribution",
-    "quantum_absorption_prob", "quantum_avg_time_ratio", "raabe_estimate",
+    "AbsorberConfig", "AveragedCurve", "CoinOperator", "ConfigurationError",
+    "DisorderSpec", "EmptyStateError", "EnsembleConfig", "NoAbsorptionError",
+    "NumericalError", "PositionDistribution", "PowerSeries", "TABLE2_PRESETS",
+    "WalkConfig", "WalklabError", "absorption_probabilities",
+    "absorption_summaries", "binomial", "build_spec", "child_seed",
+    "classical_avg_time_ratio", "coin_by_name", "disorder_avg_absorb_time",
+    "disorder_avg_sigma", "finite_horizon_avg_time", "first_passage_series",
+    "fit_exponent", "generating_function", "geometric", "geometric_shifted",
+    "hadamard_coin", "hypergeometric", "iterate_walk", "kempe_coin",
+    "mirrored_hadamard_coin", "negative_binomial", "point_mass", "poisson",
+    "probability_distribution", "quantum_avg_time_ratio", "raabe_estimate",
     "run_ensemble", "run_walk", "sample_realization", "snapshot_distribution",
     "std_dev",
 ]

@@ -10,8 +10,8 @@ outermost live column, so no step computes the columns of a long walk
 whose mass underflowed to zero.
 Exact vector propagation replaces Monte Carlo; trajectory sampling exists
 only in the test suite as an oracle. The first-passage law has one
-implementation, `first_passage_series`, which steps its exact term ratio;
-`classical_first_passage` reads one term of it.
+entry point, `first_passage_series`, which steps its exact term ratio: its
+term at t is p_t, and its sum the absorbed total up to the horizon.
 """
 from __future__ import annotations
 
@@ -50,26 +50,14 @@ def crw_apply_absorber(state: ClassicalState, absorber: AbsorberConfig):
     return state, cut_at(state, absorber.position)
 
 
-def classical_first_passage(t: int, m1: int) -> float:
-    """Probability the unit-step walk first reaches ±|m1| at step t.
-
-    p_t = (|m1| / (t·2^t)) · t! / (((t+|m1|)/2)! ((t−|m1|)/2)!), nonzero only
-    for t ≥ |m1| with t ≡ m1 (mod 2). Symmetric in the sign of m1. The last
-    term of `first_passage_series` up to t.
-    """
-    m = abs(AbsorberConfig(m1).position)
-    t = exact_int("t", t)
-    if t < m or (t - m) % 2 != 0:
-        return 0.0
-    return float(first_passage_series(m, t)[1][-1])
-
-
 def first_passage_series(m1: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:
     """(support times, first-passage probabilities) for t ≤ horizon.
 
-    Steps the exact term ratio p_{t+2}/p_t = t(t+1)/((t+m+2)(t−m+2)) from
-    p_m = 2^−m (m = |m1|), summed in logs so that no partial product
-    underflows or overflows.
+    p_t = (|m1| / (t·2^t)) · t! / (((t+|m1|)/2)! ((t−|m1|)/2)!) is the
+    probability that the unit-step walk first reaches ±|m1| at step t,
+    nonzero only for t ≥ |m1| with t ≡ m1 (mod 2). Steps the exact term
+    ratio p_{t+2}/p_t = t(t+1)/((t+m+2)(t−m+2)) from p_m = 2^−m (m = |m1|),
+    summed in logs so that no partial product underflows or overflows.
     """
     m = abs(AbsorberConfig(m1).position)
     ts = np.arange(m, exact_int("horizon", horizon) + 1, 2, dtype=np.float64)
@@ -78,12 +66,6 @@ def first_passage_series(m1: int, horizon: int) -> tuple[np.ndarray, np.ndarray]
     log_p[:1] = -m * math.log(2.0)
     log_p[1:] = np.log(t * (t + 1) / ((t + m + 2) * (t - m + 2)))
     return ts, np.exp(np.cumsum(log_p))
-
-
-def classical_total_absorption(m1: int, horizon: int) -> float:
-    """Partial sum Σ_{t≤horizon} p_t; approaches 1 as the horizon grows."""
-    _, ps = first_passage_series(m1, horizon)
-    return float(np.sum(ps))
 
 
 def classical_avg_time_ratio(m1: int):

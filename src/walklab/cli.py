@@ -124,7 +124,7 @@ def _stream(fh, args, meta, columns, blocks, json_key) -> None:
 def _write(args, meta: dict, columns: list[str], blocks: list[tuple],
            json_key: str = "rows") -> None:
     """Write a table to --output or stdout, one chunk of rows at a time."""
-    if args.output and args.output != "-":
+    if args.output != "-":
         try:
             with open(args.output, "w") as fh:
                 _stream(fh, args, meta, columns, blocks, json_key)
@@ -166,7 +166,7 @@ def _walk_meta(args, spec: Optional[DisorderSpec]) -> dict:
 
 
 def cmd_walk(args) -> None:
-    spec = parse_disorder(args.disorder) if args.disorder else None
+    spec = parse_disorder(args.disorder) if args.disorder is not None else None
     lengths = None
     if spec is not None:  # one int64 length per step, drawn before the walk
         check_budget(args.steps * 8,
@@ -184,13 +184,13 @@ def cmd_walk(args) -> None:
 
 
 def cmd_absorb(args) -> None:
-    spec = parse_disorder(args.disorder) if args.disorder else None
+    spec = parse_disorder(args.disorder) if args.disorder is not None else None
     if spec is None:
         if args.realizations is not None:
             raise ConfigurationError("--realizations requires --disorder")
         if args.horizons is not None:
             raise ConfigurationError("--horizons requires --disorder")
-        per_step = run_walk(_walk_config(args), sigma_times=()).record.per_step
+        per_step = run_walk(_walk_config(args), sigma_times=()).per_step
         ts = np.arange(1, per_step.size + 1)
         avg_time = _horizon_ratios(per_step[np.newaxis, :].copy(), ts)[0]
         meta = {**_walk_meta(args, spec), "cumulative_total": float(np.sum(per_step))}
@@ -198,7 +198,7 @@ def cmd_absorb(args) -> None:
                [(ts, per_step, np.cumsum(per_step), avg_time)], "record")
         return
     realizations = args.realizations if args.realizations is not None else 40
-    horizons = _ints(args.horizons, ",", "--horizons") if args.horizons else None
+    horizons = _ints(args.horizons, ",", "--horizons") if args.horizons is not None else None
     config = EnsembleConfig(_walk_config(args), realizations, args.seed, spec)
     curve = disorder_avg_absorb_time(config, horizons)
     meta = {**_walk_meta(args, spec), "realizations": realizations,
@@ -209,7 +209,7 @@ def cmd_absorb(args) -> None:
 
 
 def cmd_series(args) -> None:
-    if args.raabe:
+    if args.raabe is not None:
         m1 = args.m1 if args.m1 is not None else 2
         if args.raabe == "classical":
             ratio = classical_avg_time_ratio(m1)
@@ -228,11 +228,11 @@ def cmd_series(args) -> None:
         }
         _write(args, meta, ["n", "ratio_estimate"], [tuple(zip(*report.samples))], "samples")
         return
-    if args.m1 is not None and args.m1_range:
+    if args.m1 is not None and args.m1_range is not None:
         raise ConfigurationError("use either --m1 or --m1-range, not both")
     if args.m1 is not None:
         positions = [args.m1]
-    elif args.m1_range:
+    elif args.m1_range is not None:
         a, b = _ints(args.m1_range, "..", "--m1-range", pair=True)
         if a > b:
             raise ConfigurationError(f"empty m1 range {args.m1_range!r}")
@@ -261,7 +261,7 @@ def _fit_sigma(config: EnsembleConfig, t_lo: int, t_hi: int):
 
 
 def cmd_exponent(args) -> None:
-    spec = parse_disorder(args.disorder) if args.disorder else None
+    spec = parse_disorder(args.disorder) if args.disorder is not None else None
     realizations = args.realizations
     if realizations is None:
         realizations = 200 if spec is not None else 1
@@ -282,7 +282,7 @@ def cmd_exponent(args) -> None:
 def cmd_sweep(args) -> None:
     names = (
         [s.strip() for s in args.presets.split(",")]
-        if args.presets
+        if args.presets is not None
         else list(TABLE2_PRESETS)
     )
     for name in names:

@@ -8,7 +8,8 @@ side of the origin), whose mass is that step's absorption probability, so
 absorbed sites are never stored. A classical step is the fair split
 `classical.crw_step` followed by `classical.crw_apply_absorber`; a walk
 config's engine picks only the initial state and that kernel pair, so both
-engines share the config, the iterator, the runner and the snapshots.
+engines share the config, the iterator, the runner (whose result holds
+the absorbed p_t as one array, `WalkResult.per_step`) and the snapshots.
 Step lengths shaped (R, steps) run R independent walks (rows) at once on
 one shared window; every kernel works row by row.
 
@@ -151,21 +152,6 @@ def apply_absorber(state: QuantumState, absorber: AbsorberConfig):
     return state, cut_at(state, absorber.position)
 
 
-@dataclass
-class AbsorptionRecord:
-    """Per-step absorbed probabilities p_t for t = 1..horizon (per row)."""
-
-    per_step: np.ndarray  # shape ([rows,] horizon)
-
-    @property
-    def horizon(self) -> int:
-        return self.per_step.shape[-1]
-
-    @property
-    def cumulative_total(self):
-        return self.per_step.sum(axis=-1)
-
-
 # bytes per site of each engine's window, as the budget counts them: complex
 # L and R amplitudes, or one probability (a real quantum walk stores half)
 SITE_BYTES = {"quantum": 2 * 16, "classical": 8}
@@ -283,14 +269,14 @@ def frame_span(farthest: int, longest: int, absorber: Optional[AbsorberConfig],
 
 @dataclass
 class WalkResult:
-    """Outcome of a full run: absorption record and per-step spread.
-
-    sigma[..., t-1] is the standard deviation of the surviving
-    (renormalized) position distribution after step t; NaN if that step left
-    no mass, or if σ was not asked for at t. None if σ was asked for at no t.
+    """Outcome of a full run. per_step[..., t-1] is the probability absorbed
+    at step t, up to the last step run; sigma[..., t-1] is the standard
+    deviation of the surviving (renormalized) position distribution after
+    step t; NaN if that step left no mass, or if σ was not asked for at t.
+    None if σ was asked for at no t.
     """
 
-    record: AbsorptionRecord
+    per_step: np.ndarray  # shape ([rows,] horizon)
     sigma: Optional[np.ndarray]
     final_state: WalkerState
 
@@ -406,7 +392,7 @@ def run_walk(config: WalkConfig,
     state, horizon = record_walk(config, per_step, sigma,
                                  {t: t - 1 for t in times})
     return WalkResult(
-        record=AbsorptionRecord(per_step=per_step[..., :horizon]),
+        per_step=per_step[..., :horizon],
         sigma=None if sigma is None else sigma[..., :horizon],
         final_state=state,
     )

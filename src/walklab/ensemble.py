@@ -20,7 +20,6 @@ import numpy as np
 from .disorder import DisorderSpec, child_seed, unchecked_child_seed, unchecked_lengths
 from .engine import (
     SITE_BYTES,
-    AbsorptionRecord,
     WalkConfig,
     check_matrix,
     frame_span,
@@ -151,13 +150,14 @@ def run_ensemble(
     return per_step, sigma
 
 
-def finite_horizon_avg_time(record: AbsorptionRecord, n: int) -> float:
-    """Weighted average absorbing time Σ_{t≤n} t·p_t / Σ_{t≤n} p_t: the
-    `_horizon_ratios` of one row."""
+def finite_horizon_avg_time(per_step: np.ndarray, n: int) -> float:
+    """Weighted average absorbing time Σ_{t≤n} t·p_t / Σ_{t≤n} p_t of one
+    walk's per-step p_t (`WalkResult.per_step`): the `_horizon_ratios` of
+    one row."""
     n = exact_int("horizon", n)
     if n < 1:
         raise ConfigurationError(f"horizon must be >= 1, got {n}")
-    p = record.per_step[np.newaxis, :n].copy()
+    p = per_step[np.newaxis, :n].copy()
     if not p.any():
         raise NoAbsorptionError(f"no absorption within horizon {n}")
     return float(_horizon_ratios(p, np.array([p.shape[1]]))[0, -1])

@@ -13,8 +13,10 @@ their exact term ratios.
 
 All series have real coefficients and are truncated at a fixed order; a
 truncated product keeps every retained coefficient to within FFT round-off.
-The functions work on numpy arrays; only `generating_function` wraps its
-row in a `PowerSeries`.
+Each quantity has one entry point: `absorption_probabilities` for one row's
+p_t, `absorption_summaries` for the (P, t_a) of one or more rows. The
+functions work on numpy arrays; only `generating_function` wraps its row in
+a `PowerSeries`.
 """
 from __future__ import annotations
 
@@ -171,20 +173,6 @@ def absorption_probabilities(
     return (amps * amps)[1:]
 
 
-def quantum_absorption_prob(t: int) -> float:
-    """Closed-form p_t for the absorber at 2, initial L.
-
-    Nonzero only at t = 4m − 2 (m ≥ 1), where the absorbed amplitude is
-    (2m−2)! / (2^{2m−1}·(m−1)!·m!); p_t is its square: 1/4, 1/64, 1/256, ...
-    """
-    t = exact_int("t", t)
-    if t < 2 or (t + 2) % 4 != 0:
-        return 0.0
-    m = (t + 2) // 4
-    amp = math.comb(2 * m - 2, m - 1) / (2 ** (2 * m - 1) * m)
-    return amp * amp
-
-
 def quantum_avg_time_ratio(m1: int = 2) -> Callable:
     """Term ratio u_m/u_{m+1} of the average-time numerator series
     u_m = t·p_t (t = 4m − 2): 4(m+1)² / ((2m+1)(2m−1)).
@@ -265,16 +253,6 @@ def absorption_summaries(
     done = {m1: _summary(amps, order, tail)
             for m1, amps in _amplitude_rows(m1s, initial, order)}
     return [done[m1] for m1 in m1s]
-
-
-def absorption_summary(
-    m1: int,
-    initial: str = "L",
-    order: int = DEFAULT_ORDER,
-    tail: str = "power_law",
-) -> tuple[float, float]:
-    """(P, t_a) for one absorber position; see absorption_summaries."""
-    return absorption_summaries([m1], initial, order, tail)[0]
 
 
 # Raabe limits within RAABE_BAND of 1 are inconclusive; E_n is sampled at

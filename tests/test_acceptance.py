@@ -18,13 +18,12 @@ from walklab import (
     TABLE2_PRESETS,
     WalkConfig,
     absorption_probabilities,
-    absorption_summary,
+    absorption_summaries,
     classical_avg_time_ratio,
-    classical_first_passage,
-    classical_total_absorption,
     coin_by_name,
     disorder_avg_absorb_time,
     disorder_avg_sigma,
+    first_passage_series,
     fit_exponent,
     iterate_walk,
     point_mass,
@@ -73,7 +72,7 @@ def _report(number, label, checks):
 @pytest.fixture(scope="module")
 def absorption_table():
     start = time.monotonic()
-    rows = {m1: absorption_summary(m1) for m1 in range(1, 11)}
+    rows = {m1: absorption_summaries([m1])[0] for m1 in range(1, 11)}
     return rows, time.monotonic() - start
 
 
@@ -116,7 +115,7 @@ def test_criterion_01_avg_time_column_beyond_m1_2(absorption_table):
 
 
 def test_criterion_02_closed_form_anchors():
-    p, t = absorption_summary(2, order=2 ** 13)
+    ((p, t),) = absorption_summaries([2], order=2 ** 13)
     exact = 4.0 / math.pi - 1.0
     checks = [
         (abs(p - exact) <= 5e-4, f"P(2) = {p:.6f}, 4/pi-1 = {exact:.6f}"),
@@ -144,7 +143,7 @@ def test_criterion_03_simulator_matches_series():
                 )
             )
             sim = np.zeros(200)
-            sim[: result.record.horizon] = result.record.per_step
+            sim[: result.per_step.shape[-1]] = result.per_step
             diff = float(np.max(np.abs(sim - ps)))
             checks.append(
                 (diff <= 1e-10, f"m1={m1} initial={initial}: max |dp_t| = {diff:.2e}")
@@ -154,6 +153,13 @@ def test_criterion_03_simulator_matches_series():
     _report(3, "simulated p_t equals squared series coefficients", checks)
 
 
+def _first_passage(t, m1):
+    """p_t of the first-passage law: the term at t of `first_passage_series`,
+    or 0 off its support."""
+    ts, ps = first_passage_series(m1, t)
+    return float(ps[-1]) if ts.size and ts[-1] == t else 0.0
+
+
 def test_criterion_04_classical_exactness():
     checks = []
     for m1 in range(1, 11):
@@ -161,15 +167,15 @@ def test_criterion_04_classical_exactness():
             WalkConfig(steps=200, engine="classical", absorber=AbsorberConfig(m1))
         )
         sim = np.zeros(200)
-        sim[: result.record.horizon] = result.record.per_step
+        sim[: result.per_step.shape[-1]] = result.per_step
         closed = np.array(
-            [classical_first_passage(t, m1) for t in range(1, 201)]
+            [_first_passage(t, m1) for t in range(1, 201)]
         )
         diff = float(np.max(np.abs(sim - closed)))
         checks.append(
             (diff <= 1e-12, f"m1={m1}: propagation vs closed form differs {diff:.2e}")
         )
-    p = classical_first_passage
+    p = _first_passage
     for m in range(3, 11):
         relations = [
             (p(m, m), 0.25 * p(m - 2, m - 2), "seed"),
@@ -194,7 +200,7 @@ def test_criterion_04_classical_exactness():
                     f"recurrence {tag} at m1={m}: {left:.3e} vs {right:.3e}",
                 )
             )
-    partial = classical_total_absorption(2, 10 ** 4)
+    partial = first_passage_series(2, 10 ** 4)[1].sum()
     checks.append(
         (partial >= 0.98, f"partial total absorption {partial:.4f} < 0.98 at 1e4")
     )
@@ -449,7 +455,7 @@ def test_criterion_10_property_suite():
             "mass survives at or beyond the absorber",
         )
     )
-    budget = result.record.cumulative_total + dist.mass()
+    budget = result.per_step.sum(axis=-1) + dist.mass()
     checks.append(
         (abs(budget - 1.0) <= 1e-9, f"absorbed+surviving mass {budget:.12f} != 1")
     )
@@ -470,7 +476,7 @@ def test_criterion_10_property_suite():
     absorbed, _ = run_ensemble(cfg)
     clean = run_walk(WalkConfig(steps=30, absorber=AbsorberConfig(2)))
     p = np.zeros(30)
-    p[: clean.record.horizon] = clean.record.per_step
+    p[: clean.per_step.shape[-1]] = clean.per_step
     checks.append(
         (
             bool(np.array_equal(absorbed[0], p) and np.array_equal(absorbed[1], p)),

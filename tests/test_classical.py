@@ -9,14 +9,24 @@ from walklab import (
     ConfigurationError,
     WalkConfig,
     classical_avg_time_ratio,
-    classical_first_passage,
-    classical_total_absorption,
     first_passage_series,
     iterate_walk,
     probability_distribution,
     run_walk,
     snapshot_distribution,
 )
+
+
+def first_passage(t, m1):
+    """p_t of the first-passage law: the term at t of `first_passage_series`,
+    or 0 off its support."""
+    ts, ps = first_passage_series(m1, t)
+    return float(ps[-1]) if ts.size and ts[-1] == t else 0.0
+
+
+def total_absorption(m1, horizon):
+    """Σ_{t≤horizon} p_t of the first-passage law."""
+    return first_passage_series(m1, horizon)[1].sum()
 
 
 def dist_dict(state):
@@ -51,14 +61,14 @@ def test_step_length_two():
 def test_matches_dict_oracle_with_absorber():
     result = run_walk(WalkConfig(steps=40, engine="classical", absorber=AbsorberConfig(2)))
     _, absorbed = dict_classical_walk(40, absorber=2)
-    np.testing.assert_allclose(result.record.per_step, absorbed, atol=1e-14)
+    np.testing.assert_allclose(result.per_step, absorbed, atol=1e-14)
 
 
 def test_first_passage_matches_brute_force():
     for m1 in (1, 2, 3, -2):
         exact = brute_force_first_passage(14, m1)
         for t in range(1, 15):
-            assert classical_first_passage(t, m1) == pytest.approx(
+            assert first_passage(t, m1) == pytest.approx(
                 float(exact[t]), abs=1e-15
             )
 
@@ -69,23 +79,23 @@ def test_propagation_equals_closed_form(m1):
     result = run_walk(
         WalkConfig(steps=200, engine="classical", absorber=AbsorberConfig(m1))
     )
-    expected = [classical_first_passage(t, m1) for t in range(1, 201)]
-    np.testing.assert_allclose(result.record.per_step, expected, atol=1e-12)
+    expected = [first_passage(t, m1) for t in range(1, 201)]
+    np.testing.assert_allclose(result.per_step, expected, atol=1e-12)
 
 
 def test_negative_absorber_mirror():
     left = run_walk(WalkConfig(steps=100, engine="classical", absorber=AbsorberConfig(-4)))
     right = run_walk(WalkConfig(steps=100, engine="classical", absorber=AbsorberConfig(4)))
-    np.testing.assert_allclose(left.record.per_step, right.record.per_step, atol=1e-15)
+    np.testing.assert_allclose(left.per_step, right.per_step, atol=1e-15)
 
 
 def test_first_passage_support_and_parity():
-    assert classical_first_passage(3, 2) == 0.0
-    assert classical_first_passage(1, 2) == 0.0
-    assert classical_first_passage(2, 3) == 0.0
-    assert classical_first_passage(2, 2) == pytest.approx(0.25, abs=1e-15)
+    assert first_passage(3, 2) == 0.0
+    assert first_passage(1, 2) == 0.0
+    assert first_passage(2, 3) == 0.0
+    assert first_passage(2, 2) == pytest.approx(0.25, abs=1e-15)
     with pytest.raises(ConfigurationError):
-        classical_first_passage(4, 0)
+        first_passage(4, 0)
 
 
 def test_large_t_log_branch_continuous():
@@ -99,19 +109,15 @@ def test_large_t_log_branch_continuous():
             exact = (
                 abs(m1) / t * math.comb(t, (t + abs(m1)) // 2) / 2.0 ** t
             )
-            assert classical_first_passage(t, m1) == pytest.approx(
+            assert first_passage(t, m1) == pytest.approx(
                 exact, rel=1e-12
             )
-
-
-def recurrence_p(t, m1):
-    return classical_first_passage(t, m1)
 
 
 @pytest.mark.parametrize("m1", range(3, 13))
 def test_first_passage_recurrences(m1):
     # four convolution identities tying absorber distance m1 to m1 - 2
-    p = recurrence_p
+    p = first_passage
     assert p(m1, m1) == pytest.approx(0.25 * p(m1 - 2, m1 - 2), abs=1e-15)
     assert p(m1 + 2, m1) == pytest.approx(
         0.25 * p(m1, m1 - 2) + 0.5 * p(m1, m1), abs=1e-15
@@ -132,14 +138,14 @@ def test_series_grid_and_totals():
     ts, ps = first_passage_series(2, 50)
     assert ts[0] == 2 and ts[-1] == 50
     assert np.all(np.diff(ts) == 2)
-    assert classical_total_absorption(2, 50) == pytest.approx(ps.sum(), abs=1e-15)
+    assert total_absorption(2, 50) == pytest.approx(ps.sum(), abs=1e-15)
 
 
 def test_total_absorption_approaches_one():
     # limit is 1; the approach is slow (~ 1/sqrt(t))
-    assert classical_total_absorption(2, 10 ** 4) >= 0.98
-    assert classical_total_absorption(1, 1000) >= 0.97
-    assert classical_total_absorption(2, 10 ** 6) > classical_total_absorption(2, 10 ** 4)
+    assert total_absorption(2, 10 ** 4) >= 0.98
+    assert total_absorption(1, 1000) >= 0.97
+    assert total_absorption(2, 10 ** 6) > total_absorption(2, 10 ** 4)
 
 
 def test_avg_time_partial_diverges():
@@ -158,7 +164,7 @@ def test_avg_time_term_values():
 
 def test_mass_accounting():
     result = run_walk(WalkConfig(steps=60, engine="classical", absorber=AbsorberConfig(3)))
-    assert result.final_state.mass() + result.record.cumulative_total \
+    assert result.final_state.mass() + result.per_step.sum(axis=-1) \
         == pytest.approx(1.0, abs=1e-12)
 
 

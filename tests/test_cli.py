@@ -3,6 +3,7 @@ import argparse
 import ast
 import contextlib
 import importlib
+import importlib.util
 import inspect
 import io
 import json
@@ -528,13 +529,37 @@ def test_non_integer_disorder_parameter_exits_2(spec, key, capsys):
     ["series", "--m1-range", "1..2..3"],
     ["absorb", "--engine", "classical", "--absorber", "2", "--steps", "10",
      "--disorder", "poisson:lambda=1", "--horizons", "5,x"],
+    ["absorb", "--engine", "classical", "--absorber", "2", "--steps", "10",
+     "--disorder", "poisson:lambda=1", "--horizons", ""],
+    ["series", "--m1-range", ""],
 ], ids=["t-range-one-item", "t-range-not-integers", "m1-range-wrong-separator",
-        "m1-range-three-items", "horizons-not-integers"])
+        "m1-range-three-items", "horizons-not-integers", "horizons-empty",
+        "m1-range-empty"])
 def test_malformed_integer_flag_exits_2(argv, capsys):
     rc, out, err = run_cli(argv + ["--seed", "1"], capsys)
     assert rc == 2
     assert out == ""
     assert err.startswith("error: ") and argv[-2] in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["walk", "--engine", "quantum", "--steps", "3", "--disorder", ""],
+     "disorder spec '' is neither a preset"),
+    (["absorb", "--engine", "quantum", "--absorber", "2", "--steps", "3", "--disorder", ""],
+     "disorder spec '' is neither a preset"),
+    (["exponent", "--engine", "quantum", "--disorder", ""],
+     "disorder spec '' is neither a preset"),
+    (["sweep", "--presets", ""], "unknown preset ''"),
+    (["series", "--m1", "3", "--m1-range", ""], "use either --m1 or --m1-range"),
+    (["walk", "--engine", "quantum", "--steps", "3", "--output", ""], "cannot write "),
+], ids=["walk-disorder", "absorb-disorder", "exponent-disorder", "sweep-presets",
+        "series-m1-and-m1-range", "output"])
+def test_empty_flag_value_exits_2(argv, message, capsys):
+    # an empty value is a value: never the flag's default, never a skipped check
+    rc, out, err = run_cli(argv + ["--seed", "1"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}")
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -1084,3 +1109,26 @@ def test_benchmark_tracer_targets_exist():
         assert callable(getattr(importlib.import_module(module), attr, None)), \
             f"{module}.{attr}"
     assert callable(getattr(PowerSeries, "__mul__", None))
+
+
+def test_benchmark_workloads_read_the_library(monkeypatch):
+    """perfbench/workloads.py draws the walk-snapshots lengths through the
+    disorder module and checks that walk against the dict-walk oracle; a
+    changed name or signature there would show only in a benchmark run."""
+    root = Path(__file__).parents[1]
+    monkeypatch.chdir(root)  # both loaders read paths in the checkout
+    monkeypatch.setattr(sys, "path", list(sys.path))  # walk_lengths prepends src
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", root / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclass
+    spec.loader.exec_module(workloads)
+    lengths = workloads.walk_lengths(1)
+    assert lengths.dtype.kind in "iu" and lengths.shape == (workloads.WALK_STEPS,)
+    # check_walk's call of the oracle, on the first steps of that walk
+    h = 1 / math.sqrt(2.0)
+    psi, absorbed = workloads._load_oracles().dict_quantum_walk(
+        12, ((h, h), (h, -h)), absorber=workloads.WALK_ABSORBER, lengths=lengths[:12])
+    assert len(absorbed) == 12
+    assert math.fsum(abs(l) ** 2 + abs(r) ** 2 for l, r in psi.values()) \
+        == pytest.approx(1.0 - math.fsum(absorbed), abs=1e-12)

@@ -79,7 +79,7 @@ def test_complex_typed_real_coin_walks_like_hadamard():
                         initial_amp_right=0j, absorber=AbsorberConfig(2))
     want = run_walk(WalkConfig(steps=20, absorber=AbsorberConfig(2)))
     got = run_walk(config)
-    assert np.array_equal(got.record.per_step, want.record.per_step)
+    assert np.array_equal(got.per_step, want.per_step)
     assert np.array_equal(got.sigma, want.sigma)
 
 
@@ -119,7 +119,7 @@ def test_matches_dict_oracle_with_absorber(m1):
     _, absorbed = dict_quantum_walk(
         30, coin_tuple(hadamard_coin()), absorber=m1
     )
-    np.testing.assert_allclose(result.record.per_step, absorbed, atol=1e-12)
+    np.testing.assert_allclose(result.per_step, absorbed, atol=1e-12)
 
 
 def test_mass_conservation_no_absorber():
@@ -133,7 +133,7 @@ def test_absorber_empties_far_side():
     d = probability_distribution(result.final_state)
     assert np.all(d.probs[d.positions >= 2] == 0.0)
     # mass accounting closes
-    assert result.final_state.mass() + result.record.cumulative_total \
+    assert result.final_state.mass() + result.per_step.sum(axis=-1) \
         == pytest.approx(1.0, abs=1e-12)
 
 
@@ -142,7 +142,7 @@ def test_absorber_negative_side_mirror():
                                initial_amp_left=0.0, initial_amp_right=1.0))
     right = run_walk(WalkConfig(steps=60, absorber=AbsorberConfig(2)))
     np.testing.assert_allclose(
-        left.record.per_step, right.record.per_step, atol=1e-12
+        left.per_step, right.per_step, atol=1e-12
     )
 
 
@@ -171,7 +171,7 @@ def test_coin_variants_same_probabilities():
             WalkConfig(steps=100, coin=COINS[name], absorber=AbsorberConfig(2))
         )
         np.testing.assert_allclose(
-            other.record.per_step, base.record.per_step, atol=1e-12
+            other.per_step, base.per_step, atol=1e-12
         )
         np.testing.assert_allclose(other.sigma, base.sigma, atol=1e-10)
     free_base = run_walk(WalkConfig(steps=100))
@@ -193,7 +193,7 @@ def test_global_phase_invariance():
     )
     np.testing.assert_allclose(rotated.sigma, plain.sigma, atol=1e-12)
     np.testing.assert_allclose(
-        rotated.record.per_step, plain.record.per_step, atol=1e-12
+        rotated.per_step, plain.per_step, atol=1e-12
     )
 
 
@@ -240,7 +240,7 @@ def test_absorber_position_and_steps_are_exact_integers(value, exact):
     config = WalkConfig(steps=value, absorber=AbsorberConfig(value))
     assert type(config.steps) is int and type(config.absorber.position) is int
     want = run_walk(WalkConfig(steps=2, absorber=AbsorberConfig(2)))
-    assert np.array_equal(run_walk(config).record.per_step, want.record.per_step)
+    assert np.array_equal(run_walk(config).per_step, want.per_step)
 
 
 def test_config_validates_lengths():
@@ -271,8 +271,8 @@ def test_walk_stops_once_fully_absorbed():
                         absorber=AbsorberConfig(1),
                         step_lengths=np.array([0, 1, 1, 1, 1]))
     result = run_walk(config)
-    assert result.record.horizon == 2
-    np.testing.assert_allclose(result.record.per_step, [0.0, 1.0], atol=1e-15)
+    assert result.per_step.shape[-1] == 2
+    np.testing.assert_allclose(result.per_step, [0.0, 1.0], atol=1e-15)
     assert result.sigma[0] == 0.0 and np.isnan(result.sigma[1])
     late = snapshot_distribution(config, 4)
     assert late.time == 4
@@ -286,8 +286,8 @@ def test_batched_walk_runs_until_every_row_is_empty():
                         absorber=AbsorberConfig(1),
                         step_lengths=np.array([[0, 1, 0, 1], [1, 1, 1, 1]]))
     result = run_walk(config)
-    assert result.record.horizon == 4
-    np.testing.assert_allclose(result.record.per_step[0], [0, 1, 0, 0], atol=1e-15)
+    assert result.per_step.shape[-1] == 4
+    np.testing.assert_allclose(result.per_step[0], [0, 1, 0, 0], atol=1e-15)
     assert np.isnan(result.sigma[0, 1:]).all()
     assert np.isfinite(result.sigma[1]).all()
     assert result.final_state.mass()[0] == 0.0
@@ -352,5 +352,5 @@ def test_unsigned_step_lengths_walk_as_int64(engine, dtype, lengths):
                         step_lengths=np.array(lengths, dtype=np.int64))
     want = run_walk(config)
     got = run_walk(replace(config, step_lengths=np.array(lengths, dtype=dtype)))
-    assert np.array_equal(got.record.per_step, want.record.per_step)
+    assert np.array_equal(got.per_step, want.per_step)
     assert np.array_equal(got.sigma, want.sigma, equal_nan=True)

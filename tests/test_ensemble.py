@@ -10,7 +10,6 @@ from oracles import exact_avg_times
 from walklab import (
     TABLE2_PRESETS,
     AbsorberConfig,
-    AbsorptionRecord,
     AveragedCurve,
     ConfigurationError,
     EnsembleConfig,
@@ -33,7 +32,7 @@ from walklab import ensemble
 
 def _pad(result, steps):
     p = np.zeros(steps)
-    p[: result.record.horizon] = result.record.per_step
+    p[: result.per_step.shape[-1]] = result.per_step
     s = np.full(steps, np.nan)
     s[: result.sigma.size] = result.sigma
     return p, s
@@ -235,7 +234,7 @@ def test_template_lengths_stop_at_the_last_step_an_average_reads(engine):
     full = run_walk(walk)
     assert disorder_avg_sigma(cfg, [2, 5]).values.tolist() == full.sigma[[1, 4]].tolist()
     curve = disorder_avg_absorb_time(cfg, [4, 6])
-    assert curve.values.tolist() == [finite_horizon_avg_time(full.record, n) for n in (4, 6)]
+    assert curve.values.tolist() == [finite_horizon_avg_time(full.per_step, n) for n in (4, 6)]
 
 
 def test_avg_sigma_stderr_is_sample_spread_over_sqrt_count():
@@ -270,14 +269,14 @@ def test_avg_sigma_stderr_shrinks_with_ensemble_size():
 
 
 def test_finite_horizon_avg_time_hand_values():
-    record = AbsorptionRecord(per_step=np.array([0.5, 0.25]))
-    assert finite_horizon_avg_time(record, 1) == pytest.approx(1.0, abs=1e-15)
-    assert finite_horizon_avg_time(record, 2) == pytest.approx(4.0 / 3.0, abs=1e-15)
+    per_step = np.array([0.5, 0.25])
+    assert finite_horizon_avg_time(per_step, 1) == pytest.approx(1.0, abs=1e-15)
+    assert finite_horizon_avg_time(per_step, 2) == pytest.approx(4.0 / 3.0, abs=1e-15)
     # horizons beyond the recorded range clamp to what was recorded
-    assert finite_horizon_avg_time(record, 10) == pytest.approx(4.0 / 3.0, abs=1e-15)
+    assert finite_horizon_avg_time(per_step, 10) == pytest.approx(4.0 / 3.0, abs=1e-15)
     with pytest.raises(ConfigurationError):
-        finite_horizon_avg_time(record, 0)
-    empty = AbsorptionRecord(per_step=np.zeros(4))
+        finite_horizon_avg_time(per_step, 0)
+    empty = np.zeros(4)
     with pytest.raises(NoAbsorptionError):
         finite_horizon_avg_time(empty, 4)
 

@@ -13,7 +13,6 @@ import pytest
 
 from walklab import (
     AbsorberConfig,
-    AbsorptionRecord,
     AveragedCurve,
     ConfigurationError,
     EnsembleConfig,
@@ -21,13 +20,10 @@ from walklab import (
     WalkConfig,
     absorption_probabilities,
     absorption_summaries,
-    absorption_summary,
     binomial,
     build_spec,
     child_seed,
     classical_avg_time_ratio,
-    classical_first_passage,
-    classical_total_absorption,
     disorder_avg_absorb_time,
     disorder_avg_sigma,
     finite_horizon_avg_time,
@@ -37,7 +33,6 @@ from walklab import (
     hypergeometric,
     point_mass,
     poisson,
-    quantum_absorption_prob,
     quantum_avg_time_ratio,
     raabe_estimate,
     run_ensemble,
@@ -50,7 +45,7 @@ from walklab.lattice import step_times
 
 WALK = WalkConfig(steps=6, absorber=AbsorberConfig(2))
 ENSEMBLE = EnsembleConfig(WALK, realizations=3, disorder=poisson(1.0))
-RECORD = AbsorptionRecord(per_step=np.array([0.0, 0.5, 0.25, 0.0]))
+PER_STEP = np.array([0.0, 0.5, 0.25, 0.0])
 TS = np.arange(1, 31)
 CURVE = AveragedCurve(abscissa=TS, values=np.sqrt(TS), stderr=np.zeros(30),
                       realization_count=1, included=np.ones(30, dtype=np.int64))
@@ -75,7 +70,7 @@ INTEGER_ARGUMENTS = {
         lambda v: run_walk(WalkConfig(steps=3, step_lengths=[v, 1, v])).sigma),
     "AbsorberConfig.position": (
         "absorber position must be an integer",
-        lambda v: run_walk(WalkConfig(steps=6, absorber=AbsorberConfig(v))).record.per_step),
+        lambda v: run_walk(WalkConfig(steps=6, absorber=AbsorberConfig(v))).per_step),
     "run_walk.sigma_times": (
         "sigma time must be an integer", lambda v: run_walk(WALK, sigma_times=[v, 3]).sigma),
     "snapshot_distributions.times": (
@@ -99,28 +94,18 @@ INTEGER_ARGUMENTS = {
         "t grid value must be an integer",
         lambda v: _fields(disorder_avg_sigma(ENSEMBLE, [v, 4]))),
     "finite_horizon_avg_time.n": (
-        "horizon must be an integer", lambda v: finite_horizon_avg_time(RECORD, v + 1)),
+        "horizon must be an integer", lambda v: finite_horizon_avg_time(PER_STEP, v + 1)),
     "fit_exponent.t_lo": (
         "t_lo must be an integer", lambda v: _fields(fit_exponent(CURVE, v, 20))),
     "fit_exponent.t_hi": (
         "t_hi must be an integer", lambda v: _fields(fit_exponent(CURVE, 1, v + 18))),
-    "classical_first_passage.t": (
-        "t must be an integer", lambda v: classical_first_passage(v + 2, 2)),
-    "classical_first_passage.m1": (
-        "absorber position must be an integer", lambda v: classical_first_passage(10, v)),
     "first_passage_series.m1": (
         "absorber position must be an integer", lambda v: first_passage_series(v, 10)),
     "first_passage_series.horizon": (
         "horizon must be an integer", lambda v: first_passage_series(2, v + 8)),
-    "classical_total_absorption.m1": (
-        "absorber position must be an integer", lambda v: classical_total_absorption(v, 10)),
-    "classical_total_absorption.horizon": (
-        "horizon must be an integer", lambda v: classical_total_absorption(2, v + 8)),
     "classical_avg_time_ratio.m1": (
         "absorber position must be an integer",
         lambda v: classical_avg_time_ratio(v)(np.arange(4))),
-    "quantum_absorption_prob.t": (
-        "t must be an integer", lambda v: quantum_absorption_prob(v)),
     "quantum_avg_time_ratio.m1": (
         "absorber position must be an integer",
         lambda v: quantum_avg_time_ratio(v)(np.arange(1, 4))),
@@ -134,8 +119,6 @@ INTEGER_ARGUMENTS = {
         lambda v: absorption_probabilities(v, order=32)),
     "absorption_probabilities.order": (
         "order must be an integer", lambda v: absorption_probabilities(2, order=v + 30)),
-    "absorption_summary.m1": (
-        "absorber position must be an integer", lambda v: absorption_summary(v, order=64)),
     "absorption_summaries.m1s": (
         "absorber position must be an integer",
         lambda v: absorption_summaries([1, v, -v], order=64)),

@@ -1,6 +1,7 @@
 """Property tests of the one walk pipeline against the dict-walk oracles,
 of batched (R-row) walks against single walks, of the mirror symmetry, and
-of the absorption series against the exact Fraction oracle.
+of the absorption series against the exact Fraction and Lagrange-inversion
+oracles.
 
 Hypothesis draws the engine, the coin (a named one, or any 2×2 unitary) and
 initial coin state, a step-length sequence that may contain zero-length
@@ -22,6 +23,7 @@ from oracles import (
     dict_classical_walk,
     dict_quantum_walk,
     exact_absorption_probabilities,
+    exact_absorption_term,
     exact_first_passage,
 )
 from walklab import (
@@ -32,7 +34,6 @@ from walklab import (
     WalkConfig,
     absorption_probabilities,
     absorption_summaries,
-    absorption_summary,
     child_seed,
     coin_by_name,
     engine,
@@ -146,8 +147,8 @@ def test_run_walk_matches_oracle_every_step(config):
     result = run_walk(config)
     _, absorbed = oracle(config, config.steps)
     # the walk stops early only once nothing is left to absorb
-    horizon = result.record.horizon
-    padded = np.pad(result.record.per_step, (0, config.steps - horizon))
+    horizon = result.per_step.shape[-1]
+    padded = np.pad(result.per_step, (0, config.steps - horizon))
     np.testing.assert_allclose(padded, absorbed, rtol=0, atol=TOL)
     for state, _ in iterate_walk(config):
         assert_live_window(config, state)
@@ -167,7 +168,7 @@ def test_absorbed_plus_surviving_mass_is_one(config):
         absorbed_so_far += absorbed
         assert abs(absorbed_so_far + state.mass() - 1.0) <= TOL
     result = run_walk(config)
-    total = result.record.cumulative_total + result.final_state.mass()
+    total = result.per_step.sum(axis=-1) + result.final_state.mass()
     assert abs(total - 1.0) <= TOL
 
 
@@ -208,7 +209,7 @@ def test_random_unitary_coin_matches_oracle(absorbing, coin, chi, psi, lengths,
     )
     result = run_walk(config)
     want, absorbed = oracle(config, config.steps)
-    padded = np.pad(result.record.per_step, (0, config.steps - result.record.horizon))
+    padded = np.pad(result.per_step, (0, config.steps - result.per_step.shape[-1]))
     np.testing.assert_allclose(padded, absorbed, rtol=0, atol=TOL)
     dist = probability_distribution(result.final_state)
     got = dict(zip(dist.positions.tolist(), dist.probs.tolist()))
@@ -219,7 +220,7 @@ def test_random_unitary_coin_matches_oracle(absorbing, coin, chi, psi, lengths,
         absorbed_so_far += step_absorbed
         assert abs(absorbed_so_far + state.mass() - 1.0) <= TOL
     if not absorbing:
-        assert not np.any(result.record.per_step)
+        assert not np.any(result.per_step)
 
 
 @st.composite
@@ -361,8 +362,8 @@ def test_real_amplitudes_equal_complex_walk_bit_for_bit(config):
         slow = run_walk(config)
     assert fast.final_state.psi.dtype == np.float64
     assert slow.final_state.psi.dtype == np.complex128
-    assert fast.record.horizon == slow.record.horizon
-    assert np.array_equal(fast.record.per_step, slow.record.per_step)
+    assert fast.per_step.shape[-1] == slow.per_step.shape[-1]
+    assert np.array_equal(fast.per_step, slow.per_step)
     assert np.array_equal(fast.sigma, slow.sigma, equal_nan=True)
 
 
@@ -427,15 +428,15 @@ def assert_block_equals_rows(config, batch, atol):
     horizons = []
     for row, lengths in enumerate(config.step_lengths):
         single = run_walk(replace(config, step_lengths=lengths))
-        h = single.record.horizon
+        h = single.per_step.shape[-1]
         horizons.append(h)
-        np.testing.assert_allclose(batch.record.per_step[row, :h],
-                                   single.record.per_step, rtol=0, atol=atol)
+        np.testing.assert_allclose(batch.per_step[row, :h],
+                                   single.per_step, rtol=0, atol=atol)
         assert_sigma_close(batch.sigma[row, :h], single.sigma)
         # a row that emptied early reads p = 0 and sigma = NaN from then on
-        assert not np.any(batch.record.per_step[row, h:])
+        assert not np.any(batch.per_step[row, h:])
         assert np.all(np.isnan(batch.sigma[row, h:]))
-    assert batch.record.horizon == max(horizons)
+    assert batch.per_step.shape[-1] == max(horizons)
 
 
 def mirror(config):
@@ -456,7 +457,7 @@ def mirror(config):
 def test_mirror_symmetry(config):
     walk, image = run_walk(config), run_walk(mirror(config))
     width = walk.final_state.width
-    np.testing.assert_allclose(image.record.per_step, walk.record.per_step,
+    np.testing.assert_allclose(image.per_step, walk.per_step,
                                rtol=0, atol=mass_tol(width))
     assert_sigma_close(image.sigma, walk.sigma)
     dist = probability_distribution(walk.final_state)
@@ -540,13 +541,31 @@ def test_series_probabilities_match_fraction_oracle(m1, initial, order):
 def test_multi_row_summaries_equal_one_row_calls(m1s, initial, order, tail):
     # bit for bit: every row reads the same chain of powers
     assert absorption_summaries(m1s, initial, order, tail) == [
-        absorption_summary(m1, initial, order, tail) for m1 in m1s
+        absorption_summaries([m1], initial, order, tail)[0] for m1 in m1s
     ]
     rows = dict(series._amplitude_rows(m1s, initial, order))
     assert sorted(rows) == sorted(set(m1s))
     for m1, amps in rows.items():
         np.testing.assert_array_equal(
             amps, generating_function(m1, initial, order).coeffs)
+
+
+# The rows at the CLI's default order against the exact p_t of Lagrange
+# inversion: |p_t − exact| <= 1e-13 × the row's largest p_t, fixed before the
+# first run (measured: at most 1.9e-15 × the peak, over 119 t in each row).
+EXACT_TERM_REL_PEAK = 1e-13
+
+
+@settings(max_examples=100, deadline=None)
+@given(m1=st.integers(1, 10).flatmap(lambda m: st.sampled_from((m, -m))),
+       initial=st.sampled_from("LR"), t=st.integers(1, series.DEFAULT_ORDER))
+@example(m1=2, initial="L", t=4)  # a zero of the sum A, not of parity
+@example(m1=10, initial="R", t=8)  # before the absorber is reached
+@example(m1=-9, initial="L", t=series.DEFAULT_ORDER - 1)
+def test_absorption_rows_match_exact_terms(m1, initial, t):
+    probs = absorption_probabilities(m1, initial, series.DEFAULT_ORDER)
+    num, den = exact_absorption_term(m1, initial, t)
+    assert abs(probs[t - 1] - num / den) <= EXACT_TERM_REL_PEAK * float(probs.max())
 
 
 # The first-passage law from its term ratio, summed in logs: relative 1e-11

@@ -8,6 +8,7 @@ from oracles import (
     binomial_half_coeffs,
     exact_absorption_fractions,
     exact_absorption_probabilities,
+    exact_absorption_term,
     exact_first_passage,
 )
 from walklab import series
@@ -19,10 +20,8 @@ from walklab import (
     WalkConfig,
     absorption_probabilities,
     absorption_summaries,
-    absorption_summary,
     classical_avg_time_ratio,
     generating_function,
-    quantum_absorption_prob,
     quantum_avg_time_ratio,
     raabe_estimate,
     run_walk,
@@ -145,52 +144,83 @@ def test_mirrored_absorber_equals_simulation(m1):
     result = run_walk(
         WalkConfig(steps=128, absorber=AbsorberConfig(m1))
     )
-    np.testing.assert_allclose(result.record.per_step, probs, atol=1e-10)
+    np.testing.assert_allclose(result.per_step, probs, atol=1e-10)
+
+
+def exact_term(m1, initial, t):
+    """p_t from the Lagrange-inversion oracle, as one correctly rounded float."""
+    num, den = exact_absorption_term(m1, initial, t)
+    return num / den
 
 
 def test_closed_form_matches_series():
     probs = absorption_probabilities(2, "L", 4000)
     for t in range(1, 4001):
-        assert probs[t - 1] == pytest.approx(
-            quantum_absorption_prob(t), abs=1e-12
-        )
+        assert probs[t - 1] == pytest.approx(exact_term(2, "L", t), abs=1e-12)
 
 
 def test_closed_form_first_values():
-    assert quantum_absorption_prob(2) == pytest.approx(0.25, abs=1e-15)
-    assert quantum_absorption_prob(6) == pytest.approx(1 / 64, abs=1e-15)
-    assert quantum_absorption_prob(10) == pytest.approx(1 / 256, abs=1e-15)
-    assert quantum_absorption_prob(4) == 0.0
-    assert quantum_absorption_prob(3) == 0.0
+    # the absorber at 2 from L, as rationals: p_t = 0 off t = 4m − 2
+    exact = {t: Fraction(*exact_absorption_term(2, "L", t)) for t in (2, 3, 4, 6, 10)}
+    assert exact == {2: Fraction(1, 4), 3: 0, 4: 0, 6: Fraction(1, 64), 10: Fraction(1, 256)}
+
+
+@pytest.mark.parametrize("initial", ["L", "R"])
+def test_exact_terms_equal_the_fraction_convolution(initial):
+    # two exact oracles by two methods: equal as rationals, mirror included
+    order = 40
+    for m1 in range(1, 11):
+        want = exact_absorption_fractions(m1, initial, order)
+        mirrored = "RL"[initial == "R"]
+        for t in range(1, order + 1):
+            assert Fraction(*exact_absorption_term(m1, initial, t)) == want[t - 1]
+            assert Fraction(*exact_absorption_term(-m1, mirrored, t)) == want[t - 1]
+
+
+# bound fixed before the comparison, as for the Hypothesis test at 2^14
+EXACT_TERM_REL_PEAK = 1e-13
+
+
+@pytest.mark.parametrize("m1, initial, ts", [
+    (10, "L", (2 ** 17 + 10, 2 ** 20)),
+    (-7, "L", (2 ** 19 + 7, 2 ** 20 - 1)),
+])
+def test_absorption_row_matches_exact_terms_at_order_2_20(m1, initial, ts):
+    # the largest order a table runs at; 2^17 is where the tail fit starts
+    probs = absorption_probabilities(m1, initial, 2 ** 20)
+    peak = float(probs.max())
+    for t in ts:
+        assert abs(probs[t - 1] - exact_term(m1, initial, t)) <= EXACT_TERM_REL_PEAK * peak
+
+
+def summary(m1, initial, order, tail="power_law"):
+    """(P, t_a) of one absorber position: its row of absorption_summaries."""
+    return absorption_summaries([m1], initial, order, tail)[0]
 
 
 def test_total_absorption_closed_values():
     # absorber at 1: all mass eventually absorbed has probability 2/pi
-    assert absorption_summary(1, "L", 2 ** 13)[0] == pytest.approx(
-        2 / math.pi, abs=5e-4
-    )
-    assert absorption_summary(2, "L", 2 ** 13)[0] == pytest.approx(
-        4 / math.pi - 1, abs=5e-4
-    )
+    assert summary(1, "L", 2 ** 13)[0] == pytest.approx(2 / math.pi, abs=5e-4)
+    assert summary(2, "L", 2 ** 13)[0] == pytest.approx(4 / math.pi - 1, abs=5e-4)
 
 
 def test_avg_absorb_time_anchor():
-    assert absorption_summary(2, "L", 2 ** 13)[1] == pytest.approx(2.66, abs=1e-2)
+    assert summary(2, "L", 2 ** 13)[1] == pytest.approx(2.66, abs=1e-2)
 
 
 def test_tail_extrapolation_consistency():
     # halving the truncation order must not move the tail-corrected values
     for m1 in (2, 7, 10):
-        lo_p, lo_t = absorption_summary(m1, "L", 2 ** 12)
-        hi_p, hi_t = absorption_summary(m1, "L", 2 ** 14)
+        lo_p, lo_t = summary(m1, "L", 2 ** 12)
+        hi_p, hi_t = summary(m1, "L", 2 ** 14)
         assert lo_p == pytest.approx(hi_p, abs=2e-4)
         assert lo_t == pytest.approx(hi_t, abs=3e-2)
 
 
 def test_tail_none_lags_tail_power_law():
     # raw truncation underestimates the average time; the tail closes the gap
-    raw = absorption_summary(2, "L", 2 ** 12, tail="none")[1]
-    corrected = absorption_summary(2, "L", 2 ** 12, tail="power_law")[1]
+    raw = summary(2, "L", 2 ** 12, tail="none")[1]
+    corrected = summary(2, "L", 2 ** 12, tail="power_law")[1]
     assert raw < corrected
 
 
