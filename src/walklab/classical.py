@@ -19,7 +19,8 @@ import math
 
 import numpy as np
 
-from .lattice import AbsorberConfig, ClassicalState, Move, cut_at, exact_int, shift_window
+from .lattice import (AbsorberConfig, ClassicalState, Move, check_budget, cut_at, exact_int,
+                      shift_window)
 
 
 def crw_step(state: ClassicalState, move: Move) -> ClassicalState:
@@ -59,8 +60,10 @@ def first_passage_series(m1: int, horizon: int) -> tuple[np.ndarray, np.ndarray]
     ratio p_{t+2}/p_t = t(t+1)/((t+m+2)(t−m+2)) from p_m = 2^−m (m = |m1|),
     summed in logs so that no partial product underflows or overflows.
     """
-    m = abs(AbsorberConfig(m1).position)
-    ts = np.arange(m, exact_int("horizon", horizon) + 1, 2, dtype=np.float64)
+    m, horizon = abs(AbsorberConfig(m1).position), exact_int("horizon", horizon)
+    terms = max(horizon - m + 2, 0) // 2  # t = m, m + 2, ... up to the horizon
+    check_budget(8 * terms, f"{terms} first-passage terms need {{}} bytes")
+    ts = np.arange(m, horizon + 1, 2, dtype=np.float64)
     t = ts[:-1]
     log_p = np.empty(ts.size)
     log_p[:1] = -m * math.log(2.0)

@@ -35,7 +35,6 @@ from .disorder import TABLE2_PRESETS, DisorderSpec, child_seed, parse_disorder, 
 from .engine import (
     AbsorberConfig,
     WalkConfig,
-    check_budget,
     coin_by_name,
     run_walk,
     snapshot_distributions,
@@ -169,8 +168,6 @@ def cmd_walk(args) -> None:
     spec = parse_disorder(args.disorder) if args.disorder is not None else None
     lengths = None
     if spec is not None:  # one int64 length per step, drawn before the walk
-        check_budget(args.steps * 8,
-                     f"{args.steps} disordered steps need {{}} bytes of step lengths")
         lengths = sample_realization(spec, args.steps, child_seed(args.seed, 0)).lengths
     config = _walk_config(args, lengths)
     blocks = []

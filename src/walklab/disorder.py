@@ -4,11 +4,12 @@ A disorder spec fixes one discrete distribution over nonnegative step
 lengths; a realization is the frozen sequence of lengths one walk uses for
 all its steps. Sampling is inverse-CDF over a precomputed cumulative table
 (truncated where the remaining tail mass is below 1e-12), so identical
-(spec, seed, n) triples always reproduce identical lengths. Each family is
-declared once, in `_FAMILIES`; `parse_disorder` is its only text grammar.
-Every pmf table steps its family's exact term ratio p(j+1)/p(j), summing
-the logs of the ratio's factors, so no ratio underflows and no log-gammas
-cancel (large N or r): sampling loads no scipy.
+(spec, seed, n) triples always reproduce identical lengths. The one draw,
+`sample_realization`, refuses lengths beyond the memory budget before it
+draws. Each family is declared once, in `_FAMILIES`; `parse_disorder` is its
+only text grammar. Every pmf table steps its family's exact term ratio
+p(j+1)/p(j), summing the logs of the ratio's factors, so no ratio underflows
+and no log-gammas cancel (large N or r): sampling loads no scipy.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .lattice import exact_int
+from .lattice import check_budget, exact_int
 
 _TAIL_EPS = 1e-12
 # longest support table: a bounded support beyond it is refused, an
@@ -341,23 +342,16 @@ def child_seed(master_seed: int, index: int) -> int:
     for name, value in zip(("seed", "index"), entropy):
         if value < 0:
             raise ConfigurationError(f"{name} must be >= 0, got {value}")
-    return unchecked_child_seed(*entropy)
-
-
-def unchecked_child_seed(master_seed: int, index: int) -> int:
-    """`child_seed` of a master seed and an index that are ints >= 0."""
-    return int(np.random.SeedSequence((master_seed, index)).generate_state(1, np.uint64)[0])
+    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
 def sample_realization(spec: DisorderSpec, n_steps: int, seed: int) -> Realization:
-    """Draw n_steps i.i.d. lengths from the spec's pmf, deterministically."""
+    """Draw n_steps i.i.d. lengths from the spec's pmf, deterministically;
+    n_steps int64 lengths beyond `lattice.MAX_ARRAY_BYTES` are refused first."""
     n_steps = exact_int("n_steps", n_steps)
     if n_steps < 1:
         raise ConfigurationError(f"n_steps must be >= 1, got {n_steps}")
-    return Realization(lengths=unchecked_lengths(spec, n_steps, exact_int("seed", seed)))
-
-
-def unchecked_lengths(spec: DisorderSpec, n_steps: int, seed: int) -> np.ndarray:
-    """`sample_realization`'s lengths for an int n_steps >= 1 and seed."""
-    u = np.random.default_rng(seed).random(n_steps)
-    return spec.support_table()[0][np.searchsorted(spec._cumulative, u, side="right")]
+    check_budget(n_steps * 8, f"{n_steps} disordered steps need {{}} bytes of step lengths")
+    u = np.random.default_rng(exact_int("seed", seed)).random(n_steps)
+    drawn = np.searchsorted(spec._cumulative, u, side="right")
+    return Realization(lengths=spec.support_table()[0][drawn])

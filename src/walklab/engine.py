@@ -43,11 +43,14 @@ from .errors import ConfigurationError
 from .lattice import (
     LEFT,
     RIGHT,
+    MAX_ARRAY_BYTES,  # read by callers as walklab.engine.MAX_ARRAY_BYTES too
     AbsorberConfig,
     ClassicalState,
     Move,
     PositionDistribution,
     QuantumState,
+    check_budget,
+    check_matrix,
     cut_at,
     exact_int,
     point_in_frame,
@@ -155,29 +158,6 @@ def apply_absorber(state: QuantumState, absorber: AbsorberConfig):
 # bytes per site of each engine's window, as the budget counts them: complex
 # L and R amplitudes, or one probability (a real quantum walk stores half)
 SITE_BYTES = {"quantum": 2 * 16, "classical": 8}
-# Largest array a walk may ask for: its widest window (all rows, both
-# parities), or the (rows × steps) matrix of its record or of an ensemble's.
-# A walk's two preallocated buffers hold one parity each, about one window in
-# all; an ensemble peaks at 2.56 matrices (the absorbing-time reduction) or
-# 1.35 (the σ average), and the CLI writes its tables from their arrays in
-# chunks of `cli.CHUNK_ROWS` rows, at most five arrays of a clean record (at
-# most half the budget: its window is twice as long). So a run, the CLI's
-# output included, stays below about 180 MB.
-MAX_ARRAY_BYTES = 2 ** 26
-
-
-def check_budget(nbytes: int, needs: str) -> None:
-    """Refuse an array of `nbytes` bytes beyond MAX_ARRAY_BYTES before it is
-    allocated; `needs` says what would hold it, with {} for the bytes."""
-    if nbytes > MAX_ARRAY_BYTES:
-        raise ConfigurationError(
-            f"{needs.format(nbytes)}, above the budget of {MAX_ARRAY_BYTES}")
-
-
-def check_matrix(count: int, steps: int, of: str) -> None:
-    """Refuse a (count × steps) matrix of 8-byte values, one per `of` and step."""
-    check_budget(count * steps * 8,
-                 f"{count} {of} × {steps} steps need {{}} bytes per matrix")
 
 
 @dataclass

@@ -1,7 +1,7 @@
 """Disorder ensembles: averaged absorbing times, averaged spreading, fits.
 
-Realization i of an ensemble walks with step lengths drawn from the derived
-seed child_seed(master_seed, i), so results are reproducible. All
+Realization i of an ensemble walks the lengths that every caller draws,
+sample_realization(disorder, steps, child_seed(master_seed, i)). All
 realizations run as the rows of one batched walk, split into blocks only
 to bound memory; averages are reduced in fixed realization-index order.
 Each block's lengths are drawn just before it runs, and its results are
@@ -17,17 +17,10 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .disorder import DisorderSpec, child_seed, unchecked_child_seed, unchecked_lengths
-from .engine import (
-    SITE_BYTES,
-    WalkConfig,
-    check_matrix,
-    frame_span,
-    real_amplitudes,
-    record_walk,
-)
+from .disorder import DisorderSpec, child_seed, sample_realization
+from .engine import SITE_BYTES, WalkConfig, frame_span, real_amplitudes, record_walk
 from .errors import ConfigurationError, NoAbsorptionError, NumericalError
-from .lattice import exact_int, step_times
+from .lattice import check_matrix, exact_int, step_times
 
 # A row of a block holds its step lengths (8 bytes a step), its share of the
 # two walk buffers (SITE_BYTES a column, half for a real quantum walk), the
@@ -135,10 +128,9 @@ def run_ensemble(
                     None if sigma is None else sigma[done], columns)
 
     rows, farthest, longest = [], 0, 0
-    child_seed(config.master_seed, 0)  # checks the seed; WalkConfig the steps
     for i in range(count):
-        lengths = unchecked_lengths(config.disorder, walk.steps,
-                                    unchecked_child_seed(config.master_seed, i))
+        lengths = sample_realization(config.disorder, walk.steps,
+                                     child_seed(config.master_seed, i)).lengths
         reach, top = int(lengths.sum()), int(lengths.max())
         if rows and _block_bytes(walk, len(rows) + 1, max(farthest, reach),
                                  max(longest, top)) > BLOCK_BYTES:
@@ -157,7 +149,13 @@ def finite_horizon_avg_time(per_step: np.ndarray, n: int) -> float:
     n = exact_int("horizon", n)
     if n < 1:
         raise ConfigurationError(f"horizon must be >= 1, got {n}")
-    p = per_step[np.newaxis, :n].copy()
+    try:
+        p = np.asarray(per_step)
+    except ValueError:  # a ragged nesting
+        p = np.empty(())
+    if p.ndim != 1 or p.dtype.kind not in "iuf":
+        raise ConfigurationError("per_step must be one walk's 1-D record of numbers")
+    p = p[np.newaxis, :n].astype(np.float64)
     if not p.any():
         raise NoAbsorptionError(f"no absorption within horizon {n}")
     return float(_horizon_ratios(p, np.array([p.shape[1]]))[0, -1])

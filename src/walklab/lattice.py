@@ -23,7 +23,9 @@ the spread of its column index (`window_sigma`): no site array is built a
 step.
 
 Every module reads its integers (`exact_int`: 2.0 reads as 2, 2.5 is an
-error), absorber sites (`AbsorberConfig`) and step times (`step_times`) here.
+error), absorber sites (`AbsorberConfig`) and step times (`step_times`) here,
+and checks each large array against the memory budget (`check_budget`,
+`check_matrix`) before allocating it.
 """
 from __future__ import annotations
 
@@ -49,6 +51,31 @@ def exact_int(name: str, value) -> int:
     if as_int is None or as_int != value:
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")
     return as_int
+
+
+# Largest array a run may ask for, each checked before it is allocated: a
+# walk's window (all rows, both parities, at `engine.SITE_BYTES` a site), the
+# (rows × steps) matrix of a walk's record or of an ensemble's, a disordered
+# walk's step lengths and the terms of `classical.first_passage_series`. A
+# walk's two buffers hold about one window in all; an ensemble peaks at 2.56
+# matrices (the absorbing-time reduction) or 1.35 (the σ average), and the
+# CLI writes its tables from their arrays in chunks of `cli.CHUNK_ROWS` rows.
+# The series order has its own cap, `series.MAX_ORDER`.
+MAX_ARRAY_BYTES = 2 ** 26
+
+
+def check_budget(nbytes: int, needs: str) -> None:
+    """Refuse an array of `nbytes` bytes beyond MAX_ARRAY_BYTES before it is
+    allocated; `needs` says what would hold it, with {} for the bytes."""
+    if nbytes > MAX_ARRAY_BYTES:
+        raise ConfigurationError(
+            f"{needs.format(nbytes)}, above the budget of {MAX_ARRAY_BYTES}")
+
+
+def check_matrix(count: int, steps: int, of: str) -> None:
+    """Refuse a (count × steps) matrix of 8-byte values, one per `of` and step."""
+    check_budget(count * steps * 8,
+                 f"{count} {of} × {steps} steps need {{}} bytes per matrix")
 
 
 @dataclass(frozen=True)

@@ -140,8 +140,7 @@ def test_sigma_average_holds_only_its_columns():
 @pytest.mark.parametrize("spec", [poisson(1.0), TABLE2_PRESETS["tableII-hypergeometric"]],
                          ids=["poisson", "hypergeometric"])
 def test_ensemble_rows_are_the_public_draws(spec, seed, monkeypatch):
-    # run_ensemble checks the seed and the steps once and then draws
-    # unchecked: its rows must still be sample_realization's draws from
+    # run_ensemble's rows must be sample_realization's draws from
     # child_seed(seed, i), in one block or in many
     steps, count, blocks = 40, 12, []
     record = ensemble.record_walk
@@ -161,6 +160,28 @@ def test_ensemble_rows_are_the_public_draws(spec, seed, monkeypatch):
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, want)
     assert len(blocks) == count
+
+
+@pytest.mark.parametrize("spec", [poisson(1.0), None], ids=["disordered", "clean"])
+def test_an_ensemble_draws_only_through_sample_realization(spec, monkeypatch):
+    # the one draw path: a disordered ensemble calls sample_realization once
+    # per realization, with child_seed(seed, i), and a clean one never; the
+    # counted run gives the same matrices as the uncounted one
+    steps, count, seed, calls = 40, 12, 3, []
+    draw = ensemble.sample_realization
+    def counted(*args):
+        calls.append(args)
+        return draw(*args)
+    cfg = EnsembleConfig(WalkConfig(steps=steps, absorber=AbsorberConfig(2)),
+                         count, seed, spec)
+    want = run_ensemble(cfg, sigma_times=[10, 40])
+    monkeypatch.setattr(ensemble, "sample_realization", counted)
+    got = run_ensemble(cfg, sigma_times=[10, 40])
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+    want_calls = [] if spec is None else [(spec, steps, child_seed(seed, i))
+                                          for i in range(count)]
+    assert calls == want_calls
 
 
 def _sweep_ensembles(coin, presets=tuple(TABLE2_PRESETS)):

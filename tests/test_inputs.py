@@ -255,3 +255,35 @@ def test_an_average_refuses_its_matrix_before_building_the_default_grid(average)
 def test_an_average_refuses_an_empty_grid(average, what):
     with pytest.raises(ConfigurationError, match=f"^at least one {what} is required$"):
         average(ENSEMBLE, [])
+
+
+@pytest.mark.parametrize("call, message", [
+    # 8,388,609 terms (t = 2, 4, ..., 16,777,218) would be 67,108,872 bytes
+    # an array, 8 bytes past the budget
+    (lambda: first_passage_series(2, 16_777_218),
+     "8388609 first-passage terms need 67108872 bytes, above the budget of 67108864"),
+    (lambda: first_passage_series(-3, 10 ** 10),
+     "4999999999 first-passage terms need 39999999992 bytes"),
+    # the library's own draw, not only the CLI, refuses its lengths
+    (lambda: sample_realization(poisson(1.0), 2 ** 23 + 1, 1),
+     "8388609 disordered steps need 67108872 bytes of step lengths, above the budget"),
+], ids=["first_passage_series", "first_passage_series-1e10", "sample_realization"])
+def test_a_long_array_is_refused_before_it_is_allocated(call, message):
+    assert _peak_while_refused(call, message) < 2 ** 20
+
+
+@pytest.mark.parametrize("per_step", [
+    np.ones((3, 5)), np.ones((1, 4)), np.float64(0.5), [[0.5, 0.25], [0.25]],
+    ["0.5", "0.25"], [0.5, None], {"p": 0.5}, np.array([0.5j, 0.25]),
+], ids=["2-D", "one-row-2-D", "scalar", "ragged", "strings", "None", "dict", "complex"])
+def test_finite_horizon_avg_time_refuses_what_is_not_one_walks_record(per_step):
+    with pytest.raises(ConfigurationError,
+                       match="^per_step must be one walk's 1-D record of numbers$"):
+        finite_horizon_avg_time(per_step, 2)
+
+
+def test_finite_horizon_avg_time_reads_a_list_as_its_array():
+    for n in (2, 3, 4):
+        assert finite_horizon_avg_time(PER_STEP.tolist(), n) \
+            == finite_horizon_avg_time(PER_STEP, n)
+    assert finite_horizon_avg_time([0, 1, 1], 3) == 2.5
