@@ -131,8 +131,15 @@ def _write(args, meta: dict, columns: list[str], blocks: list[tuple],
             raise ConfigurationError(
                 f"cannot write {args.output}: {exc.strerror or exc}") from None
     else:
-        _stream(sys.stdout, args, meta, columns, blocks, json_key)
-        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        try:
+            _stream(sys.stdout, args, meta, columns, blocks, json_key)
+            sys.stdout.flush()  # a closed pipe or a full device raises here, not at exit
+        except OSError as exc:
+            # what is left to flush at exit goes to devnull (Python's note on SIGPIPE)
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if isinstance(exc, BrokenPipeError):
+                raise  # the reader closed stdout: `main` ends the run quietly
+            raise ConfigurationError(f"cannot write stdout: {exc.strerror or exc}") from None
 
 
 def _walk_config(args, step_lengths=None) -> WalkConfig:
@@ -207,6 +214,8 @@ def cmd_absorb(args) -> None:
 
 def cmd_series(args) -> None:
     if args.raabe is not None:
+        if args.m1_range is not None:
+            raise ConfigurationError("--raabe takes --m1, not --m1-range")
         m1 = args.m1 if args.m1 is not None else 2
         if args.raabe == "classical":
             ratio = classical_avg_time_ratio(m1)
@@ -424,10 +433,7 @@ def main(argv=None) -> int:
         if args.workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {args.workers}")
         args.func(args)
-    except BrokenPipeError:
-        # the reader closed stdout: end quietly, with what is left to flush
-        # going to devnull (Python's note on SIGPIPE)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except BrokenPipeError:  # the reader closed stdout: end quietly (see `_write`)
         return 0
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)

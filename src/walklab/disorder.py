@@ -2,14 +2,15 @@
 
 A disorder spec fixes one discrete distribution over nonnegative step
 lengths; a realization is the frozen sequence of lengths one walk uses for
-all its steps. Sampling is inverse-CDF over a precomputed cumulative table
-(truncated where the remaining tail mass is below 1e-12), so identical
-(spec, seed, n) triples always reproduce identical lengths. The one draw,
-`sample_realization`, refuses lengths beyond the memory budget before it
-draws. Each family is declared once, in `_FAMILIES`; `parse_disorder` is its
-only text grammar. Every pmf table steps its family's exact term ratio
-p(j+1)/p(j), summing the logs of the ratio's factors, so no ratio underflows
-and no log-gammas cancel (large N or r): sampling loads no scipy.
+all its steps. Sampling is inverse-CDF over the spec's pmf table (truncated
+where the remaining tail mass is below 1e-12), so identical (spec, seed, n)
+triples always reproduce identical lengths; a spec object builds its table
+once, and nothing else holds it. The one draw, `sample_realization`, refuses
+lengths beyond the memory budget before it draws. Each family is declared
+once, in `_FAMILIES`; `parse_disorder` is its only text grammar. Every pmf
+table steps its family's exact term ratio p(j+1)/p(j), summing the logs of
+the ratio's factors, so no ratio underflows and no log-gammas cancel (large
+N or r): sampling loads no scipy.
 """
 from __future__ import annotations
 
@@ -52,8 +53,6 @@ def _from_ratios(fam: _Family, values: tuple, lowest: int, top: int) -> np.ndarr
     mode, the length the ratios ≥ 1 climb to (its pmf is log-concave), and
     normalized: so an infinite ratio never meets an infinite sum, and a
     degenerate binomial keeps its zero-probability lengths."""
-    if top - lowest > _MAX_SUPPORT:
-        raise ConfigurationError(f"pmf table beyond the support cap of {_MAX_SUPPORT}")
     j = np.arange(lowest, top, dtype=np.float64)
     with np.errstate(divide="ignore"):  # log 0 = −inf: a zero probability
         steps = np.broadcast_to(fam.log_ratio(j, *values), j.shape)
@@ -175,21 +174,28 @@ class DisorderSpec:
         parts += [f"{k}={_fmt_num(v)}" for k, v in self.params]
         return " ".join(parts)
 
-    def pmf(self, l: int) -> float:
-        l = exact_int("step length", l)
-        if l < 0:
-            raise ConfigurationError(f"step length must be >= 0, got {l}")
-        return _pmf_array(self, np.array([l]))[0]
-
     def support_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """(lengths, probabilities) covering all but < 1e-12 of the mass,
-        as read-only arrays that are built once per spec."""
-        return _support_table(self)
+        """(lengths, probabilities) covering all but < 1e-12 of the mass, read-only."""
+        return self._table[:2]
 
     @functools.cached_property
-    def _cumulative(self) -> np.ndarray:
-        # the draws' running sums; the last is +inf, so a u past the tail gets the last length
-        return np.append(np.cumsum(_support_table(self)[1])[:-1], np.inf)
+    def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # (lengths, probabilities, the draws' running sums), read-only, from the
+        # support's lowest length to its highest or until the tail is negligible;
+        # the last running sum is +inf, so a u past the tail gets the last length
+        fam, values = _FAMILIES[self.family], self.values
+        lowest, highest = fam.support(*values)
+        hi = 64 if highest is None else highest
+        while hi <= _MAX_SUPPORT:
+            ps = _from_ratios(fam, values, lowest, hi)
+            if highest is not None or 1.0 - float(np.sum(ps)) < _TAIL_EPS:
+                table = (np.arange(lowest, hi + 1), ps, np.append(np.cumsum(ps)[:-1], np.inf))
+                for array in table:
+                    array.flags.writeable = False
+                return table
+            hi *= 2
+        raise ConfigurationError(f"disorder {self.to_text()!r} needs step lengths beyond "
+                                 f"the support cap of {_MAX_SUPPORT}")
 
     def moments(self) -> tuple[float, float]:
         """Closed-form (mean, variance)."""
@@ -298,37 +304,6 @@ def parse_disorder(text: str) -> DisorderSpec:
     return build_spec(family.strip(), fields)
 
 
-def _pmf_array(spec: DisorderSpec, ls: np.ndarray) -> np.ndarray:
-    fam, values = _FAMILIES[spec.family], spec.values
-    lo, hi = fam.support(*values)
-    ls = np.asarray(ls, dtype=np.int64)
-    ok = (ls >= lo) if hi is None else (ls >= lo) & (ls <= hi)
-    out = np.zeros(ls.shape, dtype=np.float64)
-    top = int(ls.max(initial=lo)) if hi is None else hi
-    out[ok] = _from_ratios(fam, values, lo, top)[ls[ok] - lo]
-    return out
-
-
-@functools.lru_cache(maxsize=64)
-def _support_table(spec: DisorderSpec) -> tuple[np.ndarray, np.ndarray]:
-    # built once per spec and shared by every caller, so read-only; it starts
-    # at the lowest length of the support, and an unbounded support grows
-    # until the remaining tail is negligible
-    lowest, highest = _FAMILIES[spec.family].support(*spec.values)
-    hi = 64 if highest is None else highest
-    while hi <= _MAX_SUPPORT:
-        ls = np.arange(lowest, hi + 1)
-        ps = _pmf_array(spec, ls)
-        if highest is not None or 1.0 - float(np.sum(ps)) < _TAIL_EPS:
-            ls.flags.writeable = ps.flags.writeable = False
-            return ls, ps
-        hi *= 2
-    raise ConfigurationError(
-        f"disorder {spec.to_text()!r} needs step lengths beyond the support "
-        f"cap of {_MAX_SUPPORT}"
-    )
-
-
 @dataclass(frozen=True)
 class Realization:
     """One frozen sequence of step lengths."""
@@ -353,5 +328,5 @@ def sample_realization(spec: DisorderSpec, n_steps: int, seed: int) -> Realizati
         raise ConfigurationError(f"n_steps must be >= 1, got {n_steps}")
     check_budget(n_steps * 8, f"{n_steps} disordered steps need {{}} bytes of step lengths")
     u = np.random.default_rng(exact_int("seed", seed)).random(n_steps)
-    drawn = np.searchsorted(spec._cumulative, u, side="right")
-    return Realization(lengths=spec.support_table()[0][drawn])
+    lengths, _, cumulative = spec._table
+    return Realization(lengths=lengths[np.searchsorted(cumulative, u, side="right")])

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -167,7 +168,8 @@ class WalkConfig:
     Every walk starts at site 0 (a start elsewhere is the same walk with the
     absorber moved). The classical engine starts from a point mass and
     ignores the coin and the initial coin amplitudes. Step lengths shaped
-    (R, steps) run R walks at once, one per row.
+    (R, steps) run R walks at once, one per row. A field of the wrong type
+    is a ConfigurationError that names it.
     """
 
     steps: int
@@ -186,14 +188,24 @@ class WalkConfig:
         self.steps = exact_int("steps", self.steps)
         if self.steps < 1:
             raise ConfigurationError(f"steps must be >= 1, got {self.steps}")
-        if self.engine == "quantum":  # the classical engine ignores the amplitudes
-            norm = abs(self.initial_amp_left) ** 2 + abs(self.initial_amp_right) ** 2
+        if self.absorber is not None and not isinstance(self.absorber, AbsorberConfig):
+            raise ConfigurationError(f"absorber must be an AbsorberConfig, got {self.absorber!r}")
+        if self.engine == "quantum":  # the classical engine ignores coin and amplitudes
+            if not isinstance(self.coin, CoinOperator):
+                raise ConfigurationError(f"coin must be a CoinOperator, got {self.coin!r}")
+            amps = (self.initial_amp_left, self.initial_amp_right)
+            if not all(isinstance(amp, numbers.Complex) for amp in amps):
+                raise ConfigurationError(f"initial coin amplitudes must be numbers, got {amps}")
+            norm = abs(amps[0]) ** 2 + abs(amps[1]) ** 2
             if abs(norm - 1.0) > 1e-12:
                 raise ConfigurationError(
                     f"initial coin amplitudes must be normalized, got |.|^2 = {norm}"
                 )
         if self.step_lengths is not None:
-            lengths = np.asarray(self.step_lengths)
+            try:
+                lengths = np.asarray(self.step_lengths)
+            except ValueError:  # a ragged nesting
+                raise ConfigurationError("step_lengths must not be ragged") from None
             if lengths.ndim not in (1, 2) or lengths.shape[-1] != self.steps \
                     or lengths.size == 0:
                 raise ConfigurationError(

@@ -49,6 +49,10 @@ class EnsembleConfig:
     disorder: Optional[DisorderSpec] = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.walk, WalkConfig):
+            raise ConfigurationError(f"walk must be a WalkConfig, got {self.walk!r}")
+        if self.disorder is not None and not isinstance(self.disorder, DisorderSpec):
+            raise ConfigurationError(f"disorder must be a DisorderSpec, got {self.disorder!r}")
         realizations = exact_int("realizations", self.realizations)
         if realizations < 1:
             raise ConfigurationError(f"realizations must be >= 1, got {realizations}")

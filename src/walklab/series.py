@@ -295,6 +295,8 @@ def raabe_estimate(ratio: Callable, n_max: int = 10 ** 6) -> RaabeReport:
     ns = np.unique(np.round(n_max / scales).astype(np.int64))
     ns = ns[ns >= 4]
     r = np.asarray(ratio(ns), dtype=np.float64)
+    if r.shape != ns.shape:
+        raise ConfigurationError("ratio must give one number per n")
     bad = np.nonzero(~(r > 0))[0]
     if bad.size:
         raise NumericalError(

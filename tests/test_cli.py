@@ -249,6 +249,15 @@ def test_series_rejects_m1_with_range(capsys):
     assert "either --m1 or --m1-range" in err
 
 
+def test_series_raabe_refuses_an_m1_range(capsys):
+    # the ratio test reads one m1: a range would be dropped without a word
+    rc, out, err = run_cli(["series", "--raabe", "quantum", "--m1-range", "1..3",
+                            "--seed", "1"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: --raabe takes --m1, not --m1-range\n"
+
+
 def test_series_order_above_budget_exits_2_before_allocating(capsys):
     tracemalloc.start()
     try:
@@ -644,6 +653,21 @@ def test_closed_pipe_ends_the_run_quietly():
     proc.stderr.close()
     assert proc.wait() == 0
     assert err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_stdout_ends_like_a_bad_output():
+    # every write to /dev/full fails with ENOSPC: one error line, exit 2,
+    # and nothing more from the flush at exit
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "walklab.cli", "walk", "--engine", "quantum",
+             "--steps", "3", "--seed", "1"],
+            stdout=full, stderr=subprocess.PIPE,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr.decode().splitlines() == [
+        "error: cannot write stdout: No space left on device"]
 
 
 def test_exit_code_unknown_preset(capsys):

@@ -1,4 +1,7 @@
+import dataclasses
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +12,9 @@ from oracles import negative_binomial_product_pmf, pmf_oracle
 from walklab import disorder
 from walklab import (
     ConfigurationError,
+    EnsembleConfig,
     TABLE2_PRESETS,
+    WalkConfig,
     binomial,
     build_spec,
     child_seed,
@@ -19,6 +24,7 @@ from walklab import (
     negative_binomial,
     point_mass,
     poisson,
+    run_ensemble,
     sample_realization,
 )
 from walklab.disorder import DisorderSpec, parse_disorder
@@ -39,6 +45,13 @@ ALL_SPECS = [
     negative_binomial(1e10, 1e-11),
     negative_binomial(1e13, 1e-14),
 ]
+
+
+def table_pmf(spec, l):
+    """p(l) read from the spec's table, which must hold l."""
+    ls, ps = spec.support_table()
+    assert ls[0] <= l <= ls[-1], (spec.to_text(), l)
+    return float(ps[l - ls[0]])
 
 
 def numeric_moments(spec):
@@ -83,47 +96,45 @@ def test_preset_moments_and_classification():
 
 def test_pmf_values():
     spec = poisson(1.0)
-    assert spec.pmf(0) == pytest.approx(math.exp(-1), abs=1e-12)
-    assert spec.pmf(2) == pytest.approx(math.exp(-1) / 2, abs=1e-12)
+    assert table_pmf(spec, 0) == pytest.approx(math.exp(-1), abs=1e-12)
+    assert table_pmf(spec, 2) == pytest.approx(math.exp(-1) / 2, abs=1e-12)
     spec = binomial(2, 0.5)
-    assert spec.pmf(1) == pytest.approx(0.5, abs=1e-15)
+    assert table_pmf(spec, 1) == pytest.approx(0.5, abs=1e-15)
     spec = hypergeometric(10, 5, 2)
     # P(l=1) = K(N-K)n(N-n)/... = C(5,1)C(5,1)/C(10,2) = 25/45
-    assert spec.pmf(1) == pytest.approx(25 / 45, abs=1e-12)
-    assert geometric(0.5).pmf(0) == 0.0
-    assert geometric(0.5).pmf(1) == pytest.approx(0.5, abs=1e-15)
-    assert geometric_shifted(0.5).pmf(0) == pytest.approx(0.5, abs=1e-15)
+    assert table_pmf(spec, 1) == pytest.approx(25 / 45, abs=1e-12)
+    assert geometric(0.5).support_table()[0][0] == 1  # no length 0
+    assert table_pmf(geometric(0.5), 1) == pytest.approx(0.5, abs=1e-15)
+    assert table_pmf(geometric_shifted(0.5), 0) == pytest.approx(0.5, abs=1e-15)
     # a pmf from term ratios spans its support: one past the cap is refused
     with pytest.raises(ConfigurationError, match="beyond the support cap"):
-        hypergeometric(10 ** 12, 10 ** 11, 10 ** 11).pmf(5)
-    with pytest.raises(ConfigurationError, match="step length must be >= 0, got -1"):
-        spec.pmf(-1)
+        hypergeometric(10 ** 12, 10 ** 11, 10 ** 11).support_table()
 
 
 def test_negbinomial_equals_shifted_geometric():
     a = negative_binomial(1.0, 0.5)
     b = geometric_shifted(0.5)
     for l in range(30):
-        assert a.pmf(l) == pytest.approx(b.pmf(l), abs=1e-14)
-        assert a.pmf(l) == pytest.approx(0.5 ** (l + 1), abs=1e-14)
+        assert table_pmf(a, l) == pytest.approx(table_pmf(b, l), abs=1e-14)
+        assert table_pmf(a, l) == pytest.approx(0.5 ** (l + 1), abs=1e-14)
 
 
 def test_degenerate_geometric_is_point_mass(recwarn):
-    # a degenerate binomial is a point mass too; its tables are built afresh
-    # so that the cache hides no warning
+    # a degenerate binomial is a point mass too; each spec object builds
+    # its own table, so no earlier build hides a warning
     for p, table in ((0.0, [1.0, 0.0, 0.0]), (1.0, [0.0, 0.0, 1.0])):
-        ls, ps = disorder._support_table.__wrapped__(binomial(2, p))
+        ls, ps = binomial(2, p).support_table()
         assert ls.tolist() == [0, 1, 2]
         assert ps.tolist() == table
     assert not recwarn.list
-    assert geometric(1.0).pmf(1) == 1.0
-    assert geometric_shifted(1.0).pmf(0) == 1.0
+    assert table_pmf(geometric(1.0), 1) == 1.0
+    assert table_pmf(geometric_shifted(1.0), 0) == 1.0
     ls, ps = point_mass(1).support_table()
     assert float(ps[ls == 1][0]) == 1.0
     assert float(np.sum(ps)) == 1.0
     spec = point_mass(3)
     assert spec.moments() == (3.0, 0.0)
-    assert spec.pmf(3) == 1.0 and spec.pmf(2) == 0.0
+    assert [a.tolist() for a in spec.support_table()] == [[3], [1.0]]
 
 
 def test_spec_text_round_trip():
@@ -229,9 +240,6 @@ def assert_table_matches_oracle(spec):
     for l, p in zip(ls.tolist(), ps.tolist()):
         assert math.isclose(p, pmf_oracle(family, params, l),
                             rel_tol=PMF_RTOL, abs_tol=PMF_ATOL), (spec.to_text(), l)
-    for l in (int(ls[-1]) + 1, int(ls[-1]) + 2):  # past the table
-        assert math.isclose(spec.pmf(l), pmf_oracle(family, params, l),
-                            rel_tol=PMF_RTOL, abs_tol=PMF_ATOL), (spec.to_text(), l)
 
 
 @pytest.mark.parametrize("r, k", [
@@ -319,22 +327,62 @@ def test_sample_empirical_mean():
 def test_support_table_is_built_once_per_spec_and_read_only():
     spec = poisson(1.7)
     ls, ps = spec.support_table()
-    # an equal spec reuses the same arrays
-    again = poisson(1.7).support_table()
+    # one object builds its arrays once; an equal object builds its own
+    again = spec.support_table()
     assert again[0] is ls and again[1] is ps
-    for table in (ls, ps):
+    for table in spec._table:
         with pytest.raises(ValueError):
             table[0] = 0
-    fresh_ls, fresh_ps = disorder._support_table.__wrapped__(spec)
+    fresh_ls, fresh_ps = poisson(1.7).support_table()
+    assert fresh_ls is not ls
     np.testing.assert_array_equal(ls, fresh_ls)
     np.testing.assert_array_equal(ps, fresh_ps)
+
+
+def test_one_spec_object_builds_its_table_once(monkeypatch):
+    builds = []
+
+    def counted(*args):
+        builds.append(args)
+        return from_ratios(*args)
+
+    from_ratios = disorder._from_ratios
+    monkeypatch.setattr(disorder, "_from_ratios", counted)
+    # a fresh copy of a preset: the module's own object may be built already
+    spec = dataclasses.replace(TABLE2_PRESETS["tableII-binomial"])
+    spec.support_table()
+    spec.support_table()
+    run_ensemble(EnsembleConfig(WalkConfig(steps=8), 50, 3, spec))
+    assert len(builds) == 1
+
+
+def test_a_dropped_spec_leaves_no_table_behind():
+    # 8 tables of about 100,000 lengths, 2.4 MB each with their running sums;
+    # one small draw first, so that the modules a first draw loads are not counted
+    sample_realization(binomial(2, 0.5), 10, 0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        specs = [binomial(100_000 - i, 0.5) for i in range(8)]
+        for i, spec in enumerate(specs):
+            sample_realization(spec, 10, i)
+        assert tracemalloc.get_traced_memory()[0] - before > 8 * 2 ** 21  # while they live
+        del spec, specs
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 2 ** 20
 
 
 def _sample_from_zero(spec, n, seed):
     """Inverse-CDF draws over a table of every length from 0 to the top of
     the spec's table, zeros below its support included."""
-    full = np.arange(int(spec.support_table()[0][-1]) + 1)
-    cum = np.cumsum(disorder._pmf_array(spec, full))
+    ls, ps = spec.support_table()
+    full = np.arange(int(ls[-1]) + 1)
+    probs = np.zeros(full.size)
+    probs[ls] = ps
+    cum = np.cumsum(probs)
     idx = np.searchsorted(cum, np.random.default_rng(seed).random(n), side="right")
     return full[np.minimum(idx, full.size - 1)]
 

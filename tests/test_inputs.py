@@ -1,7 +1,7 @@
 """Integer inputs: every public entry point reads its integers, absorber
 sites and step times through `lattice.exact_int`, `AbsorberConfig` and
 `lattice.step_times`, so 2.0 reads as 2 and 2.5 is a ConfigurationError
-that names the argument."""
+that names the argument. A config field of the wrong type is one too."""
 import dataclasses
 import re
 import tracemalloc
@@ -137,8 +137,6 @@ INTEGER_ARGUMENTS = {
     "child_seed.master_seed": (
         "master_seed must be an integer", lambda v: child_seed(v, 0)),
     "child_seed.index": ("index must be an integer", lambda v: child_seed(1, v)),
-    "DisorderSpec.pmf": (
-        "step length must be an integer", lambda v: poisson(1.0).pmf(v)),
     "binomial.n": (
         "binomial needs an integer n", lambda v: binomial(v, 0.5).support_table()),
     "hypergeometric.K": (
@@ -287,3 +285,37 @@ def test_finite_horizon_avg_time_reads_a_list_as_its_array():
         assert finite_horizon_avg_time(PER_STEP.tolist(), n) \
             == finite_horizon_avg_time(PER_STEP, n)
     assert finite_horizon_avg_time([0, 1, 1], 3) == 2.5
+
+
+# a config field or argument of the wrong type -> (the call, its whole error)
+WRONG_TYPES = {
+    "WalkConfig.absorber": (lambda: run_walk(WalkConfig(steps=3, absorber=2)),
+                            "absorber must be an AbsorberConfig, got 2"),
+    "WalkConfig.coin": (lambda: run_walk(WalkConfig(steps=3, coin="hadamard")),
+                        "coin must be a CoinOperator, got 'hadamard'"),
+    "WalkConfig.initial_amp_left": (lambda: WalkConfig(steps=3, initial_amp_left="1"),
+                                    "initial coin amplitudes must be numbers, got ('1', 0.0)"),
+    "WalkConfig.step_lengths": (lambda: WalkConfig(steps=2, step_lengths=[[1, 2], [1]]),
+                                "step_lengths must not be ragged"),
+    "EnsembleConfig.walk": (lambda: run_ensemble(EnsembleConfig(None, 2, 1)),
+                            "walk must be a WalkConfig, got None"),
+    "EnsembleConfig.disorder": (
+        lambda: run_ensemble(EnsembleConfig(WALK, 2, 1, "poisson:lambda=1")),
+        "disorder must be a DisorderSpec, got 'poisson:lambda=1'"),
+    "raabe_estimate.ratio": (lambda: raabe_estimate(lambda n: np.ones(3)),
+                             "ratio must give one number per n"),
+    "raabe_estimate.ratio-scalar": (lambda: raabe_estimate(lambda n: 2.0),
+                                    "ratio must give one number per n"),
+}
+
+
+@pytest.mark.parametrize("call, message", WRONG_TYPES.values(), ids=WRONG_TYPES.keys())
+def test_a_value_of_the_wrong_type_is_refused(call, message):
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_the_classical_engine_ignores_the_coin_and_amplitudes():
+    config = WalkConfig(steps=6, engine="classical", coin="hadamard", initial_amp_left="1")
+    np.testing.assert_equal(run_walk(config).sigma,
+                            run_walk(WalkConfig(steps=6, engine="classical")).sigma)
