@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .lattice import (AbsorberConfig, ClassicalState, Move, check_budget, cut_at, exact_int,
+from .lattice import (AbsorberConfig, ClassicalState, Move, check_budget, checked, cut_at,
                       shift_window)
 
 
@@ -59,8 +59,10 @@ def first_passage_series(m1: int, horizon: int) -> tuple[np.ndarray, np.ndarray]
     nonzero only for t ≥ |m1| with t ≡ m1 (mod 2). Steps the exact term
     ratio p_{t+2}/p_t = t(t+1)/((t+m+2)(t−m+2)) from p_m = 2^−m (m = |m1|),
     summed in logs so that no partial product underflows or overflows.
+    |m1| and the horizon are at most 2^53, so that every time is an exact float64.
     """
-    m, horizon = abs(AbsorberConfig(m1).position), exact_int("horizon", horizon)
+    m = abs(checked("absorber position", AbsorberConfig(m1).position, lo=-2 ** 53, hi=2 ** 53))
+    horizon = checked("horizon", horizon, lo=0, hi=2 ** 53)
     terms = max(horizon - m + 2, 0) // 2  # t = m, m + 2, ... up to the horizon
     check_budget(8 * terms, f"{terms} first-passage terms need {{}} bytes")
     ts = np.arange(m, horizon + 1, 2, dtype=np.float64)

@@ -48,6 +48,7 @@ from .ensemble import (
     fit_exponent,
 )
 from .errors import ConfigurationError, NumericalError
+from .lattice import checked
 from .series import (
     DEFAULT_ORDER,
     absorption_summaries,
@@ -287,14 +288,10 @@ def cmd_exponent(args) -> None:
 
 def cmd_sweep(args) -> None:
     names = (
-        [s.strip() for s in args.presets.split(",")]
+        [checked("preset", s.strip(), TABLE2_PRESETS) for s in args.presets.split(",")]
         if args.presets is not None
         else list(TABLE2_PRESETS)
     )
-    for name in names:
-        if name not in TABLE2_PRESETS:
-            known = ", ".join(TABLE2_PRESETS)
-            raise ConfigurationError(f"unknown preset {name!r} (known: {known})")
     t_lo, t_hi = _ints(args.t_range, ":", "--t-range", pair=True)
     walk = _walk_config(args)
     rows = []
@@ -430,8 +427,7 @@ def main(argv=None) -> int:
             except ValueError:
                 raise ConfigurationError(
                     f"WALKLAB_SEED must be an integer, got {raw!r}") from None
-        if args.workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {args.workers}")
+        checked("workers", args.workers, lo=1)
         args.func(args)
     except BrokenPipeError:  # the reader closed stdout: end quietly (see `_write`)
         return 0

@@ -16,13 +16,15 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .lattice import check_budget, exact_int
+from .lattice import check_budget, checked
 
 _TAIL_EPS = 1e-12
 # longest support table: a bounded support beyond it is refused, an
@@ -125,14 +127,6 @@ _FAMILIES = {
 }
 
 
-def _family(name: str) -> _Family:
-    if name not in _FAMILIES:
-        raise ConfigurationError(
-            f"unknown disorder family {name!r} (known: {', '.join(_FAMILIES)})"
-        )
-    return _FAMILIES[name]
-
-
 @dataclass(frozen=True)
 class DisorderSpec:
     """One step-length distribution: a family name plus its parameters.
@@ -144,14 +138,14 @@ class DisorderSpec:
     params: tuple  # ((key, value), ...) in canonical order
 
     def __post_init__(self) -> None:
-        fam = _family(self.family)
-        keys = tuple(k for k, _ in self.params)
+        fam = _FAMILIES[checked("disorder family", self.family, _FAMILIES)]
+        keys = tuple(k for k, _ in checked("params", self.params, tuple))
         if keys != fam.keys:
             raise ConfigurationError(
                 f"family {self.family!r} needs parameters {fam.keys}, got {keys}"
             )
         for key, value in self.params:
-            if not math.isfinite(value):
+            if not math.isfinite(checked(f"disorder parameter {key}", value, numbers.Real)):
                 raise ConfigurationError(
                     f"disorder parameter {key} must be finite, got {value!r}"
                 )
@@ -259,8 +253,8 @@ def _number(value, integer: bool):
 def build_spec(family: str, fields: dict) -> DisorderSpec:
     """Construct a spec from string-or-number parameter values, in any key
     order; the spec checks them."""
-    fam = _family(family)
-    if set(fields) != set(fam.keys):
+    fam = _FAMILIES[checked("disorder family", family, _FAMILIES)]
+    if set(checked("disorder parameters", fields, Mapping)) != set(fam.keys):
         raise ConfigurationError(
             f"family {family!r} needs parameters {fam.keys}, got {tuple(sorted(fields))}"
         )
@@ -313,20 +307,15 @@ class Realization:
 
 def child_seed(master_seed: int, index: int) -> int:
     """Derive realization seed i from the master seed, order-independently."""
-    entropy = (exact_int("master_seed", master_seed), exact_int("index", index))
-    for name, value in zip(("seed", "index"), entropy):
-        if value < 0:
-            raise ConfigurationError(f"{name} must be >= 0, got {value}")
+    entropy = (checked("seed", master_seed, lo=0), checked("index", index, lo=0))
     return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
 
 
 def sample_realization(spec: DisorderSpec, n_steps: int, seed: int) -> Realization:
     """Draw n_steps i.i.d. lengths from the spec's pmf, deterministically;
     n_steps int64 lengths beyond `lattice.MAX_ARRAY_BYTES` are refused first."""
-    n_steps = exact_int("n_steps", n_steps)
-    if n_steps < 1:
-        raise ConfigurationError(f"n_steps must be >= 1, got {n_steps}")
+    n_steps = checked("n_steps", n_steps, lo=1)
     check_budget(n_steps * 8, f"{n_steps} disordered steps need {{}} bytes of step lengths")
-    u = np.random.default_rng(exact_int("seed", seed)).random(n_steps)
-    lengths, _, cumulative = spec._table
+    u = np.random.default_rng(checked("seed", seed, lo=0)).random(n_steps)
+    lengths, _, cumulative = checked("spec", spec, DisorderSpec)._table
     return Realization(lengths=lengths[np.searchsorted(cumulative, u, side="right")])

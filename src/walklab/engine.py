@@ -35,7 +35,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -50,10 +50,11 @@ from .lattice import (
     Move,
     PositionDistribution,
     QuantumState,
+    WalkerState,
     check_budget,
     check_matrix,
+    checked,
     cut_at,
-    exact_int,
     point_in_frame,
     probability_distribution,
     shift_window,
@@ -61,8 +62,6 @@ from .lattice import (
     trim,
     window_sigma,
 )
-
-WalkerState = Union[QuantumState, ClassicalState]
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -81,6 +80,8 @@ class CoinOperator:
     name: str = "custom"
 
     def __post_init__(self) -> None:
+        for entry in "abcd":
+            checked(f"coin entry {entry}", getattr(self, entry), numbers.Number)
         u = self.matrix()
         if not np.allclose(u.conj().T @ u, np.eye(2), atol=1e-12):
             raise ConfigurationError(f"coin {self.name!r} is not unitary")
@@ -115,11 +116,7 @@ _COIN_FACTORIES = {
 
 
 def coin_by_name(name: str) -> CoinOperator:
-    try:
-        return _COIN_FACTORIES[name]()
-    except KeyError:
-        known = ", ".join(sorted(_COIN_FACTORIES))
-        raise ConfigurationError(f"unknown coin {name!r} (known: {known})") from None
+    return _COIN_FACTORIES[checked("coin", name, _COIN_FACTORIES)]()
 
 
 def step(state: QuantumState, coin: CoinOperator, move: Move) -> QuantumState:
@@ -181,21 +178,14 @@ class WalkConfig:
     step_lengths: Optional[Sequence[int]] = None
 
     def __post_init__(self) -> None:
-        if self.engine not in SITE_BYTES:
-            raise ConfigurationError(
-                f"engine must be one of {tuple(SITE_BYTES)}, got {self.engine!r}"
-            )
-        self.steps = exact_int("steps", self.steps)
-        if self.steps < 1:
-            raise ConfigurationError(f"steps must be >= 1, got {self.steps}")
-        if self.absorber is not None and not isinstance(self.absorber, AbsorberConfig):
-            raise ConfigurationError(f"absorber must be an AbsorberConfig, got {self.absorber!r}")
+        checked("engine", self.engine, SITE_BYTES)
+        self.steps = checked("steps", self.steps, lo=1)
+        if self.absorber is not None:
+            checked("absorber", self.absorber, AbsorberConfig)
         if self.engine == "quantum":  # the classical engine ignores coin and amplitudes
-            if not isinstance(self.coin, CoinOperator):
-                raise ConfigurationError(f"coin must be a CoinOperator, got {self.coin!r}")
-            amps = (self.initial_amp_left, self.initial_amp_right)
-            if not all(isinstance(amp, numbers.Complex) for amp in amps):
-                raise ConfigurationError(f"initial coin amplitudes must be numbers, got {amps}")
+            checked("coin", self.coin, CoinOperator)
+            amps = (checked("initial_amp_left", self.initial_amp_left, numbers.Number),
+                    checked("initial_amp_right", self.initial_amp_right, numbers.Number))
             norm = abs(amps[0]) ** 2 + abs(amps[1]) ** 2
             if abs(norm - 1.0) > 1e-12:
                 raise ConfigurationError(
@@ -213,7 +203,7 @@ class WalkConfig:
                     f"got {lengths.shape}"
                 )
             if lengths.dtype.kind not in "iu":  # read one by one: 2.0 is 2, 2.5 an error
-                exact = [exact_int("step length", v) for v in lengths.ravel().tolist()]
+                exact = [checked("step length", v) for v in lengths.ravel().tolist()]
                 self.step_lengths = lengths = np.array(exact).reshape(lengths.shape)
             if np.any(lengths < 0):
                 raise ConfigurationError("step lengths must be nonnegative integers")
@@ -314,7 +304,7 @@ def iterate_walk(config: WalkConfig) -> Iterator[tuple[WalkerState, float]]:
     `real_amplitudes`) and complex128 otherwise; a walk whose window could
     pass MAX_ARRAY_BYTES at SITE_BYTES is refused before that.
     """
-    lengths = config.step_lengths
+    lengths = checked("config", config, WalkConfig).step_lengths
     if lengths is None:
         count, farthest, longest = 1, config.steps, 1
     else:
@@ -376,7 +366,7 @@ def run_walk(config: WalkConfig,
     """Run the whole walk; σ only after the steps in `sigma_times` (see
     `lattice.step_times`). An empty `sigma_times` stores no σ at all (sigma
     is None). A (rows × steps) record beyond the budget is refused first."""
-    shape = config.rows + (config.steps,)
+    shape = checked("config", config, WalkConfig).rows + (config.steps,)
     check_matrix(math.prod(config.rows), config.steps, "row(s)")
     times = step_times(sigma_times, config.steps, "sigma time").tolist()
     per_step = np.zeros(shape)
@@ -396,7 +386,7 @@ def snapshot_distributions(
     """Position distributions after each of `times` steps (post-absorption),
     sorted by time and taken from one pass of the walk. A snapshot after
     the walk was fully absorbed is empty."""
-    walk = iterate_walk(config)
+    walk = iterate_walk(checked("config", config, WalkConfig))
     dists = []
     for t in step_times(times, config.steps, "snapshot time").tolist():
         for state, _ in walk:

@@ -20,7 +20,7 @@ import numpy as np
 from .disorder import DisorderSpec, child_seed, sample_realization
 from .engine import SITE_BYTES, WalkConfig, frame_span, real_amplitudes, record_walk
 from .errors import ConfigurationError, NoAbsorptionError, NumericalError
-from .lattice import check_matrix, exact_int, step_times
+from .lattice import check_matrix, checked, step_times
 
 # A row of a block holds its step lengths (8 bytes a step), its share of the
 # two walk buffers (SITE_BYTES a column, half for a real quantum walk), the
@@ -49,15 +49,15 @@ class EnsembleConfig:
     disorder: Optional[DisorderSpec] = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.walk, WalkConfig):
-            raise ConfigurationError(f"walk must be a WalkConfig, got {self.walk!r}")
-        if self.disorder is not None and not isinstance(self.disorder, DisorderSpec):
-            raise ConfigurationError(f"disorder must be a DisorderSpec, got {self.disorder!r}")
-        realizations = exact_int("realizations", self.realizations)
-        if realizations < 1:
-            raise ConfigurationError(f"realizations must be >= 1, got {realizations}")
+        rows = checked("walk", self.walk, WalkConfig).rows
+        if self.disorder is not None:
+            checked("disorder", self.disorder, DisorderSpec)
+        realizations = checked("realizations", self.realizations, lo=1)
+        if rows not in ((), (realizations,)):
+            raise ConfigurationError(f"walk has {rows[0]} rows of step lengths, "
+                                     f"not one per realization ({realizations})")
         object.__setattr__(self, "realizations", realizations)
-        object.__setattr__(self, "master_seed", exact_int("master_seed", self.master_seed))
+        object.__setattr__(self, "master_seed", checked("master_seed", self.master_seed))
 
 
 @dataclass
@@ -112,7 +112,7 @@ def run_ensemble(
     every realization. A (realizations × steps) matrix beyond
     MAX_ARRAY_BYTES is refused before anything is sampled.
     """
-    walk, count = config.walk, config.realizations
+    walk, count = checked("config", config, EnsembleConfig).walk, config.realizations
     check_matrix(count, walk.steps, "realizations")
     times = step_times(sigma_times, walk.steps, "sigma time").tolist()
     per_step = np.zeros((count, walk.steps)) if absorbed else None
@@ -150,9 +150,7 @@ def finite_horizon_avg_time(per_step: np.ndarray, n: int) -> float:
     """Weighted average absorbing time Σ_{t≤n} t·p_t / Σ_{t≤n} p_t of one
     walk's per-step p_t (`WalkResult.per_step`): the `_horizon_ratios` of
     one row."""
-    n = exact_int("horizon", n)
-    if n < 1:
-        raise ConfigurationError(f"horizon must be >= 1, got {n}")
+    n = checked("horizon", n, lo=1)
     try:
         p = np.asarray(per_step)
     except ValueError:  # a ragged nesting
@@ -237,7 +235,7 @@ def disorder_avg_absorb_time(
     horizon with none included averages to NaN. Some horizon must keep at
     least one realization. The walks stop at the last horizon.
     """
-    if config.walk.absorber is None:
+    if checked("config", config, EnsembleConfig).walk.absorber is None:
         raise ConfigurationError("absorbing-time averages need an absorber")
     hs, stopped = _stop_at_grid(config, horizons, "horizon")
     absorbed, _ = run_ensemble(stopped, sigma_times=())
@@ -252,7 +250,7 @@ def disorder_avg_sigma(
     step); σ is the surviving-mass (renormalized) spread whenever an
     absorber is present, and is computed only at those t; the walks stop at
     the last one."""
-    ts, stopped = _stop_at_grid(config, t_grid, "t grid value")
+    ts, stopped = _stop_at_grid(checked("config", config, EnsembleConfig), t_grid, "t grid value")
     _, sigma = run_ensemble(stopped, sigma_times=ts, absorbed=False)
     return _nan_average(sigma, ts, NumericalError, "no surviving mass at t =")
 
@@ -302,8 +300,8 @@ def _t_quantile(nu: int, q: float) -> float:
 
 def fit_exponent(curve: AveragedCurve, t_lo: int = 20, t_hi: int = 80) -> FitResult:
     """OLS fit of ln(value) against ln(t) over integer t in [t_lo, t_hi]."""
-    t_lo, t_hi = exact_int("t_lo", t_lo), exact_int("t_hi", t_hi)
-    mask = (curve.abscissa >= t_lo) & (curve.abscissa <= t_hi)
+    t_lo, t_hi = checked("t_lo", t_lo), checked("t_hi", t_hi)
+    mask = (checked("curve", curve, AveragedCurve).abscissa >= t_lo) & (curve.abscissa <= t_hi)
     check_fit_range(t_lo, t_hi, np.count_nonzero(mask))
     t_sel = curve.abscissa[mask].astype(np.float64)
     v_sel = curve.values[mask]

@@ -22,15 +22,17 @@ within reach of the start. A row's sites lie two apart, so its σ is twice
 the spread of its column index (`window_sigma`): no site array is built a
 step.
 
-Every module reads its integers (`exact_int`: 2.0 reads as 2, 2.5 is an
-error), absorber sites (`AbsorberConfig`) and step times (`step_times`) here,
-and checks each large array against the memory budget (`check_budget`,
-`check_matrix`) before allocating it.
+Every entry point checks its arguments through one rule, `checked`: an
+exact integer within optional bounds (2.0 reads as 2, 2.5 is an error), an
+instance of a type, or one of a known set. Absorber sites (`AbsorberConfig`)
+and step times (`step_times`) are read here, and each large array is checked
+against the memory budget (`check_budget`, `check_matrix`) before it is made.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -41,16 +43,40 @@ LEFT = 0
 RIGHT = 1
 
 
-def exact_int(name: str, value) -> int:
-    """`value` as an int when it is exactly one; a NaN, an infinity, a
-    fraction or a non-number is a ConfigurationError that names `name`."""
+def checked(name: str, value, kind=int, lo: Optional[int] = None,
+            hi: Optional[int] = None):
+    """The one argument rule: `value` if it is of `kind`, else a
+    ConfigurationError that names `name`. Three forms:
+
+    - `int` (the default): `value` as an int when it is exactly one (2.0
+      reads as 2; a NaN, an infinity, a fraction or a non-number is refused),
+      at least `lo` and at most `hi` when given (`hi` only with `lo`);
+    - a type: `value` when it is an instance of it;
+    - a collection: `value` when it is one of its members (an unhashable
+      value is none).
+    """
+    if kind is int:
+        try:
+            as_int = int(value)
+        except (TypeError, ValueError, OverflowError):
+            as_int = None
+        if as_int is None or as_int != value:
+            raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        if lo is not None and (as_int < lo or hi is not None and as_int > hi):
+            bound = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+            raise ConfigurationError(f"{name} must be {bound}, got {as_int}")
+        return as_int
+    if isinstance(kind, type):
+        if not isinstance(value, kind):
+            article = "an" if kind.__name__[0] in "AEIOU" else "a"
+            raise ConfigurationError(f"{name} must be {article} {kind.__name__}, got {value!r}")
+        return value
     try:
-        as_int = int(value)
-    except (TypeError, ValueError, OverflowError):
-        as_int = None
-    if as_int is None or as_int != value:
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-    return as_int
+        if value in kind:
+            return value
+    except (TypeError, ValueError):  # unhashable, or an array's ambiguous truth
+        pass
+    raise ConfigurationError(f"unknown {name} {value!r} (known: {', '.join(kind)})")
 
 
 # Largest array a run may ask for, each checked before it is allocated: a
@@ -89,7 +115,7 @@ class AbsorberConfig:
     position: int
 
     def __post_init__(self) -> None:
-        position = exact_int("absorber position", self.position)
+        position = checked("absorber position", self.position)
         if position == 0:
             raise ConfigurationError("absorber position must be nonzero")
         object.__setattr__(self, "position", position)
@@ -104,10 +130,9 @@ def step_times(values: Optional[Iterable[int]], steps: int, what: str) -> np.nda
     if isinstance(values, np.ndarray):
         values = values.ravel().tolist()
     # not np.unique: its first call imports numpy.ma, about 1 MB of memory
-    times = sorted({exact_int(what, t) for t in values})
-    if times and (times[0] < 1 or times[-1] > steps):
-        raise ConfigurationError(
-            f"{what} must be in 1..{steps}, got {times[0] if times[0] < 1 else times[-1]}")
+    times = sorted({checked(what, t) for t in checked(f"{what}s", values, Iterable)})
+    if times:  # the end that is out of range, if one is
+        checked(what, times[0] if times[0] < 1 else times[-1], lo=1, hi=steps)
     return np.array(times, dtype=np.int64)
 
 
@@ -139,10 +164,10 @@ class Move(NamedTuple):
 
 
 @dataclass
-class _Window:
-    """What both states share: the time, the site n_min of the window's
-    first column, the window array `values` (a view into `frame.live`), the
-    row parity (one per row for a block) and the frame."""
+class WalkerState:
+    """A quantum or classical state: the time, the site n_min of the
+    window's first column, the window array `values` (a view into
+    `frame.live`), the row parity (one per row for a block) and the frame."""
 
     time: int
     n_min: int
@@ -166,7 +191,7 @@ class _Window:
         return self.mass_of(self.values)
 
 
-class QuantumState(_Window):
+class QuantumState(WalkerState):
     """Coin ⊗ position amplitudes over a window of parity columns: `values`
     has shape ([rows,] 2, width), L = 0, R = 1, float64 when the walk's coin
     and start are real (its amplitudes stay real), else complex128."""
@@ -185,7 +210,7 @@ class QuantumState(_Window):
         return (np.abs(values) ** 2).sum(axis=(-2, -1))
 
 
-class ClassicalState(_Window):
+class ClassicalState(WalkerState):
     """Probability mass over a window of parity columns: `values` is float64
     of shape ([rows,] width)."""
 
@@ -299,12 +324,10 @@ class PositionDistribution:
 def _column_probs(state) -> np.ndarray:
     """Probabilities of the window's columns (per row): the state's own
     array for a classical state."""
-    if isinstance(state, QuantumState):
+    if isinstance(checked("state", state, WalkerState), QuantumState):
         psi = state.psi
         return np.abs(psi[..., LEFT, :]) ** 2 + np.abs(psi[..., RIGHT, :]) ** 2
-    if isinstance(state, ClassicalState):
-        return state.prob
-    raise ConfigurationError(f"not a walker state: {type(state).__name__}")
+    return state.prob
 
 
 def probability_distribution(state) -> PositionDistribution:
@@ -349,7 +372,7 @@ def std_dev(dist: PositionDistribution):
     With rows, one spread per row, NaN for a row without mass; a single
     distribution without mass raises EmptyStateError.
     """
-    if dist.probs.ndim == 1 and dist.mass() <= 0.0:
+    if checked("dist", dist, PositionDistribution).probs.ndim == 1 and dist.mass() <= 0.0:
         raise EmptyStateError("zero-mass distribution has no spread")
     sigma = _spread(dist.probs, dist.positions)
     return float(sigma) if dist.probs.ndim == 1 else sigma

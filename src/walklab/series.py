@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from collections.abc import Callable, Collection, Iterator, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .lattice import AbsorberConfig, exact_int
+from .lattice import AbsorberConfig, checked
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 DEFAULT_ORDER = 2 ** 14
@@ -51,23 +51,20 @@ class PowerSeries:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "coeffs", np.asarray(self.coeffs, dtype=np.float64)
-        )
-        if self.coeffs.ndim != 1 or self.coeffs.size == 0:
+        try:
+            coeffs = np.asarray(self.coeffs, dtype=np.float64)
+        except (TypeError, ValueError):  # not real numbers, or a ragged nesting
+            coeffs = np.empty(0)
+        if coeffs.ndim != 1 or coeffs.size == 0:
             raise ConfigurationError("coefficients must be a nonempty 1D array")
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def order(self) -> int:
         return self.coeffs.size - 1
 
     def coefficient(self, k: int) -> float:
-        k = exact_int("coefficient index", k)
-        if not 0 <= k <= self.order:
-            raise ConfigurationError(
-                f"coefficient index {k} outside truncation order {self.order}"
-            )
-        return float(self.coeffs[k])
+        return float(self.coeffs[checked("coefficient index", k, lo=0, hi=self.order)])
 
     def __mul__(self, other):
         if isinstance(other, PowerSeries):
@@ -123,9 +120,8 @@ def _amplitude_rows(
     mirrored walk: the absorber sits at |m1| and the coin roles swap, which
     leaves p_t values exact. Every row is checked before any array is made.
     """
-    if initial not in ("L", "R"):
-        raise ConfigurationError(f"initial coin state must be 'L' or 'R', got {initial!r}")
-    order = exact_int("order", order)
+    checked("initial coin state", initial, ("L", "R"))
+    order = checked("order", order)
     if order > MAX_ORDER:
         raise ConfigurationError(
             f"series order {order} is above the memory budget of {MAX_ORDER}"
@@ -248,10 +244,9 @@ def absorption_summaries(
     """(P, t_a) for each absorber position in m1s, from one chain of powers:
     the total absorption probability P = Σ p_t and the average absorbing
     time t_a = Σ t·p_t / Σ p_t, both tail-corrected."""
-    if tail not in ("power_law", "none"):
-        raise ConfigurationError(f"unknown tail mode {tail!r}")
+    checked("tail mode", tail, ("power_law", "none"))
     done = {m1: _summary(amps, order, tail)
-            for m1, amps in _amplitude_rows(m1s, initial, order)}
+            for m1, amps in _amplitude_rows(checked("m1s", m1s, Collection), initial, order)}
     return [done[m1] for m1 in m1s]
 
 
@@ -285,16 +280,17 @@ def raabe_estimate(ratio: Callable, n_max: int = 10 ** 6) -> RaabeReport:
     E_n = E + c/n over the top two octaves, which cancels the leading
     finite-n bias.
     """
-    n_max = exact_int("n_max", n_max)
-    if not 16 <= n_max <= RAABE_MAX_N:
-        raise ConfigurationError(
-            f"n_max must be in 16..{RAABE_MAX_N}, got {n_max}")
+    n_max = checked("n_max", n_max, lo=16, hi=RAABE_MAX_N)
     octaves = int(math.floor(math.log2(n_max / 4)))
     scales = 2.0 ** (np.arange(octaves * RAABE_POINTS_PER_OCTAVE + 1)
                      / RAABE_POINTS_PER_OCTAVE)
     ns = np.unique(np.round(n_max / scales).astype(np.int64))
     ns = ns[ns >= 4]
-    r = np.asarray(ratio(ns), dtype=np.float64)
+    values = checked("ratio", ratio, Callable)(ns)
+    try:
+        r = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError):  # not numbers, or a ragged nesting
+        r = np.empty(())
     if r.shape != ns.shape:
         raise ConfigurationError("ratio must give one number per n")
     bad = np.nonzero(~(r > 0))[0]

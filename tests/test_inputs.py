@@ -1,8 +1,12 @@
-"""Integer inputs: every public entry point reads its integers, absorber
-sites and step times through `lattice.exact_int`, `AbsorberConfig` and
-`lattice.step_times`, so 2.0 reads as 2 and 2.5 is a ConfigurationError
-that names the argument. A config field of the wrong type is one too."""
+"""Arguments: every public entry point checks its arguments through one
+rule, `lattice.checked`, in three forms. An integer must be exact and in
+range (2.0 reads as 2; 2.5 is refused, as is a value below or above its
+bounds), a config, spec or curve must be an instance of its type, and a
+name must be one of a known set. Absorber sites and step times are read
+through `AbsorberConfig` and `lattice.step_times`, which use the same rule.
+Any breach is a ConfigurationError that names the argument."""
 import dataclasses
+import math
 import re
 import tracemalloc
 from dataclasses import replace
@@ -14,7 +18,9 @@ import pytest
 from walklab import (
     AbsorberConfig,
     AveragedCurve,
+    CoinOperator,
     ConfigurationError,
+    DisorderSpec,
     EnsembleConfig,
     PowerSeries,
     WalkConfig,
@@ -31,6 +37,7 @@ from walklab import (
     fit_exponent,
     generating_function,
     hypergeometric,
+    iterate_walk,
     point_mass,
     poisson,
     quantum_avg_time_ratio,
@@ -39,8 +46,10 @@ from walklab import (
     run_walk,
     sample_realization,
     snapshot_distribution,
+    std_dev,
 )
-from walklab.engine import snapshot_distributions
+from walklab.cli import main
+from walklab.engine import coin_by_name, snapshot_distributions
 from walklab.lattice import step_times
 
 WALK = WalkConfig(steps=6, absorber=AbsorberConfig(2))
@@ -134,8 +143,7 @@ INTEGER_ARGUMENTS = {
         "n_steps must be an integer", lambda v: sample_realization(poisson(1.0), v, 7).lengths),
     "sample_realization.seed": (
         "seed must be an integer", lambda v: sample_realization(poisson(1.0), 5, v).lengths),
-    "child_seed.master_seed": (
-        "master_seed must be an integer", lambda v: child_seed(v, 0)),
+    "child_seed.master_seed": ("seed must be an integer", lambda v: child_seed(v, 0)),
     "child_seed.index": ("index must be an integer", lambda v: child_seed(1, v)),
     "binomial.n": (
         "binomial needs an integer n", lambda v: binomial(v, 0.5).support_table()),
@@ -162,6 +170,18 @@ def test_integer_argument_reads_2_0_as_2_and_refuses_2_5(message, call):
 OUT_OF_RANGE = {
     "child_seed.master_seed": (lambda: child_seed(-1, 0), "seed must be >= 0, got -1"),
     "child_seed.index": (lambda: child_seed(1, -1), "index must be >= 0, got -1"),
+    "sample_realization.seed": (lambda: sample_realization(poisson(1.0), 5, -1),
+                                "seed must be >= 0, got -1"),
+    # float64 times are exact integers only up to 2^53: these gave six equal times
+    "first_passage_series.m1": (
+        lambda: first_passage_series(2 ** 62, 2 ** 62 + 10),
+        f"absorber position must be in {-2 ** 53}..{2 ** 53}, got {2 ** 62}"),
+    "first_passage_series.m1-negative": (
+        lambda: first_passage_series(-2 ** 53 - 1, 10),
+        f"absorber position must be in {-2 ** 53}..{2 ** 53}, got {-2 ** 53 - 1}"),
+    "first_passage_series.horizon": (
+        lambda: first_passage_series(2, 2 ** 53 + 1),
+        f"horizon must be in 0..{2 ** 53}, got {2 ** 53 + 1}"),
 }
 
 
@@ -287,14 +307,19 @@ def test_finite_horizon_avg_time_reads_a_list_as_its_array():
     assert finite_horizon_avg_time([0, 1, 1], 3) == 2.5
 
 
-# a config field or argument of the wrong type -> (the call, its whole error)
+# a config field or argument of the wrong type, or a name outside its known
+# set -> (the call, its whole error)
 WRONG_TYPES = {
     "WalkConfig.absorber": (lambda: run_walk(WalkConfig(steps=3, absorber=2)),
                             "absorber must be an AbsorberConfig, got 2"),
     "WalkConfig.coin": (lambda: run_walk(WalkConfig(steps=3, coin="hadamard")),
                         "coin must be a CoinOperator, got 'hadamard'"),
     "WalkConfig.initial_amp_left": (lambda: WalkConfig(steps=3, initial_amp_left="1"),
-                                    "initial coin amplitudes must be numbers, got ('1', 0.0)"),
+                                    "initial_amp_left must be a Number, got '1'"),
+    "WalkConfig.engine": (lambda: WalkConfig(steps=3, engine=["quantum"]),
+                          "unknown engine ['quantum'] (known: quantum, classical)"),
+    "CoinOperator.a": (lambda: CoinOperator("a", "b", "c", "d"),
+                       "coin entry a must be a Number, got 'a'"),
     "WalkConfig.step_lengths": (lambda: WalkConfig(steps=2, step_lengths=[[1, 2], [1]]),
                                 "step_lengths must not be ragged"),
     "EnsembleConfig.walk": (lambda: run_ensemble(EnsembleConfig(None, 2, 1)),
@@ -302,10 +327,64 @@ WRONG_TYPES = {
     "EnsembleConfig.disorder": (
         lambda: run_ensemble(EnsembleConfig(WALK, 2, 1, "poisson:lambda=1")),
         "disorder must be a DisorderSpec, got 'poisson:lambda=1'"),
+    "EnsembleConfig.walk-rows": (
+        lambda: run_ensemble(EnsembleConfig(WalkConfig(
+            steps=4, step_lengths=np.ones((3, 4), int), absorber=AbsorberConfig(2)), 5)),
+        "walk has 3 rows of step lengths, not one per realization (5)"),
+    "run_walk.config": (lambda: run_walk(2.5), "config must be a WalkConfig, got 2.5"),
+    "iterate_walk.config": (lambda: next(iterate_walk(None)),
+                            "config must be a WalkConfig, got None"),
+    "snapshot_distributions.config": (lambda: snapshot_distributions(None, [1]),
+                                      "config must be a WalkConfig, got None"),
+    "run_ensemble.config": (lambda: run_ensemble(None),
+                            "config must be an EnsembleConfig, got None"),
+    "disorder_avg_sigma.config": (lambda: disorder_avg_sigma(None),
+                                  "config must be an EnsembleConfig, got None"),
+    "disorder_avg_absorb_time.config": (lambda: disorder_avg_absorb_time(None),
+                                        "config must be an EnsembleConfig, got None"),
+    "fit_exponent.curve": (lambda: fit_exponent(None, 1, 5),
+                           "curve must be an AveragedCurve, got None"),
+    "sample_realization.spec": (lambda: sample_realization("poisson:lambda=1", 3, 1),
+                                "spec must be a DisorderSpec, got 'poisson:lambda=1'"),
+    "DisorderSpec.params": (lambda: DisorderSpec("poisson", (("lambda", "1"),)),
+                            "disorder parameter lambda must be a Real, got '1'"),
+    "DisorderSpec.params-not-a-tuple": (lambda: DisorderSpec("poisson", None),
+                                        "params must be a tuple, got None"),
+    "build_spec.fields": (lambda: build_spec("poisson", None),
+                          "disorder parameters must be a Mapping, got None"),
+    "run_walk.sigma_times": (lambda: run_walk(WALK, 2.5),
+                             "sigma times must be an Iterable, got 2.5"),
+    "disorder_avg_absorb_time.horizons": (lambda: disorder_avg_absorb_time(ENSEMBLE, 5),
+                                          "horizons must be an Iterable, got 5"),
+    "absorption_summaries.m1s": (lambda: absorption_summaries(2, order=8),
+                                 "m1s must be a Collection, got 2"),
+    "std_dev.dist": (lambda: std_dev(None), "dist must be a PositionDistribution, got None"),
+    "PowerSeries.coeffs": (lambda: PowerSeries(["x"]),
+                           "coefficients must be a nonempty 1D array"),
+    "PowerSeries.coeffs-ragged": (lambda: PowerSeries([[1.0, 2.0], [1.0]]),
+                                  "coefficients must be a nonempty 1D array"),
+    "raabe_estimate.ratio-not-callable": (lambda: raabe_estimate(2.0),
+                                          "ratio must be a Callable, got 2.0"),
     "raabe_estimate.ratio": (lambda: raabe_estimate(lambda n: np.ones(3)),
                              "ratio must give one number per n"),
     "raabe_estimate.ratio-scalar": (lambda: raabe_estimate(lambda n: 2.0),
                                     "ratio must give one number per n"),
+    "raabe_estimate.ratio-strings": (lambda: raabe_estimate(lambda n: ["a"] * len(n)),
+                                     "ratio must give one number per n"),
+    "WalkConfig.engine-unknown": (lambda: WalkConfig(steps=3, engine="quantm"),
+                                  "unknown engine 'quantm' (known: quantum, classical)"),
+    "absorption_summaries.initial": (
+        lambda: absorption_summaries([2], initial="X", order=8),
+        "unknown initial coin state 'X' (known: L, R)"),
+    "absorption_summaries.tail": (
+        lambda: absorption_summaries([2], order=8, tail="exp"),
+        "unknown tail mode 'exp' (known: power_law, none)"),
+    "coin_by_name": (lambda: coin_by_name("nosuch"),
+                     "unknown coin 'nosuch' (known: hadamard, hadamard-mirrored, kempe)"),
+    "build_spec.family": (
+        lambda: build_spec("nosuch", {}),
+        "unknown disorder family 'nosuch' (known: poisson, binomial, hypergeometric, "
+        "negative_binomial, geometric, geometric_shifted, point_mass)"),
 }
 
 
@@ -315,7 +394,30 @@ def test_a_value_of_the_wrong_type_is_refused(call, message):
         call()
 
 
+def test_absorption_summaries_refuses_positions_it_cannot_read_twice():
+    # a generator would be spent by the first pass: its table came back empty
+    with pytest.raises(ConfigurationError, match="^m1s must be a Collection, got <generator"):
+        absorption_summaries((m1 for m1 in [1, 2]), order=8)
+    assert absorption_summaries(np.array([1, 2]), order=8) \
+        == absorption_summaries(range(1, 3), order=8)
+
+
 def test_the_classical_engine_ignores_the_coin_and_amplitudes():
     config = WalkConfig(steps=6, engine="classical", coin="hadamard", initial_amp_left="1")
     np.testing.assert_equal(run_walk(config).sigma,
                             run_walk(WalkConfig(steps=6, engine="classical")).sigma)
+
+
+@pytest.mark.parametrize("text, make, message", [
+    ("poisson:lambda=inf", lambda: poisson(math.inf),
+     "disorder parameter lambda must be finite, got inf"),
+    ("binomial:n=2,p=nan", lambda: binomial(2, math.nan),
+     "disorder parameter p must be finite, got nan"),
+])
+def test_a_non_finite_disorder_parameter_is_refused(text, make, message, capsys):
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        make()
+    assert main(["walk", "--engine", "quantum", "--steps", "3", "--disorder", text,
+                 "--seed", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")

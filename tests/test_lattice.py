@@ -71,7 +71,7 @@ def test_empty_distribution_errors():
     empty = dist([(0, 0.0), (2, 0.0)])
     with pytest.raises(EmptyStateError):
         std_dev(empty)
-    with pytest.raises(ConfigurationError, match="not a walker state: object"):
+    with pytest.raises(ConfigurationError, match="^state must be a WalkerState, got <object "):
         probability_distribution(object())
 
 
