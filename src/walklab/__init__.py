@@ -22,10 +22,7 @@ from .engine import (
     CoinOperator,
     WalkConfig,
     coin_by_name,
-    hadamard_coin,
     iterate_walk,
-    kempe_coin,
-    mirrored_hadamard_coin,
     run_walk,
     snapshot_distribution,
 )
@@ -77,8 +74,7 @@ __all__ = [
     "classical_avg_time_ratio", "coin_by_name", "disorder_avg_absorb_time",
     "disorder_avg_sigma", "finite_horizon_avg_time", "first_passage_series",
     "fit_exponent", "generating_function", "geometric", "geometric_shifted",
-    "hadamard_coin", "hypergeometric", "iterate_walk", "kempe_coin",
-    "mirrored_hadamard_coin", "negative_binomial", "point_mass", "poisson",
+    "hypergeometric", "iterate_walk", "negative_binomial", "point_mass", "poisson",
     "probability_distribution", "quantum_avg_time_ratio", "raabe_estimate",
     "run_ensemble", "run_walk", "sample_realization", "snapshot_distribution",
     "std_dev",

@@ -139,7 +139,10 @@ class DisorderSpec:
 
     def __post_init__(self) -> None:
         fam = _FAMILIES[checked("disorder family", self.family, _FAMILIES)]
-        keys = tuple(k for k, _ in checked("params", self.params, tuple))
+        for pair in checked("params", self.params, tuple):
+            checked("params pair", pair, tuple)
+            checked("params pair length", len(pair), lo=2, hi=2)
+        keys = tuple(k for k, _ in self.params)
         if keys != fam.keys:
             raise ConfigurationError(
                 f"family {self.family!r} needs parameters {fam.keys}, got {keys}"

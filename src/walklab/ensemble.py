@@ -40,7 +40,8 @@ class EnsembleConfig:
 
     With disorder, realization i runs the template with step lengths drawn
     from the seed child_seed(master_seed, i); without, every realization
-    runs the template as it is.
+    runs the template as it is, one site a step. The lengths come only from
+    the disorder: a template with step lengths is a ConfigurationError.
     """
 
     walk: WalkConfig
@@ -49,14 +50,13 @@ class EnsembleConfig:
     disorder: Optional[DisorderSpec] = None
 
     def __post_init__(self) -> None:
-        rows = checked("walk", self.walk, WalkConfig).rows
+        if checked("walk", self.walk, WalkConfig).step_lengths is not None:
+            raise ConfigurationError("walk must have no step_lengths: an ensemble "
+                                     "draws them from its disorder")
         if self.disorder is not None:
             checked("disorder", self.disorder, DisorderSpec)
-        realizations = checked("realizations", self.realizations, lo=1)
-        if rows not in ((), (realizations,)):
-            raise ConfigurationError(f"walk has {rows[0]} rows of step lengths, "
-                                     f"not one per realization ({realizations})")
-        object.__setattr__(self, "realizations", realizations)
+        object.__setattr__(self, "realizations",
+                           checked("realizations", self.realizations, lo=1))
         object.__setattr__(self, "master_seed", checked("master_seed", self.master_seed))
 
 
@@ -218,11 +218,7 @@ def _stop_at_grid(config: EnsembleConfig, values: Optional[Iterable[int]],
     times = step_times(values, config.walk.steps, what)
     if not times.size:
         raise ConfigurationError(f"at least one {what} is required")
-    last, lengths = int(times[-1]), config.walk.step_lengths
-    if lengths is not None:
-        lengths = np.asarray(lengths)[..., :last]
-    return times, replace(config, walk=replace(config.walk, steps=last,
-                                               step_lengths=lengths))
+    return times, replace(config, walk=replace(config.walk, steps=int(times[-1])))
 
 
 def disorder_avg_absorb_time(

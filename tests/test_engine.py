@@ -12,21 +12,14 @@ from walklab import (
     WalkConfig,
     absorption_probabilities,
     coin_by_name,
-    hadamard_coin,
     iterate_walk,
-    kempe_coin,
-    mirrored_hadamard_coin,
     probability_distribution,
     run_walk,
     std_dev,
 )
 from walklab.engine import snapshot_distribution
 
-COINS = {
-    "hadamard": hadamard_coin(),
-    "hadamard-mirrored": mirrored_hadamard_coin(),
-    "kempe": kempe_coin(),
-}
+COINS = {name: coin_by_name(name) for name in ("hadamard", "hadamard-mirrored", "kempe")}
 
 
 def coin_tuple(coin):
@@ -61,11 +54,11 @@ COMPLEX_TYPED_HADAMARD = CoinOperator(_H + 0j, _H + 0j, _H + 0j, -_H + 0j)
 
 
 @pytest.mark.parametrize("coin, amps, dtype", [
-    (hadamard_coin(), (1.0, 0.0), np.float64),
-    (mirrored_hadamard_coin(), (0.0, 1.0), np.float64),
+    (COINS["hadamard"], (1.0, 0.0), np.float64),
+    (COINS["hadamard-mirrored"], (0.0, 1.0), np.float64),
     (COMPLEX_TYPED_HADAMARD, (1 + 0j, 0j), np.float64),
-    (kempe_coin(), (1.0, 0.0), np.complex128),
-    (hadamard_coin(), (_H, 1j * _H), np.complex128),
+    (COINS["kempe"], (1.0, 0.0), np.complex128),
+    (COINS["hadamard"], (_H, 1j * _H), np.complex128),
 ], ids=["hadamard", "mirrored", "complex-typed-real", "kempe", "complex-start"])
 def test_walk_amplitude_dtype(coin, amps, dtype):
     config = WalkConfig(steps=6, coin=coin, initial_amp_left=amps[0],
@@ -104,7 +97,7 @@ def test_two_step_hand_values():
 
 def test_matches_dict_oracle_clean():
     state = last_state(WalkConfig(steps=25))
-    psi, _ = dict_quantum_walk(25, coin_tuple(hadamard_coin()))
+    psi, _ = dict_quantum_walk(25, coin_tuple(COINS["hadamard"]))
     oracle = {n: abs(v[0]) ** 2 + abs(v[1]) ** 2 for n, v in psi.items()}
     mine = dist_dict(state)
     assert set(mine) == {n for n, p in oracle.items() if p > 1e-30}
@@ -117,7 +110,7 @@ def test_matches_dict_oracle_with_absorber(m1):
     config = WalkConfig(steps=30, absorber=AbsorberConfig(m1))
     result = run_walk(config)
     _, absorbed = dict_quantum_walk(
-        30, coin_tuple(hadamard_coin()), absorber=m1
+        30, coin_tuple(COINS["hadamard"]), absorber=m1
     )
     np.testing.assert_allclose(result.per_step, absorbed, atol=1e-12)
 

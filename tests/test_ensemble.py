@@ -246,11 +246,10 @@ def test_single_realization_matches_clean_run():
 
 
 @pytest.mark.parametrize("engine", ["quantum", "classical"])
-def test_template_lengths_stop_at_the_last_step_an_average_reads(engine):
-    """Without disorder every realization walks the template's own lengths;
-    an average that reads only the first steps walks only those lengths."""
-    walk = WalkConfig(steps=10, engine=engine, absorber=AbsorberConfig(3),
-                      step_lengths=np.array([1, 0, 2, 1, 3, 1, 2, 0, 1, 1]))
+def test_an_average_stops_at_the_last_step_it_reads(engine):
+    """Without disorder every realization walks the clean template; an
+    average that reads only the first steps reads them off that one walk."""
+    walk = WalkConfig(steps=10, engine=engine, absorber=AbsorberConfig(3))
     cfg = EnsembleConfig(walk=walk, realizations=2)
     full = run_walk(walk)
     assert disorder_avg_sigma(cfg, [2, 5]).values.tolist() == full.sigma[[1, 4]].tolist()

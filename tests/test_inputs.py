@@ -4,17 +4,25 @@ range (2.0 reads as 2; 2.5 is refused, as is a value below or above its
 bounds), a config, spec or curve must be an instance of its type, and a
 name must be one of a known set. Absorber sites and step times are read
 through `AbsorberConfig` and `lattice.step_times`, which use the same rule.
-Any breach is a ConfigurationError that names the argument."""
+Any breach is a ConfigurationError that names the argument. The last
+test gives every argument of one call of each public callable a pool of
+wrong values: each call must succeed or raise a WalklabError."""
 import dataclasses
 import math
 import re
 import tracemalloc
+import warnings
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import walklab
 from walklab import (
     AbsorberConfig,
     AveragedCurve,
@@ -24,6 +32,7 @@ from walklab import (
     EnsembleConfig,
     PowerSeries,
     WalkConfig,
+    WalklabError,
     absorption_probabilities,
     absorption_summaries,
     binomial,
@@ -330,7 +339,12 @@ WRONG_TYPES = {
     "EnsembleConfig.walk-rows": (
         lambda: run_ensemble(EnsembleConfig(WalkConfig(
             steps=4, step_lengths=np.ones((3, 4), int), absorber=AbsorberConfig(2)), 5)),
-        "walk has 3 rows of step lengths, not one per realization (5)"),
+        "walk must have no step_lengths: an ensemble draws them from its disorder"),
+    "EnsembleConfig.walk-lengths": (
+        lambda: run_ensemble(EnsembleConfig(WalkConfig(
+            steps=4, step_lengths=[1, 0, 2, 1], absorber=AbsorberConfig(2)), 3, 1,
+            poisson(1.0))),
+        "walk must have no step_lengths: an ensemble draws them from its disorder"),
     "run_walk.config": (lambda: run_walk(2.5), "config must be a WalkConfig, got 2.5"),
     "iterate_walk.config": (lambda: next(iterate_walk(None)),
                             "config must be a WalkConfig, got None"),
@@ -350,6 +364,10 @@ WRONG_TYPES = {
                             "disorder parameter lambda must be a Real, got '1'"),
     "DisorderSpec.params-not-a-tuple": (lambda: DisorderSpec("poisson", None),
                                         "params must be a tuple, got None"),
+    "DisorderSpec.params-not-pairs": (lambda: DisorderSpec("poisson", ("x",)),
+                                      "params pair must be a tuple, got 'x'"),
+    "DisorderSpec.params-short-pair": (lambda: DisorderSpec("poisson", (("lambda",),)),
+                                       "params pair length must be in 2..2, got 1"),
     "build_spec.fields": (lambda: build_spec("poisson", None),
                           "disorder parameters must be a Mapping, got None"),
     "run_walk.sigma_times": (lambda: run_walk(WALK, 2.5),
@@ -408,6 +426,17 @@ def test_the_classical_engine_ignores_the_coin_and_amplitudes():
                             run_walk(WalkConfig(steps=6, engine="classical")).sigma)
 
 
+@pytest.mark.parametrize("entry", [math.inf, -math.inf, math.nan, complex(0, math.inf)])
+def test_a_non_finite_coin_entry_is_refused_before_the_unitarity_product(entry):
+    # the product of an infinite entry warns; under this filter the warning
+    # would be raised in place of the error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ConfigurationError,
+                           match=f"^coin entry a must be finite, got {re.escape(repr(entry))}$"):
+            CoinOperator(entry, 0, 0, 1)
+
+
 @pytest.mark.parametrize("text, make, message", [
     ("poisson:lambda=inf", lambda: poisson(math.inf),
      "disorder parameter lambda must be finite, got inf"),
@@ -421,3 +450,100 @@ def test_a_non_finite_disorder_parameter_is_refused(text, make, message, capsys)
                  "--seed", "1"]) == 2
     out, err = capsys.readouterr()
     assert (out, err) == ("", f"error: {message}\n")
+
+
+# public callable -> one valid, cheap call: (positional, keyword arguments)
+_H = 1 / math.sqrt(2)
+_MESSAGE = (("a message",), {})
+BASE_CALLS = {
+    "AbsorberConfig": ((2,), {}),
+    "AveragedCurve": ((TS, np.sqrt(TS), np.zeros(30), 1, np.ones(30, dtype=np.int64)), {}),
+    "CoinOperator": ((_H, _H, _H, -_H), {"name": "h"}),
+    "ConfigurationError": _MESSAGE,
+    "DisorderSpec": (("poisson", (("lambda", 1.0),)), {}),
+    "EmptyStateError": _MESSAGE,
+    "EnsembleConfig": ((WALK, 3), {"master_seed": 1, "disorder": poisson(1.0)}),
+    "NoAbsorptionError": _MESSAGE,
+    "NumericalError": _MESSAGE,
+    "PositionDistribution": ((1, np.array([-1, 1]), np.array([0.5, 0.5])), {}),
+    "PowerSeries": ((np.arange(4.0),), {}),
+    "WalkConfig": ((3,), {"engine": "quantum", "coin": coin_by_name("hadamard"),
+                          "initial_amp_left": 1.0, "initial_amp_right": 0.0,
+                          "absorber": AbsorberConfig(2), "step_lengths": [1, 0, 2]}),
+    "WalklabError": _MESSAGE,
+    "absorption_probabilities": ((2,), {"initial": "L", "order": 32}),
+    "absorption_summaries": (([1, 2],), {"initial": "L", "order": 64, "tail": "power_law"}),
+    "binomial": ((2, 0.5), {}),
+    "build_spec": (("poisson", {"lambda": 1.0}), {}),
+    "child_seed": ((1, 0), {}),
+    "classical_avg_time_ratio": ((2,), {}),
+    "coin_by_name": (("kempe",), {}),
+    "disorder_avg_absorb_time": ((ENSEMBLE, [2, 6]), {}),
+    "disorder_avg_sigma": ((ENSEMBLE, [2, 6]), {}),
+    "finite_horizon_avg_time": ((PER_STEP, 3), {}),
+    "first_passage_series": ((2, 10), {}),
+    "fit_exponent": ((CURVE, 1, 20), {}),
+    "generating_function": ((2,), {"initial": "L", "order": 32}),
+    "geometric": ((0.5,), {}),
+    "geometric_shifted": ((0.5,), {}),
+    "hypergeometric": ((10, 5, 2), {}),
+    "iterate_walk": ((WALK,), {}),
+    "negative_binomial": ((1.0, 0.5), {}),
+    "point_mass": ((3,), {}),
+    "poisson": ((1.0,), {}),
+    "probability_distribution": ((run_walk(WALK).final_state,), {}),
+    "quantum_avg_time_ratio": ((2,), {}),
+    "raabe_estimate": ((quantum_avg_time_ratio(),), {"n_max": 64}),
+    "run_ensemble": ((ENSEMBLE, [2, 3]), {"absorbed": True}),
+    "run_walk": ((WALK, [2, 3]), {}),
+    "sample_realization": ((poisson(1.0), 5, 7), {}),
+    "snapshot_distribution": ((WALK, 3), {}),
+    "std_dev": ((snapshot_distribution(WALK, 3),), {}),
+}
+# each argument of a base call is replaced by each of these in turn
+POOL = ("x", None, [[1, 2], [3]], 2.5, math.nan, math.inf, 1j, True, {"a": 1}, 10 ** 30, -1)
+
+
+def _slots(name):
+    args, kwargs = BASE_CALLS[name]
+    return [*range(len(args)), *kwargs]
+
+
+def _use(result):
+    """Run what a call made but has not run yet: a walk's steps, a spec's
+    table, a config's walk or ensemble."""
+    if isinstance(result, Iterator):
+        deque(result, maxlen=0)
+    elif isinstance(result, DisorderSpec):
+        result.support_table()
+    elif isinstance(result, WalkConfig):
+        run_walk(result)
+    elif isinstance(result, EnsembleConfig):
+        run_ensemble(result)
+
+
+def test_every_public_callable_has_a_base_call():
+    public = {name for name in walklab.__all__ if callable(getattr(walklab, name))}
+    assert set(BASE_CALLS) == public
+    for name, (args, kwargs) in BASE_CALLS.items():
+        _use(getattr(walklab, name)(*args, **kwargs))
+
+
+@pytest.mark.parametrize("name", BASE_CALLS)
+@settings(max_examples=max(len(_slots(name)) for name in BASE_CALLS) * len(POOL),
+          deadline=None)
+@given(data=st.data())
+def test_any_value_in_any_argument_is_taken_or_refused(name, data):
+    """Hypothesis draws from a finite space, so it tries every (argument,
+    value) pair of the row, each once."""
+    slot, value = data.draw(st.sampled_from(
+        [(slot, value) for slot in _slots(name) for value in POOL]))
+    args, kwargs = list(BASE_CALLS[name][0]), dict(BASE_CALLS[name][1])
+    if isinstance(slot, int):
+        args[slot] = value
+    else:
+        kwargs[slot] = value
+    try:
+        _use(getattr(walklab, name)(*args, **kwargs))
+    except WalklabError:
+        pass

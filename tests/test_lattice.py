@@ -37,6 +37,9 @@ def test_initial_quantum_state_point_mass():
 def test_initial_quantum_state_normalization_check():
     with pytest.raises(ConfigurationError):
         WalkConfig(steps=1, initial_amp_left=1.0, initial_amp_right=1.0)
+    # a NaN amplitude is not normalized either
+    with pytest.raises(ConfigurationError, match=r"normalized, got \|\.\|\^2 = nan$"):
+        WalkConfig(steps=1, initial_amp_left=float("nan"))
     # any phase on a normalized pair is fine
     WalkConfig(steps=1, initial_amp_left=1j / np.sqrt(2),
                initial_amp_right=-1 / np.sqrt(2))
