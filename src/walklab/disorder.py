@@ -6,11 +6,15 @@ all its steps. Sampling is inverse-CDF over the spec's pmf table (truncated
 where the remaining tail mass is below 1e-12), so identical (spec, seed, n)
 triples always reproduce identical lengths; a spec object builds its table
 once, and nothing else holds it. The one draw, `sample_realization`, refuses
-lengths beyond the memory budget before it draws. Each family is declared
-once, in `_FAMILIES`; `parse_disorder` is its only text grammar. Every pmf
-table steps its family's exact term ratio p(j+1)/p(j), summing the logs of
-the ratio's factors, so no ratio underflows and no log-gammas cancel (large
-N or r): sampling loads no scipy.
+lengths beyond the memory budget before it draws; given an array of seeds it
+draws one row each. Its uniforms are numpy's default_rng(seed).random(n), and
+`child_seed` is numpy's SeedSequence, both reproduced bit for bit in uint64
+words (PCG64 states by jump-ahead, a bounded chunk at a time), so no draw
+imports numpy.random. Each family is declared once, in `_FAMILIES`;
+`parse_disorder` is its only text grammar. Every pmf table steps its
+family's exact term ratio p(j+1)/p(j), summing the logs of the ratio's
+factors, so no ratio underflows and no log-gammas cancel (large N or r):
+sampling loads no scipy.
 """
 from __future__ import annotations
 
@@ -24,7 +28,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .lattice import check_budget, checked
+from .lattice import as_complex, check_budget, checked
 
 _TAIL_EPS = 1e-12
 # longest support table: a bounded support beyond it is refused, an
@@ -148,7 +152,7 @@ class DisorderSpec:
                 f"family {self.family!r} needs parameters {fam.keys}, got {keys}"
             )
         for key, value in self.params:
-            if not math.isfinite(checked(f"disorder parameter {key}", value, numbers.Real)):
+            if not math.isfinite(as_complex(f"disorder parameter {key}", value, numbers.Real).real):
                 raise ConfigurationError(
                     f"disorder parameter {key} must be finite, got {value!r}"
                 )
@@ -303,22 +307,179 @@ def parse_disorder(text: str) -> DisorderSpec:
 
 @dataclass(frozen=True)
 class Realization:
-    """One frozen sequence of step lengths."""
+    """One frozen sequence of step lengths (one row per seed for an array of seeds)."""
 
     lengths: np.ndarray
 
 
-def child_seed(master_seed: int, index: int) -> int:
-    """Derive realization seed i from the master seed, order-independently."""
-    entropy = (checked("seed", master_seed, lo=0), checked("index", index, lo=0))
-    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+# numpy's SeedSequence (entropy hashed into a pool of four uint32 words) and
+# PCG64 (128-bit LCG, XSL-RR output), reproduced bit for bit on Python ints or
+# on uint64 arrays of lanes, one lane per seed, so no draw imports numpy.random
+_M32, _M64 = 2 ** 32 - 1, 2 ** 64 - 1
+_HASH_A, _HASH_B = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)  # (start, step)
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_JUMP_STEPS = 1024  # draws one lane takes in one go, and the jump table's length
+_CHUNK = 2048  # (lanes × steps) drawn in one go: about 130 temporary bytes each
+_SEED_LANES = 1024  # lanes seeded in one go: about 250 temporary bytes each
 
 
-def sample_realization(spec: DisorderSpec, n_steps: int, seed: int) -> Realization:
-    """Draw n_steps i.i.d. lengths from the spec's pmf, deterministically;
-    n_steps int64 lengths beyond `lattice.MAX_ARRAY_BYTES` are refused first."""
+def _words(value: int) -> list:
+    """SeedSequence's uint32 words of a nonnegative int, lowest first; 0 is one word."""
+    words = [value & _M32]
+    while value := value >> 32:
+        words.append(value & _M32)
+    return words
+
+
+def _hasher(constants: tuple) -> Callable:
+    """SeedSequence's hash, whose multiplier starts at and advances by
+    `constants`, one step a call."""
+    const, step = constants
+
+    def hash_(value):
+        nonlocal const
+        const, value = const * step & _M32, value ^ const  # never in place: a lane array
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    return hash_
+
+
+def _mix(x, y):
+    value = (_MIX_L * x - _MIX_R * y) & _M32
+    return value ^ value >> 16
+
+
+def _seed_words(entropy: tuple, count: int) -> list:
+    """The first `count` uint32 words of SeedSequence(entropy).generate_state.
+
+    `entropy` holds nonnegative ints; the last may instead be a uint64 array,
+    one value a lane (one or two words), and then so is each word. Words
+    missing from a pool of four hash like zeros; past the pool, each lane
+    mixes its own words only."""
+    *lead, last = entropy
+    data = [word for value in lead for word in _words(value)]
+    if isinstance(last, np.ndarray):
+        data += [last & _M32, last >> 32]
+    else:
+        data += _words(last)
+    hash_ = _hasher(_HASH_A)
+    pool = [hash_(word) for word in (data + [0] * 4)[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hash_(pool[src]))
+    for src in range(4, len(data)):
+        for dst in range(4):
+            mixed = _mix(pool[dst], hash_(data[src]))
+            # a lane whose last value is one word lacks the last of `data`
+            pool[dst] = np.where(last <= _M32, pool[dst], mixed) \
+                if isinstance(last, np.ndarray) and src == len(data) - 1 else mixed
+    hash_ = _hasher(_HASH_B)
+    return [hash_(pool[i % 4]) for i in range(count)]
+
+
+def _lanes(name: str, value):
+    """`value` as an int >= 0, or, given a 1-D array, as a uint64 array of them."""
+    if not isinstance(value, np.ndarray) or not value.ndim:
+        return checked(name, value, lo=0)
+    if value.ndim != 1 or value.dtype.kind not in "iu":
+        raise ConfigurationError(f"{name}s must be a 1-D integer array, got {value.dtype} "
+                                 f"of shape {value.shape}")
+    if value.size:
+        checked(name, int(value.min()), lo=0)
+    return value.astype(np.uint64)
+
+
+def child_seed(master_seed: int, index):
+    """Derive realization seed i from the master seed, order-independently:
+    numpy's SeedSequence((master_seed, index)).generate_state(1, uint64)[0].
+    An array of indices gives a uint64 array of seeds."""
+    words = _seed_words((checked("seed", master_seed, lo=0), _lanes("index", index)), 2)
+    return words[0] | words[1] << 32
+
+
+def _mul_hi(a, b):
+    """The high 64 bits of the 128-bit products of uint64 values a and b."""
+    a0, a1, b0, b1 = a & _M32, a >> 32, b & _M32, b >> 32
+    low, cross, other = a0 * b0, a1 * b0, a0 * b1
+    carry = ((low >> 32) + (cross & _M32) + (other & _M32)) >> 32
+    return a1 * b1 + (cross >> 32) + (other >> 32) + carry
+
+
+def _affine(m: tuple, x: tuple, c: tuple, y: tuple) -> tuple:
+    """m·x + c·y mod 2^128, each a (high, low) pair of uint64 words."""
+    (mh, ml), (xh, xl), (ch, cl), (yh, yl) = m, x, c, y
+    first = ml * xl
+    low = first + cl * yl
+    high = (_mul_hi(ml, xl) + mh * xl + ml * xh + _mul_hi(cl, yl) + ch * yl + cl * yh
+            + (low < first))
+    return high, low
+
+
+def _split(value: int) -> tuple:
+    return value >> 64, value & _M64
+
+
+@functools.cache
+def _jumps() -> tuple:
+    """(M^k, C_k) for k = 1.._JUMP_STEPS, each a (high, low) pair of uint64
+    arrays: k LCG steps from state s give M^k·s + C_k·inc, C_k = Σ_{j<k} M^j."""
+    powers, sums, power, total = [], [], 1, 0
+    for _ in range(_JUMP_STEPS):
+        total = (total * _PCG_MULT + 1) & (2 ** 128 - 1)
+        power = power * _PCG_MULT & (2 ** 128 - 1)
+        powers.append(_split(power))
+        sums.append(_split(total))
+    return tuple(tuple(np.array(part, dtype=np.uint64) for part in zip(*table))
+                 for table in (powers, sums))
+
+
+def _uniforms(seeds, steps: int):
+    """numpy's default_rng(seed).random(steps) for each lane, (lanes, ≤ steps)
+    blocks at a time: yields (first lane, first step, block). Lanes are
+    seeded _SEED_LANES at a time, so no temporary grows with the lanes or
+    the steps."""
+    powers, sums = _jumps()
+    width = min(steps, _JUMP_STEPS)
+    height = max(1, _CHUNK // width)
+    groups = [(0, seeds)] if not isinstance(seeds, np.ndarray) else \
+        ((start, seeds[start:start + _SEED_LANES]) for start in range(0, seeds.size, _SEED_LANES))
+    for start, group in groups:
+        words = [np.asarray(word, dtype=np.uint64).reshape(-1, 1)
+                 for word in _seed_words((group,), 8)]
+        v0, v1, v2, v3 = (words[i] | words[i + 1] << 32 for i in (0, 2, 4, 6))
+        inc = (v2 << 1 | v3 >> 63, v3 << 1 | 1)
+        # seeding: state 0, one step, add the seed's state, one more step
+        state = _affine(_split(_PCG_MULT), (v0, v1), _split(_PCG_MULT + 1), inc)
+        for first in range(0, v0.size, height):
+            lanes = slice(first, first + height)
+            x, y = (state[0][lanes], state[1][lanes]), (inc[0][lanes], inc[1][lanes])
+            for k in range(0, steps, width):
+                w = min(width, steps - k)
+                high, low = _affine((powers[0][:w], powers[1][:w]), x,
+                                    (sums[0][:w], sums[1][:w]), y)
+                x = (high[:, -1:].copy(), low[:, -1:].copy())
+                bits = high ^ low  # XSL-RR: rotate right by the top six bits
+                rot = high >> 58
+                bits = bits >> rot | bits << (64 - rot & 63)
+                yield start + first, k, (bits >> 11) * (1.0 / 2 ** 53)
+
+
+def sample_realization(spec: DisorderSpec, n_steps: int, seed) -> Realization:
+    """Draw n_steps i.i.d. lengths from the spec's pmf, deterministically: by
+    inverse CDF of numpy's default_rng(seed).random(n_steps). A 1-D integer
+    array of seeds draws one row of lengths per seed. Int64 lengths beyond
+    `lattice.MAX_ARRAY_BYTES` are refused first."""
     n_steps = checked("n_steps", n_steps, lo=1)
-    check_budget(n_steps * 8, f"{n_steps} disordered steps need {{}} bytes of step lengths")
-    u = np.random.default_rng(checked("seed", seed, lo=0)).random(n_steps)
+    seeds = _lanes("seed", seed)
+    rows = seeds.size if isinstance(seeds, np.ndarray) else 1
+    check_budget(rows * n_steps * 8,
+                 f"{rows * n_steps} disordered steps need {{}} bytes of step lengths")
     lengths, _, cumulative = checked("spec", spec, DisorderSpec)._table
-    return Realization(lengths=lengths[np.searchsorted(cumulative, u, side="right")])
+    out = np.empty((rows, n_steps), dtype=np.int64)
+    for first, k, u in _uniforms(seeds, n_steps):
+        out[first:first + u.shape[0], k:k + u.shape[1]] = \
+            lengths[np.searchsorted(cumulative, u, side="right")]
+    return Realization(lengths=out if isinstance(seeds, np.ndarray) else out[0])

@@ -31,9 +31,9 @@ window, no row holding mass, ends a walk.
 """
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -51,6 +51,7 @@ from .lattice import (
     PositionDistribution,
     QuantumState,
     WalkerState,
+    as_complex,
     check_budget,
     check_matrix,
     checked,
@@ -80,12 +81,19 @@ class CoinOperator:
     name: str = "custom"
 
     def __post_init__(self) -> None:
-        for entry in "abcd":  # a non-finite entry would warn in the product below
-            value = checked(f"coin entry {entry}", getattr(self, entry), numbers.Number)
-            if not math.isfinite(abs(value)):
+        entries = []
+        for entry in "abcd":  # refused by name, not only as "not unitary"
+            value = getattr(self, entry)
+            entries.append(as_complex(f"coin entry {entry}", value))
+            if not cmath.isfinite(entries[-1]):
                 raise ConfigurationError(f"coin entry {entry} must be finite, got {value!r}")
-        u = self.matrix()
-        if not np.allclose(u.conj().T @ u, np.eye(2), atol=1e-12):
+        # u^H·u from the columns (a, b) and (c, d) of `matrix()`, in Python
+        # complex arithmetic: a matrix product would be the process's first,
+        # and setting up numpy's BLAS for it costs 0.8 MB
+        columns = (entries[:2], entries[2:])
+        gram = [[p[0].conjugate() * q[0] + p[1].conjugate() * q[1] for q in columns]
+                for p in columns]
+        if not np.allclose(gram, np.eye(2), atol=1e-12):
             raise ConfigurationError(f"coin {self.name!r} is not unitary")
 
     def matrix(self) -> np.ndarray:
@@ -96,7 +104,6 @@ class CoinOperator:
 # the coins by name (`--coin`), as their entries (a, b, c, d): the balanced
 # real a = b = c = 1/√2, d = −1/√2; that one conjugated by the L/R swap, with
 # the minus sign on a; and the balanced complex a = d = 1/√2, b = c = i/√2.
-# A coin is built when asked for: the first unitarity check costs 0.8 MB.
 _COINS = {
     "hadamard": (_INV_SQRT2, _INV_SQRT2, _INV_SQRT2, -_INV_SQRT2),
     "hadamard-mirrored": (-_INV_SQRT2, _INV_SQRT2, _INV_SQRT2, _INV_SQRT2),
@@ -173,9 +180,10 @@ class WalkConfig:
             checked("absorber", self.absorber, AbsorberConfig)
         if self.engine == "quantum":  # the classical engine ignores coin and amplitudes
             checked("coin", self.coin, CoinOperator)
-            amps = (checked("initial_amp_left", self.initial_amp_left, numbers.Number),
-                    checked("initial_amp_right", self.initial_amp_right, numbers.Number))
-            norm = abs(amps[0]) ** 2 + abs(amps[1]) ** 2
+            amps = (as_complex("initial_amp_left", self.initial_amp_left),
+                    as_complex("initial_amp_right", self.initial_amp_right))
+            # no abs(): a huge finite amplitude gives an infinite norm, no OverflowError
+            norm = sum(z.real * z.real + z.imag * z.imag for z in amps)
             if not abs(norm - 1.0) <= 1e-12:  # a NaN amplitude too
                 raise ConfigurationError(
                     f"initial coin amplitudes must be normalized, got |.|^2 = {norm}"

@@ -4,13 +4,15 @@ Realization i of an ensemble walks the lengths that every caller draws,
 sample_realization(disorder, steps, child_seed(master_seed, i)). All
 realizations run as the rows of one batched walk, split into blocks only
 to bound memory; averages are reduced in fixed realization-index order.
-Each block's lengths are drawn just before it runs, and its results are
-written straight into the ensemble's matrices. Blocks are sized by the bytes
+The lengths are drawn a batch of realizations per call, in index order,
+and each block runs as soon as its rows are drawn, its results written
+straight into the ensemble's matrices. Blocks are sized by the bytes
 their rows store, so a real-amplitude quantum walk runs fewer, larger
 blocks. Fits take their t quantile from finite sums, so no scipy is loaded.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
@@ -122,28 +124,39 @@ def run_ensemble(
         record_walk(walk, per_step, sigma, columns)
         return per_step, sigma
 
-    def run_block(first: int, rows: list) -> None:
-        """Run realizations first, first + 1, … with the sampled lengths
-        `rows`, which it empties so that only the block's array holds them."""
-        block, done = np.array(rows), slice(first, first + len(rows))
-        rows.clear()
-        record_walk(replace(walk, step_lengths=block),
-                    None if per_step is None else per_step[done],
-                    None if sigma is None else sigma[done], columns)
-
-    rows, farthest, longest = [], 0, 0
-    for i in range(count):
-        lengths = sample_realization(config.disorder, walk.steps,
-                                     child_seed(config.master_seed, i)).lengths
-        reach, top = int(lengths.sum()), int(lengths.max())
-        if rows and _block_bytes(walk, len(rows) + 1, max(farthest, reach),
-                                 max(longest, top)) > BLOCK_BYTES:
-            run_block(i - len(rows), rows)
-            farthest = longest = 0
-        rows.append(lengths)
-        farthest, longest = max(farthest, reach), max(longest, top)
-    run_block(count - len(rows), rows)
+    # realizations drawn a call: the rows of a draw past a block's end wait,
+    # uncounted, while that block runs, so a draw holds 1/64 of BLOCK_BYTES
+    batch = max(1, BLOCK_BYTES // (64 * 8 * walk.steps))
+    first, lengths = 0, np.empty((0, walk.steps), dtype=np.int64)  # drawn, not yet run
+    for start in range(0, count, batch):
+        seeds = child_seed(config.master_seed, np.arange(start, min(start + batch, count)))
+        lengths = np.concatenate(
+            (lengths, sample_realization(config.disorder, walk.steps, seeds).lengths))
+        reach, top = lengths.sum(axis=1), lengths.max(axis=1)
+        while len(lengths):
+            rows = _block_rows(walk, reach, top)
+            if rows == len(lengths) and start + batch < count:
+                break  # the block may still take rows of the next draw
+            # copies: no row already run is held while the block runs
+            block, lengths = lengths[:rows].copy(), lengths[rows:].copy()
+            reach, top, done = reach[rows:], top[rows:], slice(first, first + rows)
+            record_walk(replace(walk, step_lengths=block),
+                        None if per_step is None else per_step[done],
+                        None if sigma is None else sigma[done], columns)
+            first += rows
     return per_step, sigma
+
+
+def _block_rows(walk: WalkConfig, reach: np.ndarray, top: np.ndarray) -> int:
+    """How many of the realizations, in order, the next block takes: all
+    that fit in BLOCK_BYTES (one at least), given each row's reach (sum of
+    lengths) and longest step. A block's bytes grow with every row it
+    takes, so one bisection over the running maxima finds the cut."""
+    farthest, longest = np.maximum.accumulate(reach), np.maximum.accumulate(top)
+    fits = bisect.bisect_right(
+        range(len(reach)), BLOCK_BYTES,
+        key=lambda k: _block_bytes(walk, k + 1, int(farthest[k]), int(longest[k])))
+    return max(fits, 1)
 
 
 def finite_horizon_avg_time(per_step: np.ndarray, n: int) -> float:

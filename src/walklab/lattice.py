@@ -24,12 +24,15 @@ step.
 
 Every entry point checks its arguments through one rule, `checked`: an
 exact integer within optional bounds (2.0 reads as 2, 2.5 is an error), an
-instance of a type, or one of a known set. Absorber sites (`AbsorberConfig`)
-and step times (`step_times`) are read here, and each large array is checked
-against the memory budget (`check_budget`, `check_matrix`) before it is made.
+instance of a type, or one of a known set; `as_complex` reads a number
+through it and refuses one beyond float range. Absorber sites
+(`AbsorberConfig`) and step times (`step_times`) are read here, and each
+large array is checked against the memory budget (`check_budget`,
+`check_matrix`) before it is made.
 """
 from __future__ import annotations
 
+import numbers
 from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
@@ -77,6 +80,16 @@ def checked(name: str, value, kind=int, lo: Optional[int] = None,
     except (TypeError, ValueError):  # unhashable, or an array's ambiguous truth
         pass
     raise ConfigurationError(f"unknown {name} {value!r} (known: {', '.join(kind)})")
+
+
+def as_complex(name: str, value, kind=numbers.Number) -> complex:
+    """`value`, checked as an instance of `kind`, as a complex number; one
+    beyond float range (an int such as 10**400) is a ConfigurationError that
+    names `name`."""
+    try:
+        return complex(checked(name, value, kind))
+    except OverflowError:
+        raise ConfigurationError(f"{name} is beyond float range, got {value!r}") from None
 
 
 # Largest array a run may ask for, each checked before it is allocated: a

@@ -53,7 +53,7 @@ class PowerSeries:
     def __post_init__(self) -> None:
         try:
             coeffs = np.asarray(self.coeffs, dtype=np.float64)
-        except (TypeError, ValueError):  # not real numbers, or a ragged nesting
+        except (TypeError, ValueError, OverflowError):  # not floats, or a ragged nesting
             coeffs = np.empty(0)
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise ConfigurationError("coefficients must be a nonempty 1D array")

@@ -1108,6 +1108,27 @@ def test_fits_run_without_scipy(argv):
     _assert_runs_without_scipy(argv)
 
 
+@pytest.mark.parametrize("argv", [
+    ["walk", "--engine", "quantum", "--steps", "30", "--absorber", "-2",
+     "--disorder", "poisson:lambda=1"],
+    ["absorb", "--engine", "classical", "--steps", "30", "--absorber", "2",
+     "--disorder", "binomial:n=3,p=0.3", "--realizations", "5"],
+    ["exponent", "--engine", "quantum", "--steps", "30", "--t-range", "10:30",
+     "--disorder", "tableII-negbinomial", "--realizations", "5"],
+    ["sweep", "--realizations", "5", "--steps", "30", "--t-range", "10:30"],
+], ids=["walk", "absorb", "exponent", "sweep"])
+def test_disordered_commands_leave_out_numpy_random(argv):
+    # walklab draws through its own copy of numpy's SeedSequence and PCG64:
+    # importing numpy.random would cost about 5 MB (OpenSSL through secrets)
+    code = ("import sys; from walklab.cli import main; rc = main(%r); print(rc, "
+            "[m for m in ('numpy.random', 'secrets', '_hashlib') if m in sys.modules], "
+            "file=sys.stderr)" % (argv,))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+    assert proc.stderr.splitlines()[-1] == "0 []"
+
+
 def _assert_runs_without_scipy(argv):
     code = (f"import sys; from walklab.cli import main; rc = main({argv!r}); "
             f"print(rc, {SCIPY_MODULES}, file=sys.stderr)")

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -276,6 +277,81 @@ def test_child_seed_mixing():
     assert child_seed(1, 0) != child_seed(2, 0)
     # stable across calls
     assert child_seed(7, 3) == child_seed(7, 3)
+
+
+# The draw chain reproduces numpy's SeedSequence and PCG64 bit for bit; numpy's
+# own SeedSequence and default_rng are its oracle, imported by the tests only.
+# These values sit at the edges of SeedSequence's uint32 words and of its
+# pool of four words: 2^64 is three words, 10^30 four, 10^60 seven.
+WORD_EDGES = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1, 2 ** 64, 10 ** 30, 10 ** 60]
+
+
+def _numpy_child_seed(master, index):
+    return int(np.random.SeedSequence((master, index)).generate_state(1, np.uint64)[0])
+
+
+@settings(deadline=None)
+@given(master=st.one_of(st.sampled_from(WORD_EDGES), st.integers(0, 2 ** 200)),
+       index=st.one_of(st.sampled_from(WORD_EDGES), st.integers(0, 2 ** 70)))
+def test_child_seed_is_numpys_seed_sequence(master, index):
+    assert child_seed(master, index) == _numpy_child_seed(master, index)
+
+
+@pytest.mark.parametrize("master", WORD_EDGES)
+def test_child_seeds_of_an_index_array_are_the_single_seeds(master):
+    # indices of one and of two words in one array
+    index = np.array([0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 40, 2 ** 64 - 1], dtype=np.uint64)
+    seeds = child_seed(master, index)
+    assert seeds.dtype == np.uint64
+    assert seeds.tolist() == [_numpy_child_seed(master, int(i)) for i in index]
+    assert child_seed(master, index.astype(np.int64)[:-1]).tolist() == seeds.tolist()[:-1]
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 63, 2 ** 64 - 1, 2 ** 64 + 5, 10 ** 30])
+def test_the_draws_are_numpys_default_rng(seed):
+    # each uniform, all 53 bits of it, and the lengths it picks
+    steps = 8000
+    want = np.random.default_rng(seed).random(steps)
+    got = np.empty(steps)
+    for _, k, u in disorder._uniforms(seed, steps):
+        got[k:k + u.shape[1]] = u[0]
+    np.testing.assert_array_equal(got, want)
+    spec = poisson(1.0)
+    ls, _, cumulative = spec._table
+    for n in [*range(1, 301), steps]:
+        u = np.random.default_rng(seed).random(n)
+        np.testing.assert_array_equal(sample_realization(spec, n, seed).lengths,
+                                      ls[np.searchsorted(cumulative, u, side="right")])
+
+
+@pytest.mark.parametrize("steps", [1, 80, 1025, 3000])
+def test_a_batched_draw_is_its_rows_drawn_one_by_one(steps):
+    # rows of one draw are generated several lanes and up to 1,024 steps at a
+    # time: 80 steps put 25 lanes in one go, 1,025 and 3,000 cross the jump table
+    spec = TABLE2_PRESETS["tableII-hypergeometric"]
+    seeds = np.concatenate((np.array([0, 2 ** 32, 2 ** 64 - 1], dtype=np.uint64),
+                            child_seed(7, np.arange(40))))
+    batch = sample_realization(spec, steps, seeds).lengths
+    assert batch.shape == (seeds.size, steps) and batch.dtype == np.int64
+    for row, seed in zip(batch, seeds.tolist()):
+        np.testing.assert_array_equal(row, sample_realization(spec, steps, seed).lengths)
+    assert sample_realization(spec, steps, seeds[:0]).lengths.shape == (0, steps)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: sample_realization(poisson(1.0), 5, np.array([[1, 2]])),
+     "seeds must be a 1-D integer array, got int64 of shape (1, 2)"),
+    (lambda: sample_realization(poisson(1.0), 5, np.array([1.0])),
+     "seeds must be a 1-D integer array, got float64 of shape (1,)"),
+    (lambda: sample_realization(poisson(1.0), 5, np.array([3, -1])),
+     "seed must be >= 0, got -1"),
+    (lambda: child_seed(1, np.array([-2, 3])), "index must be >= 0, got -2"),
+    (lambda: sample_realization(poisson(1.0), 2 ** 22, np.arange(3)),
+     "12582912 disordered steps need 100663296 bytes of step lengths, above the budget"),
+], ids=["2-D", "float", "negative", "negative-index", "budget"])
+def test_a_bad_seed_array_is_refused(call, message):
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}"):
+        call()
 
 
 @pytest.mark.parametrize(

@@ -49,6 +49,29 @@ def test_non_unitary_coin_rejected():
 
 
 _H = 1 / np.sqrt(2)
+
+
+@pytest.mark.parametrize("entries, unitary", [
+    *((tuple(np.ravel(coin_tuple(coin))), True) for coin in COINS.values()),
+    ((np.sqrt(1 + 2e-5), 0, 0, 1), False),  # u^H·u off by 2e-5 on its diagonal
+    ((np.sqrt(1 + 5e-6), 0, 0, 1), True),  # by 5e-6: within allclose's rtol
+    ((_H, _H, _H + 1e-11 * np.sqrt(2), -_H), False),  # by 1e-11 off it
+    ((_H, _H, _H + 1e-13 * np.sqrt(2), -_H), True),  # by 1e-13: within atol
+    ((_H, 1j * _H, 1j * _H, _H * (1 + 1e-11j)), False),
+], ids=[*COINS, "diagonal-2e-5", "diagonal-5e-6", "off-1e-11", "off-1e-13", "kempe-phase"])
+def test_unitarity_check_keeps_the_matrix_product_verdict(entries, unitary):
+    # the check takes u^H·u in Python complex arithmetic, not as numpy's
+    # first matrix product; its verdict is the product's
+    a, b, c, d = entries
+    m = np.array([[a, c], [b, d]], dtype=np.complex128)
+    assert np.allclose(m.conj().T @ m, np.eye(2), atol=1e-12) == unitary
+    if unitary:
+        CoinOperator(*entries)
+    else:
+        with pytest.raises(ConfigurationError, match="^coin 'custom' is not unitary$"):
+            CoinOperator(*entries)
+
+
 # the Hadamard coin with its real entries held as complex numbers
 COMPLEX_TYPED_HADAMARD = CoinOperator(_H + 0j, _H + 0j, _H + 0j, -_H + 0j)
 

@@ -92,7 +92,7 @@ def test_ensemble_without_sigma_stores_none():
         disorder=poisson(1.0),
     )
     matrix = count * steps * 8
-    sample_realization(cfg.disorder, 1, 0)  # table and numpy.random loaded first
+    sample_realization(cfg.disorder, 1, 0)  # table and jump table built first
     tracemalloc.start()
     try:
         absorbed, sigma = run_ensemble(cfg, sigma_times=())
@@ -122,7 +122,7 @@ def test_sigma_average_holds_only_its_columns():
         disorder=poisson(1.0),
     )
     matrix = count * len(ts) * 8
-    sample_realization(cfg.disorder, 1, 0)  # table and numpy.random loaded first
+    sample_realization(cfg.disorder, 1, 0)  # table and jump table built first
     tracemalloc.start()
     try:
         curve = disorder_avg_sigma(cfg, ts)
@@ -164,24 +164,34 @@ def test_ensemble_rows_are_the_public_draws(spec, seed, monkeypatch):
 
 @pytest.mark.parametrize("spec", [poisson(1.0), None], ids=["disordered", "clean"])
 def test_an_ensemble_draws_only_through_sample_realization(spec, monkeypatch):
-    # the one draw path: a disordered ensemble calls sample_realization once
-    # per realization, with child_seed(seed, i), and a clean one never; the
-    # counted run gives the same matrices as the uncounted one
-    steps, count, seed, calls = 40, 12, 3, []
+    # the one draw path: a disordered ensemble draws its realizations through
+    # sample_realization, a batch of seeds a call, and the batches' seeds,
+    # concatenated, are child_seed(seed, i) in index order; a clean one never
+    # draws. The counted run gives the same matrices as the uncounted one.
+    # 2^16 bytes draw 2^16 // (64 · 8 · 40) = 3 realizations a call
+    steps, count, seed = 40, 12, 3
     draw = ensemble.sample_realization
-    def counted(*args):
-        calls.append(args)
-        return draw(*args)
     cfg = EnsembleConfig(WalkConfig(steps=steps, absorber=AbsorberConfig(2)),
                          count, seed, spec)
-    want = run_ensemble(cfg, sigma_times=[10, 40])
-    monkeypatch.setattr(ensemble, "sample_realization", counted)
-    got = run_ensemble(cfg, sigma_times=[10, 40])
-    np.testing.assert_array_equal(got[0], want[0])
-    np.testing.assert_array_equal(got[1], want[1])
-    want_calls = [] if spec is None else [(spec, steps, child_seed(seed, i))
-                                          for i in range(count)]
-    assert calls == want_calls
+    for block_bytes, draws in [(2 ** 21, 1), (2 ** 16, 4)]:
+        calls = []
+        def counted(*args):
+            calls.append(args)
+            return draw(*args)
+        monkeypatch.setattr(ensemble, "BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(ensemble, "sample_realization", draw)
+        want = run_ensemble(cfg, sigma_times=[10, 40])
+        monkeypatch.setattr(ensemble, "sample_realization", counted)
+        got = run_ensemble(cfg, sigma_times=[10, 40])
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        if spec is None:
+            assert calls == []
+            continue
+        assert len(calls) == draws
+        assert all(call[:2] == (spec, steps) for call in calls)
+        seeds = [int(s) for _, _, batch in calls for s in batch]
+        assert seeds == [child_seed(seed, i) for i in range(count)]
 
 
 def _sweep_ensembles(coin, presets=tuple(TABLE2_PRESETS)):
@@ -210,7 +220,7 @@ def test_block_peak_stays_within_block_bytes(coin, block_bytes, monkeypatch):
     ts = range(20, 81)
     matrix = 200 * len(ts) * 8
     for cfg in _sweep_ensembles(coin, ("tableII-binomial", "tableII-negbinomial")):
-        sample_realization(cfg.disorder, 1, 0)  # table and numpy.random loaded first
+        sample_realization(cfg.disorder, 1, 0)  # table and jump table built first
         tracemalloc.start()
         try:
             disorder_avg_sigma(cfg, ts)

@@ -437,6 +437,26 @@ def test_a_non_finite_coin_entry_is_refused_before_the_unitarity_product(entry):
             CoinOperator(entry, 0, 0, 1)
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: CoinOperator(10 ** 400, 0, 0, 1), "coin entry a"),
+    (lambda: WalkConfig(3, initial_amp_left=10 ** 400), "initial_amp_left"),
+    (lambda: WalkConfig(3, initial_amp_right=-10 ** 400), "initial_amp_right"),
+    (lambda: poisson(10 ** 400), "disorder parameter lambda"),
+    (lambda: binomial(2, Fraction(10 ** 400, 3)), "disorder parameter p"),
+], ids=["coin", "amp-left", "amp-right", "poisson", "binomial-fraction"])
+def test_a_number_beyond_float_range_is_refused(call, name):
+    # these ended in a raw OverflowError where the number was read as a float
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(name)} is beyond float range, got "):
+        call()
+
+
+@pytest.mark.parametrize("amp", [1e200, complex(1e308, 1e308)])
+def test_a_huge_finite_amplitude_is_not_normalized(amp):
+    # its square overflows to an infinite norm, not to an OverflowError
+    with pytest.raises(ConfigurationError, match=r"normalized, got \|\.\|\^2 = inf$"):
+        WalkConfig(3, initial_amp_left=amp)
+
+
 @pytest.mark.parametrize("text, make, message", [
     ("poisson:lambda=inf", lambda: poisson(math.inf),
      "disorder parameter lambda must be finite, got inf"),
@@ -501,7 +521,8 @@ BASE_CALLS = {
     "std_dev": ((snapshot_distribution(WALK, 3),), {}),
 }
 # each argument of a base call is replaced by each of these in turn
-POOL = ("x", None, [[1, 2], [3]], 2.5, math.nan, math.inf, 1j, True, {"a": 1}, 10 ** 30, -1)
+POOL = ("x", None, [[1, 2], [3]], 2.5, math.nan, math.inf, 1j, True, {"a": 1}, 10 ** 30,
+        10 ** 400, -1)
 
 
 def _slots(name):
